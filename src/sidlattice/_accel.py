@@ -12,6 +12,10 @@ import numpy as np
 
 from .settings import backend
 
+# Rows per block of the Hermitian residual: bounds its temporaries at
+# 256 x n entries.
+_RESIDUAL_BLOCK = 256
+
 
 def _nu_profile_py(values: np.ndarray) -> np.ndarray:
     n = values.shape[0]
@@ -32,7 +36,14 @@ def _apply_phase_py(values: np.ndarray, phases: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_residual_py(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values - values.conj().T)))
+    # Row block [i, i+B) right of column i against the conjugate transpose
+    # of the matching column block covers every pair once; the value equals
+    # the dense max |v - v^H| exactly, since |a - conj(b)| == |b - conj(a)|.
+    n = values.shape[0]
+    block_max = [np.max(np.abs(values[i:i + _RESIDUAL_BLOCK, i:]
+                               - values[i:, i:i + _RESIDUAL_BLOCK].conj().T))
+                 for i in range(0, n, _RESIDUAL_BLOCK)]
+    return float(np.max(block_max))
 
 
 def _nu_profile_impl(values):

@@ -49,6 +49,7 @@ from .spectral import (
     build_kernel,
     make_grid,
 )
+from .settings import default_tol
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,43 +97,50 @@ def _cfg_get(doc: dict, key: str, kind, what: str, required: bool = True):
             raise ConfigError(f"missing {what} key {key!r}")
         return None
     value = doc[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is float and _is_number(value):
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    if kind is dict and isinstance(value, dict):
+    if kind in (dict, list) and isinstance(value, kind):
         return value
     raise ConfigError(f"{what} key {key!r} must be a {kind.__name__}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _build_diag(grid: FrequencyGrid, doc: Optional[dict], what: str) -> DiagonalPart:
     if doc is None:
         return DiagonalPart.zeros(grid)
-    if "samples" in doc:
-        samples = doc["samples"]
-        if not isinstance(samples, list) or len(samples) != grid.n_points:
-            raise ConfigError(
-                f"{what} diag samples must list {grid.n_points} numbers")
-        return DiagonalPart(grid, np.asarray(samples, dtype=np.float64))
+    where = f"{what} diag"
     family = doc.get("family")
-    amplitude = float(doc.get("amplitude", 1.0))
-    if family == "linear":
-        return DiagonalPart(grid, amplitude * grid.nodes)
-    if family == "constant":
-        return DiagonalPart(grid, amplitude * np.ones(grid.n_points))
-    if family == "zero":
+    amplitude = _cfg_get(doc, "amplitude", float, where, required=False)
+    amplitude = 1.0 if amplitude is None else amplitude
+    if "samples" in doc:
+        samples = _cfg_get(doc, "samples", list, where)
+        if len(samples) != grid.n_points or not all(map(_is_number, samples)):
+            raise ConfigError(f"{where} samples must list {grid.n_points} numbers")
+        values = np.asarray(samples, dtype=np.float64)
+    elif family == "linear":
+        values = amplitude * grid.nodes
+    elif family == "constant":
+        values = amplitude * np.ones(grid.n_points)
+    elif family == "zero":
         return DiagonalPart.zeros(grid)
-    if family == "gaussian":
-        try:
-            mu = float(doc["mu"])
-            width = float(doc["Sigma"])
-        except KeyError as exc:
-            raise ConfigError(f"{what} gaussian diag needs mu and Sigma") from exc
-        if width <= 0:
+    elif family == "gaussian":
+        mu = _cfg_get(doc, "mu", float, f"{what} gaussian diag")
+        width = _cfg_get(doc, "Sigma", float, f"{what} gaussian diag")
+        if not width > 0:
             raise ConfigError(f"{what} gaussian diag needs Sigma > 0")
-        return DiagonalPart(grid, amplitude * np.exp(-0.5 * ((grid.nodes - mu) / width) ** 2))
-    raise ConfigError(
-        f"{what} diag family must be one of {DIAG_FAMILIES} or explicit samples")
+        values = amplitude * np.exp(-0.5 * ((grid.nodes - mu) / width) ** 2)
+    else:
+        raise ConfigError(
+            f"{what} diag family must be one of {DIAG_FAMILIES} or explicit samples")
+    try:
+        return DiagonalPart(grid, values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _build_kernel(grid: FrequencyGrid, doc: Optional[dict], what: str) -> RegularKernel:
@@ -148,8 +156,8 @@ def _build_kernel(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Regula
 def _build_observable(grid: FrequencyGrid, doc: dict, what: str) -> VanHoveObservable:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be an object with diag/kernel")
-    diag = _build_diag(grid, doc.get("diag"), what)
-    kernel = _build_kernel(grid, doc.get("kernel"), what)
+    diag = _build_diag(grid, _cfg_get(doc, "diag", dict, what, required=False), what)
+    kernel = _build_kernel(grid, _cfg_get(doc, "kernel", dict, what, required=False), what)
     try:
         return VanHoveObservable(diag, kernel)
     except ValueError as exc:
@@ -182,8 +190,10 @@ def load_scenario(path: str, need_partition: bool) -> Scenario:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
     state_doc = _cfg_get(doc, "state", dict, "config")
-    diag = _build_diag(grid, state_doc.get("diag"), "state")
-    kernel = _build_kernel(grid, state_doc.get("kernel"), "state")
+    diag = _build_diag(
+        grid, _cfg_get(state_doc, "diag", dict, "state", required=False), "state")
+    kernel = _build_kernel(
+        grid, _cfg_get(state_doc, "kernel", dict, "state", required=False), "state")
     try:
         rho = VanHoveState.normalized(diag, kernel)
     except ValueError as exc:
@@ -211,13 +221,13 @@ def load_scenario(path: str, need_partition: bool) -> Scenario:
     thr_doc = doc.get("thresholds") or {}
     if not isinstance(thr_doc, dict):
         raise ConfigError("thresholds must be an object")
-    ratio = float(thr_doc.get("decoherence_ratio", DEFAULT_THRESHOLD_RATIO))
-    sustain = int(thr_doc.get("sustain", DEFAULT_SUSTAIN))
-    epsilon = thr_doc.get("epsilon")
-    if epsilon is not None:
-        epsilon = float(epsilon)
-        if epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", required=False)
+    ratio = DEFAULT_THRESHOLD_RATIO if ratio is None else ratio
+    sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", required=False)
+    sustain = DEFAULT_SUSTAIN if sustain is None else sustain
+    epsilon = _cfg_get(thr_doc, "epsilon", float, "thresholds", required=False)
+    if epsilon is not None and not epsilon > 0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"decoherence_ratio must be in (0, 1), got {ratio}")
     if sustain < 1:
@@ -304,6 +314,8 @@ def _parse_state(doc: dict, dim: int) -> DensityState:
 
 def run_lattice(input_path: str, state_path: Optional[str], report_path: str,
                 max_elements: int) -> int:
+    if max_elements < 2:
+        raise ConfigError(f"--max-elements must be at least 2, got {max_elements}")
     doc = _load_json(input_path, "subspace document")
     dim, seeds = _parse_subspaces(doc)
     lat = generate_lattice(seeds, max_elements=max_elements, ambient_dim=dim)
@@ -456,6 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        default_tol()
+    except ValueError as exc:
+        # read once here, before any validation, so the message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if args.command == "simulate":
             return run_simulate(args.config, args.out)

@@ -107,16 +107,39 @@ def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKe
 
     The diagonal profiles enter through difference cross terms
     (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1, and the kernels through the
-    composed difference K1 o K2 - K2 o K1.
+    composed difference K1 o K2 - K2 o K1. Terms with an identically zero
+    kernel operand are skipped, so a diagonal-only observable against a
+    kernel costs no matmul. Both kernels are Hermitian, so the composed
+    difference is M - M^H with M = K1 o K2: one matmul instead of two.
     """
     grid = _require_same_grid(o1.grid, o2.grid)
     d1 = o1.diag.values
     d2 = o2.diag.values
     k1 = o1.kernel.values
     k2 = o2.kernel.values
-    cross = (d1[:, None] - d1[None, :]) * k2 - (d2[:, None] - d2[None, :]) * k1
-    mixing = grid.spacing * (k1 @ k2 - k2 @ k1)
-    return RegularKernel(grid, cross + mixing)
+    has_k1 = bool(np.any(k1))
+    has_k2 = bool(np.any(k2))
+    values = None
+    if has_k2:
+        values = np.subtract.outer(d1, d1) * k2
+    if has_k1:
+        cross = np.subtract.outer(d2, d2) * k1
+        if values is None:
+            values = np.negative(cross, out=cross)
+        else:
+            values -= cross
+        del cross
+    if has_k1 and has_k2:
+        m = k1 @ k2
+        # M - M^H into the buffer of conj(M).T, which is not M's own memory
+        mixing = m.conj().T
+        np.subtract(m, mixing, out=mixing)
+        del m
+        mixing *= grid.spacing
+        values += mixing
+    if values is None:
+        values = np.zeros_like(k1)
+    return RegularKernel(grid, values)
 
 
 def incompatibility_observable(o1: VanHoveObservable,

@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _accel
 from .errors import (
@@ -274,7 +275,9 @@ def _random_bandlimited(grid: FrequencyGrid, spec: KernelFamilySpec) -> np.ndarr
         + 1j * rng.standard_normal((_RANDOM_MODES, _RANDOM_MODES))
     coeff = 0.5 * (coeff + coeff.conj().T)
     base = phases @ coeff @ phases.conj().T / _RANDOM_MODES
-    return 0.5 * (base + base.conj().T)
+    mix = base + base.conj().T
+    mix *= 0.5
+    return mix
 
 
 def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
@@ -286,26 +289,39 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     windows, and random_bandlimited modulates a seeded Hermitian mode mixture
     by the same envelopes. A SupportOverflowWarning is raised (not an error)
     when the s-envelope leaks more than 1e-6 of its mass outside the window.
+
+    On the midpoint grid nu = h (k - l) and s = h (k + l + 1) / 2 for nodes
+    k, l, so each factor is tabulated once on 2n - 1 points and spread over
+    the n x n grid as a Toeplitz (nu) and a Hankel (s) view of that table.
     """
     _warn_on_envelope_leak(grid, spec)
-    nodes = grid.nodes
-    nu = nodes[:, None] - nodes[None, :]
-    s = 0.5 * (nodes[:, None] + nodes[None, :])
+    n = grid.n_points
+    h = grid.spacing
+    steps = np.arange(2 * n - 1, dtype=np.float64)
+    nu = h * (steps - (n - 1))
+    s = 0.5 * h * (steps + 1.0)
     envelope = np.exp(-0.5 * ((s - spec.mu) / spec.Sigma) ** 2) \
         if spec.family != "rect_band" else (np.abs(s - spec.mu) <= spec.Sigma)
 
-    if spec.family == "gaussian_band":
-        values = spec.amplitude * np.exp(-0.5 * (nu / spec.sigma) ** 2) * envelope
+    if spec.family in ("gaussian_band", "random_bandlimited"):
+        band = np.exp(-0.5 * (nu / spec.sigma) ** 2)
     elif spec.family == "lorentz_band":
-        values = spec.amplitude * spec.gamma**2 / (nu**2 + spec.gamma**2) * envelope
+        band = spec.gamma**2 / (nu**2 + spec.gamma**2)
     elif spec.family == "rect_band":
-        values = spec.amplitude * (np.abs(nu) <= spec.sigma) * envelope
-    elif spec.family == "random_bandlimited":
-        values = spec.amplitude * _random_bandlimited(grid, spec) \
-            * np.exp(-0.5 * (nu / spec.sigma) ** 2) * envelope
+        band = (np.abs(nu) <= spec.sigma).astype(np.float64)
     else:  # pragma: no cover - rejected at spec construction
         raise UnsupportedFamily(spec.family)
-    return RegularKernel(grid, values.astype(np.complex128))
+    band *= spec.amplitude
+    # toeplitz[k, l] = band[k - l + n - 1]; hankel[k, l] = envelope[k + l]
+    toeplitz = sliding_window_view(band, n)[:, ::-1]
+    hankel = sliding_window_view(envelope, n)
+    if spec.family == "random_bandlimited":
+        values = _random_bandlimited(grid, spec)
+        values *= toeplitz
+        values *= hankel
+    else:
+        values = np.multiply(toeplitz, hankel, dtype=np.complex128)
+    return RegularKernel(grid, values)
 
 
 def quad1(grid: FrequencyGrid, samples) -> complex:

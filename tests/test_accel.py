@@ -1,5 +1,9 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidlattice import _accel
 
@@ -59,3 +63,43 @@ def test_backend_selection_reported():
         expected = "numpy" if os.environ.get("SIDLATTICE_BACKEND") == "numpy" \
             else "numba"
         assert _accel.BACKEND == expected
+
+
+def _dense_residual(values):
+    return float(np.max(np.abs(values - values.conj().T)))
+
+
+def test_blockwise_residual_equals_dense_in_every_block_position():
+    block, n = 8, 29  # n is not a multiple of the block size
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    base = base + base.conj().T
+    starts = range(0, n, block)
+    with patch.object(_accel, "_RESIDUAL_BLOCK", block):
+        assert _accel._hermitian_residual_py(base) == 0.0
+        for r0 in starts:
+            for c0 in starts:
+                values = base.copy()
+                r = min(r0 + 3, n - 1)
+                c = min(c0 + 5, n - 1)
+                values[r, c] += 1e-3 - 2e-3j
+                got = _accel._hermitian_residual_py(values)
+                assert got == _dense_residual(values)
+                assert got > 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), block=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_blockwise_residual_equals_dense_property(n, block, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    with patch.object(_accel, "_RESIDUAL_BLOCK", block):
+        assert _accel._hermitian_residual_py(values) == _dense_residual(values)
+
+
+def test_blockwise_residual_at_default_block_size():
+    n = 2 * _accel._RESIDUAL_BLOCK + 37
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert _accel._hermitian_residual_py(values) == _dense_residual(values)

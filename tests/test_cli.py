@@ -212,3 +212,52 @@ class TestOracle:
                      "--params", "not json", "--t", "1"]) == 2
         assert main(["oracle", "--family", "rect_band",
                      "--params", '{"sigma_c": 1.0}', "--t", "1"]) == 2
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+_MALFORMED = {
+    "sustain-string": _set(("thresholds", "sustain"), "ten"),
+    "ratio-null": _set(("thresholds", "decoherence_ratio"), None),
+    "epsilon-string": _set(("thresholds", "epsilon"), "1e-6"),
+    "amplitude-string": _set(("state", "diag", "amplitude"), "2"),
+    "mu-string": _set(("state", "diag", "mu"), "10"),
+    "state-diag-not-object": _set(("state", "diag"), "gaussian"),
+    "o1-diag-not-object": _set(("observables", "O1", "diag"), ["linear"]),
+    "samples-nan": _set(("state", "diag"), {"samples": [float("nan")] * 64}),
+    "samples-string": _set(("state", "diag"), {"samples": ["1"] * 64}),
+}
+
+
+@pytest.mark.parametrize("mutate", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_scenario_field_exits_2(tmp_path, capsys, mutate):
+    doc = _base_config()
+    mutate(doc)
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_lattice_max_elements_below_two_exits_2(tmp_path, capsys):
+    inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [0.0, 1.0]))
+    assert main(["lattice", "--in", inp, "--report", str(tmp_path / "r.json"),
+                 "--max-elements", "1"]) == 2
+    assert "--max-elements must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("raw", ["zero", "-1e-8"])
+def test_bad_tolerance_env_exits_2_naming_it(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("SIDLATTICE_TOL", raw)
+    cfg = _write(tmp_path / "cfg.json", _base_config())
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: SIDLATTICE_TOL must ")

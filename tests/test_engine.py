@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_expectation,
@@ -9,6 +12,7 @@ from conftest import (
     linear_vs_gaussian_pair,
     obs_matrix,
 )
+from sidlattice import _accel
 from sidlattice import (
     DiagonalPart,
     ExpectationSeries,
@@ -16,6 +20,7 @@ from sidlattice import (
     IncompatibilityObservable,
     KernelFamilySpec,
     RegularKernel,
+    SupportOverflowWarning,
     UnsupportedFamily,
     VanHoveObservable,
     VanHoveState,
@@ -416,3 +421,44 @@ class TestAnalyticOracle:
         r = KernelFamilySpec("rect_band", sigma=1.0, mu=10.0, Sigma=2.0)
         with pytest.raises(UnsupportedFamily):
             analytic_oracle(r, r, [1.0])
+
+
+def _two_matmul_commutator(o1, o2):
+    """The commutator kernel with every term written out, zero or not."""
+    d1, d2 = o1.diag.values, o2.diag.values
+    k1, k2 = o1.kernel.values, o2.kernel.values
+    cross = (d1[:, None] - d1[None, :]) * k2 - (d2[:, None] - d2[None, :]) * k1
+    return cross + o1.grid.spacing * (k1 @ k2 - k2 @ k1)
+
+
+class TestCommutatorShortcuts:
+    @pytest.mark.parametrize("explicit_zeros", [False, True])
+    def test_zero_kernel_operand_matches_two_matmul_formula(self, explicit_zeros):
+        grid = make_grid(20.0, 64)
+        diag = DiagonalPart(grid, grid.nodes)
+        o1 = VanHoveObservable(diag, RegularKernel.zeros(grid)) if explicit_zeros \
+            else VanHoveObservable.diag_only(diag)
+        o2 = _random_observable(grid, 3)
+        o3 = VanHoveObservable.diag_only(DiagonalPart(grid, np.cos(grid.nodes)))
+        for a, b in ((o1, o2), (o2, o1), (o1, o3)):
+            np.testing.assert_array_equal(
+                commutator_kernel(a, b).values, _two_matmul_commutator(a, b))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
+           gamma=st.floats(0.3, 5.0))
+    def test_one_matmul_matches_two_matmul(self, n, seed, gamma):
+        grid = make_grid(20.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportOverflowWarning)
+            o1 = VanHoveObservable.kernel_only(build_kernel(grid, KernelFamilySpec(
+                "random_bandlimited", amplitude=0.8, sigma=1.5, mu=10.0,
+                Sigma=2.0, seed=seed)))
+            o2 = VanHoveObservable.kernel_only(build_kernel(grid, KernelFamilySpec(
+                "lorentz_band", amplitude=-1.3, gamma=gamma, mu=10.0, Sigma=2.0)))
+        k1, k2 = o1.kernel.values, o2.kernel.values
+        oracle = grid.spacing * (k1 @ k2 - k2 @ k1)
+        bound = 1e-12 * grid.spacing * np.linalg.norm(k1) * np.linalg.norm(k2)
+        got = commutator_kernel(o1, o2).values
+        assert np.max(np.abs(got - oracle)) <= bound
+        assert _accel.hermitian_residual(-1j * got) == 0.0

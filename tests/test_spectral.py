@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from sidlattice import _accel
 from sidlattice import (
     DiagonalPart,
     FrequencyGrid,
@@ -285,3 +288,57 @@ class TestObservableAndState:
             k.values[0, 0] = 1.0
         with pytest.raises(ValueError):
             g.nodes[0] = 7.0
+
+
+def _direct_kernel(grid, spec):
+    """The closed-form families evaluated entry by entry on the n x n grid."""
+    nodes = grid.nodes
+    nu = nodes[:, None] - nodes[None, :]
+    s = 0.5 * (nodes[:, None] + nodes[None, :])
+    if spec.family == "rect_band":
+        return spec.amplitude * (np.abs(nu) <= spec.sigma) \
+            * (np.abs(s - spec.mu) <= spec.Sigma)
+    envelope = np.exp(-0.5 * ((s - spec.mu) / spec.Sigma) ** 2)
+    if spec.family == "lorentz_band":
+        return spec.amplitude * spec.gamma**2 / (nu**2 + spec.gamma**2) * envelope
+    band = np.exp(-0.5 * (nu / spec.sigma) ** 2)
+    if spec.family == "gaussian_band":
+        return spec.amplitude * band * envelope
+    modes = 6
+    rng = np.random.default_rng(spec.seed)
+    phases = np.exp(2j * math.pi * np.outer(nodes / grid.omega_max, np.arange(modes)))
+    coeff = rng.standard_normal((modes, modes)) + 1j * rng.standard_normal((modes, modes))
+    coeff = 0.5 * (coeff + coeff.conj().T)
+    mix = phases @ coeff @ phases.conj().T / modes
+    mix = 0.5 * (mix + mix.conj().T)
+    return spec.amplitude * mix * band * envelope
+
+
+class TestBuildKernelFactorization:
+    @pytest.mark.parametrize("family", ["gaussian_band", "lorentz_band",
+                                        "rect_band", "random_bandlimited"])
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    @settings(max_examples=15, deadline=None)
+    @given(amplitude=st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05 and a != 1.0),
+           width=st.floats(0.5, 4.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_formula(self, family, n, amplitude, width, seed):
+        grid = make_grid(20.0, n)
+        spec = KernelFamilySpec(
+            family, amplitude=amplitude, mu=10.0, Sigma=2.0,
+            gamma=width if family == "lorentz_band" else None,
+            sigma=None if family == "lorentz_band" else width,
+            seed=seed if family == "random_bandlimited" else None)
+        kernel = build_kernel(grid, spec)
+        direct = _direct_kernel(grid, spec)
+        keep = np.ones((n, n), dtype=bool)
+        if family == "rect_band":
+            # an entry on a window edge may fall either side of it
+            nodes = grid.nodes
+            nu = nodes[:, None] - nodes[None, :]
+            s = 0.5 * (nodes[:, None] + nodes[None, :])
+            keep = (np.abs(np.abs(nu) - spec.sigma) > 1e-9) \
+                & (np.abs(np.abs(s - spec.mu) - spec.Sigma) > 1e-9)
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(kernel.values - direct)[keep], initial=0.0) \
+            <= 1e-14 * scale
+        assert _accel.hermitian_residual(kernel.values) == 0.0
