@@ -12,6 +12,7 @@ from .emergence import (
     AngleSweepRow,
     BinPartition,
     EmergenceReport,
+    PointerAlgebra,
     Verdict,
     angle_sweep,
     effective_compatibility,
@@ -89,7 +90,7 @@ __all__ = [
     "ExpectationSeries", "FrequencyGrid", "GridMismatch",
     "IncompatibilityObservable", "KernelFamilySpec", "KolmogorovReport",
     "LatticeTooLarge", "LengthMismatch", "NonPositiveRange", "NotClosed",
-    "PropertyLattice", "RegularKernel", "SidLatticeError", "Subspace",
+    "PointerAlgebra", "PropertyLattice", "RegularKernel", "SidLatticeError", "Subspace",
     "SupportOverflowWarning", "TooFewPoints", "UnsupportedFamily",
     "VanHoveObservable", "VanHoveState", "Verdict", "WindowExceeded",
     "analytic_oracle", "angle_sweep", "build_kernel", "check_hermitian",

@@ -32,7 +32,9 @@ def _phase_series_py(profile: np.ndarray, nu: np.ndarray,
 
 
 def _apply_phase_py(values: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    return values * phases[:, None] * np.conjugate(phases)[None, :]
+    out = values * phases[:, None]
+    out *= np.conjugate(phases)[None, :]
+    return out
 
 
 def _hermitian_residual_py(values: np.ndarray) -> float:

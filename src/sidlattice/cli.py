@@ -101,7 +101,7 @@ def _cfg_get(doc: dict, key: str, kind, what: str, required: bool = True):
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    if kind in (dict, list) and isinstance(value, kind):
+    if kind in (dict, list, str) and isinstance(value, kind):
         return value
     raise ConfigError(f"{what} key {key!r} must be a {kind.__name__}")
 
@@ -253,7 +253,8 @@ def load_scenario(path: str, need_partition: bool) -> Scenario:
     return Scenario(
         grid=grid, rho=rho, o1=o1, o2=o2, t_max=t_max, n_samples=n_samples,
         decoherence_ratio=ratio, epsilon=epsilon, sustain=sustain, n_bins=n_bins,
-        series_path=out_doc.get("series"), report_path=out_doc.get("report"),
+        series_path=_cfg_get(out_doc, "series", str, "output", required=False),
+        report_path=_cfg_get(out_doc, "report", str, "output", required=False),
     )
 
 

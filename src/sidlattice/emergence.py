@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,19 +29,14 @@ from .engine import (
 from .errors import GridMismatch, LatticeTooLarge
 from .lattice import (
     DEFAULT_MAX_ELEMENTS,
-    PropertyLattice,
-    Subspace,
     distributivity_defect,
     from_vectors,
-    generate_lattice,
     incompatibility_norm,
-    is_boolean,
     meet,
     ortho,
 )
 from .spectral import FrequencyGrid, VanHoveObservable, VanHoveState, hs_norm
 
-MAX_LATTICE_AMBIENT_DIM = 64
 HS_CONSTANCY_TOL = 1e-10
 DEGENERACY_RTOL = 1e-10
 
@@ -129,46 +124,40 @@ def effective_compatibility(series: ExpectationSeries,
     return float(series.times[hits[0]])
 
 
-def _decimation_factor(n_points: int, max_dim: int) -> int:
-    return max(1, math.ceil(n_points / max_dim))
+@dataclass(frozen=True)
+class PointerAlgebra:
+    """Power set of the partition bins, the Boolean algebra of their projectors.
+
+    The bin projectors commute (Birkhoff and von Neumann, 1936). Elements
+    are the bitmasks 0 .. full = 2**B - 1, bit i for bin i: meet is a & b,
+    join is a | b, the orthocomplement is full ^ a, and a <= b is a & ~b == 0.
+    """
+
+    partition: BinPartition
+    is_boolean: ClassVar[bool] = True
+
+    @property
+    def full(self) -> int:
+        return (1 << self.partition.n_bins) - 1
+
+    def __len__(self) -> int:
+        return self.full + 1
 
 
 def pointer_lattice(observables: Sequence[VanHoveObservable],
                     partition: BinPartition,
-                    max_elements: int = DEFAULT_MAX_ELEMENTS,
-                    max_ambient_dim: int = MAX_LATTICE_AMBIENT_DIM) -> PropertyLattice:
-    """Boolean lattice generated by the bin projectors of the diagonal sector.
+                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> PointerAlgebra:
+    """PointerAlgebra of the partition, on the grid of the observables.
 
-    The diagonal profiles carry no evolution phase and mutually commute, so
-    the indicator projectors of the partition bins generate a Boolean
-    algebra. Subspace algebra runs on a decimated copy of the grid (at most
-    max_ambient_dim dimensions); decimation can shift a bin edge by at most
-    one block.
+    Raises LatticeTooLarge when its 2**B elements exceed max_elements.
     """
     for obs in observables:
         if obs.grid != partition.grid:
             raise GridMismatch("observable grid differs from the partition grid")
-    n = partition.grid.n_points
-    factor = _decimation_factor(n, max_ambient_dim)
-    m = math.ceil(n / factor)
-    dec_edges = [0]
-    for e in partition.edges[1:-1]:
-        dec_edges.append(min(m - 1, max(1, round(e / factor))))
-    dec_edges.append(m)
-    if any(b <= a for a, b in zip(dec_edges, dec_edges[1:])):
-        raise ValueError(
-            f"partition with edges {partition.edges} is too fine for the "
-            f"decimated ambient dimension {m}")
-
-    seeds = []
-    eye = np.eye(m, dtype=np.complex128)
-    for lo, hi in zip(dec_edges, dec_edges[1:]):
-        seeds.append(Subspace(m, eye[:, lo:hi]))
-    lat = generate_lattice(seeds, max_elements=max_elements, ambient_dim=m)
-    if not lat.closed:
+    if 2**partition.n_bins > max_elements:
         raise LatticeTooLarge(
             f"pointer lattice closure exceeded max_elements={max_elements}")
-    return lat
+    return PointerAlgebra(partition)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +168,8 @@ class EmergenceReport:
     unitary evolution (checked to 1e-10 at construction); only the
     expectation series decays, and the verdict is BOOLEANIZED exactly when
     both decay times were reached inside the window and the pointer lattice
-    is Boolean.
+    is Boolean. pointer_lattice_boolean is structural: the pointer lattice
+    is the power set of the partition bins whatever the dynamics.
     """
 
     series: ExpectationSeries
@@ -239,26 +229,25 @@ def run_emergence(rho: VanHoveState,
                   epsilon: float,
                   threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
                   sustain: int = DEFAULT_SUSTAIN,
-                  max_elements: int = DEFAULT_MAX_ELEMENTS,
-                  tol: Optional[float] = None) -> EmergenceReport:
+                  max_elements: int = DEFAULT_MAX_ELEMENTS) -> EmergenceReport:
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
     DEGENERATE means the premise failed: the observables already commute
     (the incompatibility kernel vanishes relative to the operand scale), so
     there is nothing to decohere.
     """
+    # first, so that a partition over the element cap fails before kernel work
+    pointer = pointer_lattice([o1, o2], partition, max_elements=max_elements)
     incompat = incompatibility_observable(o1, o2)
     hs_initial = hs_norm(incompat.kernel)
     series = expectation_series(rho, incompat, t_max, n_samples)
     hs_final = hs_norm(evolve(incompat.to_observable(), t_max).kernel)
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)
-    lat = pointer_lattice([o1, o2], partition, max_elements=max_elements)
-    boolean = is_boolean(lat, tol)
 
     if hs_initial <= DEGENERACY_RTOL * _degeneracy_scale(o1, o2):
         verdict = Verdict.DEGENERATE
-    elif t_dec is not None and t_eff is not None and boolean:
+    elif t_dec is not None and t_eff is not None and pointer.is_boolean:
         verdict = Verdict.BOOLEANIZED
     else:
         verdict = Verdict.NOT_REACHED
@@ -268,6 +257,6 @@ def run_emergence(rho: VanHoveState,
         effective_compatibility_time=t_eff,
         hs_norm_initial=hs_initial,
         hs_norm_final=hs_final,
-        pointer_lattice_boolean=boolean,
+        pointer_lattice_boolean=pointer.is_boolean,
         verdict=verdict,
     )

@@ -102,8 +102,8 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
     return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved))
 
 
-def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
-    """Regular kernel of [O1, O2]; anti-Hermitian, singular part identically zero.
+def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarray:
+    """Fresh, writable samples of the [O1, O2] kernel.
 
     The diagonal profiles enter through difference cross terms
     (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1, and the kernels through the
@@ -139,14 +139,20 @@ def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKe
         values += mixing
     if values is None:
         values = np.zeros_like(k1)
-    return RegularKernel(grid, values)
+    return values
+
+
+def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
+    """Regular kernel of [O1, O2]; anti-Hermitian, singular part identically zero."""
+    return RegularKernel(o1.grid, _commutator_values(o1, o2))
 
 
 def incompatibility_observable(o1: VanHoveObservable,
                                o2: VanHoveObservable) -> IncompatibilityObservable:
     """Hermitian D = -i [O1, O2] built from the commutator kernel."""
-    ck = commutator_kernel(o1, o2)
-    return IncompatibilityObservable(RegularKernel(ck.grid, -1j * ck.values))
+    values = _commutator_values(o1, o2)
+    values *= -1j
+    return IncompatibilityObservable(RegularKernel(o1.grid, values))
 
 
 def _nu_offsets(grid: FrequencyGrid) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,33 @@ class TestEmerge:
             paths.append((report_path.read_bytes(), series_path.read_bytes()))
         assert paths[0] == paths[1]
 
+    @pytest.mark.parametrize("n_bins", [9, 100])
+    def test_too_many_bins_exits_2(self, tmp_path, capsys, n_bins):
+        doc = _base_config(n_points=128)
+        doc["partition"]["n_bins"] = n_bins
+        cfg = _write(tmp_path / "cfg.json", doc)
+        assert main(["emerge", "--config", cfg,
+                     "--report", str(tmp_path / "r.json"),
+                     "--series", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: pointer lattice closure exceeded max_elements=256\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_eight_bins_booleanize_quickly(self, tmp_path):
+        doc = _base_config()
+        doc["partition"]["n_bins"] = 8
+        cfg = _write(tmp_path / "cfg.json", doc)
+        report_path = tmp_path / "rep.json"
+        start = time.perf_counter()
+        assert main(["emerge", "--config", cfg, "--report", str(report_path),
+                     "--series", str(tmp_path / "s.csv")]) == 0
+        # A generic closure of the 256 bin subspaces takes minutes; the
+        # bound leaves room for a slow shared host.
+        assert time.perf_counter() - start < 5.0
+        report = json.loads(report_path.read_text())
+        assert report["verdict"] == "BOOLEANIZED"
+        assert report["pointer_lattice_boolean"] is True
+
 
 class TestOracle:
     def test_gaussian_sigma_c(self, capsys):
@@ -261,3 +289,20 @@ def test_bad_tolerance_env_exits_2_naming_it(tmp_path, capsys, monkeypatch, raw)
     cfg = _write(tmp_path / "cfg.json", _base_config())
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("error: SIDLATTICE_TOL must ")
+
+
+@pytest.mark.parametrize("command,field,value", [
+    ("simulate", "series", 1),
+    ("emerge", "series", None),
+    ("emerge", "report", ["r.json"]),
+])
+def test_non_string_output_path_exits_2(tmp_path, capsys, monkeypatch,
+                                        command, field, value):
+    monkeypatch.chdir(tmp_path)
+    doc = _base_config()
+    doc["output"] = {"series": "s.csv", "report": "r.json", field: value}
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: output key {field!r} must be a str\n"
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "s.csv").exists()

@@ -11,18 +11,25 @@ from sidlattice import (
     GridMismatch,
     KernelFamilySpec,
     LatticeTooLarge,
+    PointerAlgebra,
+    Subspace,
     VanHoveObservable,
     VanHoveState,
     Verdict,
     angle_sweep,
     build_kernel,
+    check_lattice_laws,
     effective_compatibility,
     expectation_series,
+    generate_lattice,
     is_boolean,
     make_grid,
     pointer_lattice,
     run_emergence,
 )
+from sidlattice import emergence
+from sidlattice.lattice import _OperationTables
+from sidlattice.settings import default_tol
 
 
 def _complex_state(grid, seed=7):
@@ -109,15 +116,14 @@ class TestPointerLattice:
         grid = make_grid(20.0, 32)
         o1, o2 = linear_vs_gaussian_pair(grid)
         lat = pointer_lattice([o1, o2], BinPartition.equal_bins(grid, 2))
-        assert len(lat) == 4
-        assert is_boolean(lat)
+        assert len(lat) == 4 and lat.full == 0b11
+        assert lat.partition.edges == (0, 16, 32)
 
     def test_three_bins_eight_elements(self):
         grid = make_grid(20.0, 32)
         o1, o2 = linear_vs_gaussian_pair(grid)
         lat = pointer_lattice([o1, o2], BinPartition.equal_bins(grid, 3))
-        assert len(lat) == 8
-        assert is_boolean(lat)
+        assert len(lat) == 8 and lat.full == 0b111
 
     @pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 5, 6])
     def test_boolean_for_every_partition(self, n_bins):
@@ -125,14 +131,41 @@ class TestPointerLattice:
         o1, o2 = linear_vs_gaussian_pair(grid)
         lat = pointer_lattice([o1, o2], BinPartition.equal_bins(grid, n_bins))
         assert len(lat) == 2**n_bins
+        assert lat.is_boolean
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 5])
+    def test_bitmask_tables_match_subspace_closure(self, n_bins):
+        # Reference: close the bin-indicator subspaces generically and snap
+        # every operation back to an element, then compare with the masks.
+        grid = make_grid(20.0, 10)
+        partition = BinPartition.equal_bins(grid, n_bins)
+        algebra = PointerAlgebra(partition)
+        n = grid.n_points
+        eye = np.eye(n, dtype=np.complex128)
+
+        def subspace(mask):
+            nodes = [k for i, (lo, hi) in enumerate(zip(partition.edges,
+                                                        partition.edges[1:]))
+                     if mask >> i & 1 for k in range(lo, hi)]
+            return Subspace(n, eye[:, nodes])
+
+        lat = generate_lattice([subspace(1 << i) for i in range(n_bins)],
+                               ambient_dim=n)
+        assert lat.closed and len(lat) == len(algebra) == 2**n_bins
+        assert check_lattice_laws(lat)["all_pass"]
         assert is_boolean(lat)
 
-    def test_decimation_keeps_ambient_small(self):
-        grid = make_grid(20.0, 256)
-        o1, o2 = linear_vs_gaussian_pair(grid)
-        lat = pointer_lattice([o1, o2], BinPartition.equal_bins(grid, 4))
-        assert lat.ambient_dim == 64
-        assert is_boolean(lat)
+        masks = range(len(algebra))
+        index = np.array([lat.index_of(subspace(a)) for a in masks])
+        assert sorted(index.tolist()) == list(range(len(lat)))
+        tables = _OperationTables(lat, default_tol())
+        for a in masks:
+            assert tables.ortho_table[index[a]] == index[algebra.full ^ a]
+            for b in masks:
+                i, j = index[a], index[b]
+                assert tables.meet_table[i, j] == index[a & b]
+                assert tables.join_table[i, j] == index[a | b]
+                assert tables.leq_table[i, j] == (a & ~b == 0)
 
     def test_grid_mismatch(self):
         grid = make_grid(20.0, 64)
@@ -158,6 +191,19 @@ class TestRunEmergence:
         report = run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
                                10.0, 101, epsilon=1e-6)
         assert report.verdict is Verdict.DEGENERATE
+
+    def test_cap_checked_before_kernel_work(self, monkeypatch):
+        grid = make_grid(20.0, 64)
+        rho = _complex_state(grid)
+        o1, o2 = linear_vs_gaussian_pair(grid)
+
+        def no_kernel_work(*args):
+            raise AssertionError("kernel work ran before the cap check")
+
+        monkeypatch.setattr(emergence, "incompatibility_observable", no_kernel_work)
+        with pytest.raises(LatticeTooLarge):
+            run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 9),
+                          10.0, 101, epsilon=1e-6)
 
     def test_gaussian_scenario_booleanizes(self):
         grid = make_grid(20.0, 128)

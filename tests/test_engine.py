@@ -444,6 +444,18 @@ class TestCommutatorShortcuts:
             np.testing.assert_array_equal(
                 commutator_kernel(a, b).values, _two_matmul_commutator(a, b))
 
+    def test_in_place_products_are_bit_identical(self):
+        grid = make_grid(20.0, 48)
+        diag_only = VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes))
+        phases = np.exp(1j * 0.7 * grid.nodes)
+        for a, b in ((diag_only, _random_observable(grid, 3)),
+                     (_random_observable(grid, 4), _random_observable(grid, 5))):
+            d = incompatibility_observable(a, b).kernel.values
+            assert np.array_equal(d, -1j * commutator_kernel(a, b).values)
+            assert np.array_equal(
+                _accel._apply_phase_py(d, phases),
+                d * phases[:, None] * np.conjugate(phases)[None, :])
+
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
            gamma=st.floats(0.3, 5.0))
