@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .emergence import BinPartition, Verdict, run_emergence
+from .emergence import BinPartition, Verdict, require_pointer_cap, run_emergence
 from .engine import (
     DEFAULT_SUSTAIN,
     DEFAULT_THRESHOLD_RATIO,
@@ -175,7 +175,7 @@ class Scenario:
     decoherence_ratio: float
     epsilon: Optional[float]
     sustain: int
-    n_bins: Optional[int]
+    partition: Optional[BinPartition]
     series_path: Optional[str]
     report_path: Optional[str]
 
@@ -188,6 +188,21 @@ def load_scenario(path: str, need_partition: bool) -> Scenario:
                          _cfg_get(grid_doc, "n_points", int, "grid"))
     except (SidLatticeError, ValueError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+
+    partition = None
+    if need_partition:
+        part_doc = doc.get("partition")
+        if not isinstance(part_doc, dict):
+            raise ConfigError("emerge needs a partition block with n_bins")
+        n_bins = _cfg_get(part_doc, "n_bins", int, "partition",
+                          required=False)
+        if n_bins is None:
+            n_bins = 4
+        if not 1 <= n_bins <= grid.n_points:
+            raise ConfigError(f"n_bins must be in [1, {grid.n_points}], got {n_bins}")
+        partition = BinPartition.equal_bins(grid, n_bins)
+        # before any kernel is built, so an over-fine partition costs nothing
+        require_pointer_cap(partition)
 
     state_doc = _cfg_get(doc, "state", dict, "config")
     diag = _build_diag(
@@ -218,9 +233,7 @@ def load_scenario(path: str, need_partition: bool) -> Scenario:
             f"t_max={t_max} exceeds half the recurrence time: recurrence "
             f"2*pi/spacing = {grid.recurrence_time}, window limit {half}")
 
-    thr_doc = doc.get("thresholds") or {}
-    if not isinstance(thr_doc, dict):
-        raise ConfigError("thresholds must be an object")
+    thr_doc = _cfg_get(doc, "thresholds", dict, "config", required=False) or {}
     ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", required=False)
     ratio = DEFAULT_THRESHOLD_RATIO if ratio is None else ratio
     sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", required=False)
@@ -233,26 +246,14 @@ def load_scenario(path: str, need_partition: bool) -> Scenario:
     if sustain < 1:
         raise ConfigError(f"sustain must be at least 1, got {sustain}")
 
-    n_bins = None
-    if need_partition:
-        part_doc = doc.get("partition")
-        if not isinstance(part_doc, dict):
-            raise ConfigError("emerge needs a partition block with n_bins")
-        n_bins = _cfg_get(part_doc, "n_bins", int, "partition",
-                          required=False)
-        if n_bins is None:
-            n_bins = 4
-        if not 1 <= n_bins <= grid.n_points:
-            raise ConfigError(f"n_bins must be in [1, {grid.n_points}], got {n_bins}")
-        if epsilon is None:
-            raise ConfigError("emerge needs thresholds.epsilon")
+    if need_partition and epsilon is None:
+        raise ConfigError("emerge needs thresholds.epsilon")
 
-    out_doc = doc.get("output") or {}
-    if not isinstance(out_doc, dict):
-        raise ConfigError("output must be an object")
+    out_doc = _cfg_get(doc, "output", dict, "config", required=False) or {}
     return Scenario(
         grid=grid, rho=rho, o1=o1, o2=o2, t_max=t_max, n_samples=n_samples,
-        decoherence_ratio=ratio, epsilon=epsilon, sustain=sustain, n_bins=n_bins,
+        decoherence_ratio=ratio, epsilon=epsilon, sustain=sustain,
+        partition=partition,
         series_path=_cfg_get(out_doc, "series", str, "output", required=False),
         report_path=_cfg_get(out_doc, "report", str, "output", required=False),
     )
@@ -367,9 +368,8 @@ def run_emerge(config_path: str, report_path: Optional[str],
     if not report_path or not series_path:
         raise ConfigError(
             "emerge needs --report/--series or output.report/output.series")
-    partition = BinPartition.equal_bins(scenario.grid, scenario.n_bins)
     report = run_emergence(
-        scenario.rho, scenario.o1, scenario.o2, partition,
+        scenario.rho, scenario.o1, scenario.o2, scenario.partition,
         scenario.t_max, scenario.n_samples, scenario.epsilon,
         threshold_ratio=scenario.decoherence_ratio, sustain=scenario.sustain)
     _write_json(report_path, report.to_json_dict())

@@ -144,6 +144,14 @@ class PointerAlgebra:
         return self.full + 1
 
 
+def require_pointer_cap(partition: BinPartition,
+                        max_elements: int = DEFAULT_MAX_ELEMENTS) -> None:
+    """Raise LatticeTooLarge when the 2**B pointer elements exceed max_elements."""
+    if 2**partition.n_bins > max_elements:
+        raise LatticeTooLarge(
+            f"pointer lattice closure exceeded max_elements={max_elements}")
+
+
 def pointer_lattice(observables: Sequence[VanHoveObservable],
                     partition: BinPartition,
                     max_elements: int = DEFAULT_MAX_ELEMENTS) -> PointerAlgebra:
@@ -154,9 +162,7 @@ def pointer_lattice(observables: Sequence[VanHoveObservable],
     for obs in observables:
         if obs.grid != partition.grid:
             raise GridMismatch("observable grid differs from the partition grid")
-    if 2**partition.n_bins > max_elements:
-        raise LatticeTooLarge(
-            f"pointer lattice closure exceeded max_elements={max_elements}")
+    require_pointer_cap(partition, max_elements)
     return PointerAlgebra(partition)
 
 

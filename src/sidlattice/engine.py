@@ -99,7 +99,7 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
         raise ValueError(f"time must be finite, got {t}")
     phases = np.exp(1j * t * obs.grid.nodes)
     evolved = _accel.apply_phase(np.ascontiguousarray(obs.kernel.values), phases)
-    return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved))
+    return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved, _adopt=True))
 
 
 def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarray:
@@ -111,6 +111,9 @@ def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarr
     kernel operand are skipped, so a diagonal-only observable against a
     kernel costs no matmul. Both kernels are Hermitian, so the composed
     difference is M - M^H with M = K1 o K2: one matmul instead of two.
+    When both kernels have identically zero imaginary parts, M is formed
+    as a real product of their real parts and M - M^H is the real, exactly
+    antisymmetric M - M^T; otherwise M is the complex product.
     """
     grid = _require_same_grid(o1.grid, o2.grid)
     d1 = o1.diag.values
@@ -130,10 +133,16 @@ def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarr
             values -= cross
         del cross
     if has_k1 and has_k2:
-        m = k1 @ k2
-        # M - M^H into the buffer of conj(M).T, which is not M's own memory
-        mixing = m.conj().T
-        np.subtract(m, mixing, out=mixing)
+        if np.any(k1.imag) or np.any(k2.imag):
+            m = k1 @ k2
+            # M - M^H into the buffer of conj(M).T, which is not M's own memory
+            mixing = m.conj().T
+            np.subtract(m, mixing, out=mixing)
+        else:
+            r1 = np.ascontiguousarray(k1.real)
+            m = r1 @ np.ascontiguousarray(k2.real)
+            # M - M^T into the real part of K1, which the product no longer needs
+            mixing = np.subtract(m, m.T, out=r1)
         del m
         mixing *= grid.spacing
         values += mixing
@@ -144,7 +153,7 @@ def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarr
 
 def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
     """Regular kernel of [O1, O2]; anti-Hermitian, singular part identically zero."""
-    return RegularKernel(o1.grid, _commutator_values(o1, o2))
+    return RegularKernel(o1.grid, _commutator_values(o1, o2), _adopt=True)
 
 
 def incompatibility_observable(o1: VanHoveObservable,
@@ -152,7 +161,7 @@ def incompatibility_observable(o1: VanHoveObservable,
     """Hermitian D = -i [O1, O2] built from the commutator kernel."""
     values = _commutator_values(o1, o2)
     values *= -1j
-    return IncompatibilityObservable(RegularKernel(o1.grid, values))
+    return IncompatibilityObservable(RegularKernel(o1.grid, values, _adopt=True))
 
 
 def _nu_offsets(grid: FrequencyGrid) -> np.ndarray:
@@ -161,7 +170,8 @@ def _nu_offsets(grid: FrequencyGrid) -> np.ndarray:
 
 
 def _kernel_profile(rho: VanHoveState, kernel: RegularKernel) -> np.ndarray:
-    weights = np.conjugate(rho.kernel.values) * kernel.values
+    weights = np.conjugate(rho.kernel.values)
+    weights *= kernel.values
     profile = _accel.nu_profile(np.ascontiguousarray(weights))
     return rho.grid.spacing**2 * profile
 

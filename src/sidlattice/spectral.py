@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -37,8 +37,8 @@ KERNEL_FAMILIES = ("gaussian_band", "lorentz_band", "rect_band", "random_bandlim
 _RANDOM_MODES = 6
 
 
-def _frozen_array(values, dtype, shape=None) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True, order="C")
+def _frozen_array(values, dtype, shape=None, copy=True) -> np.ndarray:
+    out = np.array(values, dtype=dtype, copy=True if copy else None, order="C")
     if shape is not None and out.shape != shape:
         raise LengthMismatch(f"expected shape {shape}, got {out.shape}")
     if not np.all(np.isfinite(out.view(np.float64) if out.dtype == np.complex128 else out)):
@@ -108,19 +108,27 @@ class DiagonalPart:
 
 @dataclass(frozen=True, eq=False)
 class RegularKernel:
-    """Complex samples K(omega_k, omega_l) of a regular two-frequency kernel."""
+    """Complex samples K(omega_k, omega_l) of a regular two-frequency kernel.
+
+    The samples are copied unless ``_adopt`` is true, which the library
+    passes for arrays it has just built and holds no other reference to:
+    those are frozen in place. Shape and finiteness are checked either way.
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _adopt):
         n = self.grid.n_points
         object.__setattr__(
-            self, "values", _frozen_array(self.values, np.complex128, (n, n)))
+            self, "values",
+            _frozen_array(self.values, np.complex128, (n, n), copy=not _adopt))
 
     @classmethod
     def zeros(cls, grid: FrequencyGrid) -> "RegularKernel":
-        return cls(grid, np.zeros((grid.n_points, grid.n_points), dtype=np.complex128))
+        n = grid.n_points
+        return cls(grid, np.zeros((n, n), dtype=np.complex128), _adopt=True)
 
 
 def _require_same_grid(*grids: FrequencyGrid) -> FrequencyGrid:
@@ -321,7 +329,7 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
         values *= hankel
     else:
         values = np.multiply(toeplitz, hankel, dtype=np.complex128)
-    return RegularKernel(grid, values)
+    return RegularKernel(grid, values, _adopt=True)
 
 
 def quad1(grid: FrequencyGrid, samples) -> complex:
@@ -336,7 +344,7 @@ def quad1(grid: FrequencyGrid, samples) -> complex:
 def kernel_compose(k1: RegularKernel, k2: RegularKernel) -> RegularKernel:
     """Kernel of the operator product: midpoint integral over the shared leg."""
     grid = _require_same_grid(k1.grid, k2.grid)
-    return RegularKernel(grid, grid.spacing * (k1.values @ k2.values))
+    return RegularKernel(grid, grid.spacing * (k1.values @ k2.values), _adopt=True)
 
 
 def hs_norm(kernel: RegularKernel) -> float:

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from sidlattice import cli
 from sidlattice.cli import main
 
 
@@ -184,7 +185,11 @@ class TestEmerge:
         assert paths[0] == paths[1]
 
     @pytest.mark.parametrize("n_bins", [9, 100])
-    def test_too_many_bins_exits_2(self, tmp_path, capsys, n_bins):
+    def test_too_many_bins_exits_2(self, tmp_path, capsys, monkeypatch, n_bins):
+        def no_kernel_build(*args):
+            raise AssertionError("a kernel was built before the cap check")
+
+        monkeypatch.setattr(cli, "build_kernel", no_kernel_build)
         doc = _base_config(n_points=128)
         doc["partition"]["n_bins"] = n_bins
         cfg = _write(tmp_path / "cfg.json", doc)
@@ -261,6 +266,10 @@ _MALFORMED = {
     "o1-diag-not-object": _set(("observables", "O1", "diag"), ["linear"]),
     "samples-nan": _set(("state", "diag"), {"samples": [float("nan")] * 64}),
     "samples-string": _set(("state", "diag"), {"samples": ["1"] * 64}),
+    "thresholds-zero": _set(("thresholds",), 0),
+    "thresholds-null": _set(("thresholds",), None),
+    "output-list": _set(("output",), []),
+    "output-false": _set(("output",), False),
 }
 
 
@@ -306,3 +315,13 @@ def test_non_string_output_path_exits_2(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"error: output key {field!r} must be a str\n"
     assert not (tmp_path / "r.json").exists()
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("block,value", [("thresholds", 0), ("output", [])])
+def test_falsy_block_is_named_in_the_error(tmp_path, capsys, block, value):
+    doc = _base_config()
+    doc[block] = value
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == f"error: config key {block!r} must be a dict\n"

@@ -12,7 +12,7 @@ from conftest import (
     linear_vs_gaussian_pair,
     obs_matrix,
 )
-from sidlattice import _accel
+from sidlattice import _accel, engine
 from sidlattice import (
     DiagonalPart,
     ExpectationSeries,
@@ -450,8 +450,14 @@ class TestCommutatorShortcuts:
         phases = np.exp(1j * 0.7 * grid.nodes)
         for a, b in ((diag_only, _random_observable(grid, 3)),
                      (_random_observable(grid, 4), _random_observable(grid, 5))):
-            d = incompatibility_observable(a, b).kernel.values
+            incompat = incompatibility_observable(a, b)
+            d = incompat.kernel.values
             assert np.array_equal(d, -1j * commutator_kernel(a, b).values)
+            rho = _random_state(grid, 6)
+            assert np.array_equal(
+                engine._kernel_profile(rho, incompat.kernel),
+                grid.spacing**2 * _accel.nu_profile(np.ascontiguousarray(
+                    np.conjugate(rho.kernel.values) * d)))
             assert np.array_equal(
                 _accel._apply_phase_py(d, phases),
                 d * phases[:, None] * np.conjugate(phases)[None, :])
@@ -474,3 +480,40 @@ class TestCommutatorShortcuts:
         got = commutator_kernel(o1, o2).values
         assert np.max(np.abs(got - oracle)) <= bound
         assert _accel.hermitian_residual(-1j * got) == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 64), pair=st.sampled_from([
+               ("gaussian_band", "lorentz_band"), ("rect_band", "gaussian_band")]),
+           amp1=st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.1),
+           amp2=st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.1),
+           width=st.floats(0.3, 5.0))
+    def test_real_product_matches_two_matmul(self, n, pair, amp1, amp2, width):
+        grid = make_grid(20.0, n)
+        widths = {"gaussian_band": {"sigma": width}, "rect_band": {"sigma": width},
+                  "lorentz_band": {"gamma": width}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportOverflowWarning)
+            o1, o2 = (VanHoveObservable.kernel_only(build_kernel(grid, KernelFamilySpec(
+                family, amplitude=amp, mu=10.0, Sigma=2.0, **widths[family])))
+                for family, amp in zip(pair, (amp1, amp2)))
+        k1, k2 = o1.kernel.values, o2.kernel.values
+        assert not np.any(k1.imag) and not np.any(k2.imag)
+        oracle = grid.spacing * (k1 @ k2 - k2 @ k1)
+        bound = 1e-12 * grid.spacing * np.linalg.norm(k1) * np.linalg.norm(k2)
+        got = commutator_kernel(o1, o2).values
+        assert np.max(np.abs(got - oracle)) <= bound
+        assert _accel.hermitian_residual(-1j * got) == 0.0
+
+    def test_tiny_imaginary_part_takes_complex_product(self):
+        grid = make_grid(20.0, 32)
+        k1 = build_kernel(grid, KernelFamilySpec(
+            "gaussian_band", amplitude=-0.7, sigma=1.5, mu=10.0, Sigma=2.0)).values.copy()
+        k1[0, 31] += 1e-300j
+        k1[31, 0] -= 1e-300j
+        o1 = VanHoveObservable.kernel_only(RegularKernel(grid, k1))
+        o2 = VanHoveObservable.kernel_only(build_kernel(grid, KernelFamilySpec(
+            "lorentz_band", amplitude=1.3, gamma=1.0, mu=10.0, Sigma=2.0)))
+        got = commutator_kernel(o1, o2).values
+        # a real product would drop the imaginary parts the 1e-300 entries carry
+        assert np.any(got.imag)
+        np.testing.assert_array_equal(got, _two_matmul_commutator(o1, o2))

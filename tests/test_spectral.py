@@ -289,6 +289,26 @@ class TestObservableAndState:
         with pytest.raises(ValueError):
             g.nodes[0] = 7.0
 
+    def test_caller_array_is_copied(self):
+        g = make_grid(10.0, 4)
+        source = np.eye(4, dtype=complex)
+        k = RegularKernel(g, source)
+        source[0, 0] = 5.0
+        assert k.values[0, 0] == 1.0
+        assert not np.shares_memory(k.values, source)
+
+    def test_adopted_array_is_checked_and_frozen_in_place(self):
+        g = make_grid(10.0, 4)
+        fresh = np.eye(4, dtype=complex)
+        k = RegularKernel(g, fresh, _adopt=True)
+        assert k.values is fresh and not fresh.flags.writeable
+        with pytest.raises(LengthMismatch):
+            RegularKernel(g, np.eye(3, dtype=complex), _adopt=True)
+        bad = np.eye(4, dtype=complex)
+        bad[1, 2] = complex(0.0, math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            RegularKernel(g, bad, _adopt=True)
+
 
 def _direct_kernel(grid, spec):
     """The closed-form families evaluated entry by entry on the n x n grid."""
