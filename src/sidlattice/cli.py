@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -77,6 +78,12 @@ def _load_json(path: str, what: str) -> dict:
     return doc
 
 
+def _require_output_dir(path: str) -> None:
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output directory {parent} does not exist (for {path})")
+
+
 def _write_series_csv(path: str, series: ExpectationSeries) -> None:
     lines = ["t,re,im,abs"]
     for t, v in zip(series.times, series.values):
@@ -107,7 +114,10 @@ def _cfg_get(doc: dict, key: str, kind, what: str, required: bool = True):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that float() takes: not a bool, not an int past 1.8e308."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
 
 
 def _build_diag(grid: FrequencyGrid, doc: Optional[dict], what: str) -> DiagonalPart:
@@ -145,12 +155,16 @@ def _build_diag(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Diagonal
 
 def _build_kernel(grid: FrequencyGrid, doc: Optional[dict], what: str) -> RegularKernel:
     if doc is None:
-        return RegularKernel.zeros(grid)
+        return RegularKernel.absent(grid)
     try:
         spec = KernelFamilySpec.from_json(doc)
     except (UnsupportedFamily, ValueError, TypeError) as exc:
         raise ConfigError(f"{what} kernel spec invalid: {exc}") from exc
-    return build_kernel(grid, spec)
+    try:
+        return build_kernel(grid, spec)
+    except ValueError as exc:
+        # samples that overflow, e.g. from a huge amplitude
+        raise ConfigError(f"{what} kernel invalid: {exc}") from exc
 
 
 def _build_observable(grid: FrequencyGrid, doc: dict, what: str) -> VanHoveObservable:
@@ -176,11 +190,32 @@ class Scenario:
     epsilon: Optional[float]
     sustain: int
     partition: Optional[BinPartition]
-    series_path: Optional[str]
-    report_path: Optional[str]
+    outputs: dict
 
 
-def load_scenario(path: str, need_partition: bool) -> Scenario:
+def _resolve_outputs(doc: dict, outputs: dict) -> dict:
+    out_doc = _cfg_get(doc, "output", dict, "config", required=False) or {}
+    configured = {key: _cfg_get(out_doc, key, str, "output", required=False)
+                  for key in ("series", "report")}
+    resolved = {}
+    for name, cli_path in outputs.items():
+        path = cli_path or configured[name]
+        if not path:
+            raise ConfigError(
+                f"no {name} output path: give it on the command line or as output.{name}")
+        _require_output_dir(path)
+        resolved[name] = path
+    return resolved
+
+
+def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
+    """Read and validate a scenario config, building its kernels last.
+
+    ``outputs`` maps each file the command writes ("series", "report") to
+    its command-line path or None, which falls back to the config's output
+    block. Every output path must exist in name and directory before any
+    kernel is built, so a bad path costs no numeric work.
+    """
     doc = _load_json(path, "config")
     grid_doc = _cfg_get(doc, "grid", dict, "config")
     try:
@@ -203,6 +238,7 @@ def load_scenario(path: str, need_partition: bool) -> Scenario:
         partition = BinPartition.equal_bins(grid, n_bins)
         # before any kernel is built, so an over-fine partition costs nothing
         require_pointer_cap(partition)
+    resolved = _resolve_outputs(doc, outputs)
 
     state_doc = _cfg_get(doc, "state", dict, "config")
     diag = _build_diag(
@@ -249,25 +285,20 @@ def load_scenario(path: str, need_partition: bool) -> Scenario:
     if need_partition and epsilon is None:
         raise ConfigError("emerge needs thresholds.epsilon")
 
-    out_doc = _cfg_get(doc, "output", dict, "config", required=False) or {}
     return Scenario(
         grid=grid, rho=rho, o1=o1, o2=o2, t_max=t_max, n_samples=n_samples,
         decoherence_ratio=ratio, epsilon=epsilon, sustain=sustain,
-        partition=partition,
-        series_path=_cfg_get(out_doc, "series", str, "output", required=False),
-        report_path=_cfg_get(out_doc, "report", str, "output", required=False),
+        partition=partition, outputs=resolved,
     )
 
 
 def run_simulate(config_path: str, out_path: Optional[str]) -> int:
-    scenario = load_scenario(config_path, need_partition=False)
-    out_path = out_path or scenario.series_path
-    if not out_path:
-        raise ConfigError("simulate needs --out or output.series in the config")
+    scenario = load_scenario(config_path, need_partition=False,
+                             outputs={"series": out_path})
     incompat = incompatibility_observable(scenario.o1, scenario.o2)
     series = expectation_series(
         scenario.rho, incompat, scenario.t_max, scenario.n_samples)
-    _write_series_csv(out_path, series)
+    _write_series_csv(scenario.outputs["series"], series)
     return EXIT_OK
 
 
@@ -290,10 +321,13 @@ def _parse_subspaces(doc: dict) -> tuple[int, list[Subspace]]:
                 raise ConfigError(
                     f"element {k}: each column vector needs {dim} [re, im] pairs")
             try:
-                cols.append(np.array([complex(re, im) for re, im in vec]))
+                col = np.array([complex(re, im) for re, im in vec])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"element {k}: entries must be [re, im] pairs: {exc}") from exc
+            if not np.all(np.isfinite(col)):
+                raise ConfigError(f"element {k}: entries must be finite")
+            cols.append(col)
         spaces.append(from_vectors(dim, cols))
     return dim, spaces
 
@@ -318,6 +352,7 @@ def run_lattice(input_path: str, state_path: Optional[str], report_path: str,
                 max_elements: int) -> int:
     if max_elements < 2:
         raise ConfigError(f"--max-elements must be at least 2, got {max_elements}")
+    _require_output_dir(report_path)
     doc = _load_json(input_path, "subspace document")
     dim, seeds = _parse_subspaces(doc)
     lat = generate_lattice(seeds, max_elements=max_elements, ambient_dim=dim)
@@ -362,18 +397,14 @@ def run_lattice(input_path: str, state_path: Optional[str], report_path: str,
 
 def run_emerge(config_path: str, report_path: Optional[str],
                series_path: Optional[str]) -> int:
-    scenario = load_scenario(config_path, need_partition=True)
-    report_path = report_path or scenario.report_path
-    series_path = series_path or scenario.series_path
-    if not report_path or not series_path:
-        raise ConfigError(
-            "emerge needs --report/--series or output.report/output.series")
+    scenario = load_scenario(config_path, need_partition=True,
+                             outputs={"report": report_path, "series": series_path})
     report = run_emergence(
         scenario.rho, scenario.o1, scenario.o2, scenario.partition,
         scenario.t_max, scenario.n_samples, scenario.epsilon,
         threshold_ratio=scenario.decoherence_ratio, sustain=scenario.sustain)
-    _write_json(report_path, report.to_json_dict())
-    _write_series_csv(series_path, report.series)
+    _write_json(scenario.outputs["report"], report.to_json_dict())
+    _write_series_csv(scenario.outputs["series"], report.series)
     if report.verdict is Verdict.DEGENERATE:
         print("degenerate premise: the observables already commute",
               file=sys.stderr)
@@ -388,12 +419,17 @@ def run_oracle(family: str, params_json: str, t_list: str) -> int:
         raise ConfigError(f"--params is not valid JSON: {exc}") from exc
     if not isinstance(params, dict):
         raise ConfigError("--params must be a JSON object")
+    not_numbers = sorted(k for k, v in params.items() if not _is_number(v))
+    if not_numbers:
+        raise ConfigError(f"--params values must be numbers: {not_numbers}")
     try:
         times = np.array([float(x) for x in t_list.split(",") if x.strip() != ""])
     except ValueError as exc:
         raise ConfigError(f"--t must be a comma-separated list of times: {exc}") from exc
     if times.size == 0:
         raise ConfigError("--t must name at least one time")
+    if not np.all(np.isfinite(times)):
+        raise ConfigError("--t times must be finite")
 
     if family == "gaussian_band":
         kind = "gaussian"

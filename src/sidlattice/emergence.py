@@ -22,9 +22,9 @@ from .engine import (
     DEFAULT_THRESHOLD_RATIO,
     ExpectationSeries,
     decoherence_time,
-    evolve,
     expectation_series,
     incompatibility_observable,
+    phased_values,
 )
 from .errors import GridMismatch, LatticeTooLarge
 from .lattice import (
@@ -238,6 +238,9 @@ def run_emergence(rho: VanHoveState,
                   max_elements: int = DEFAULT_MAX_ELEMENTS) -> EmergenceReport:
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
+    hs_norm_final is spacing * ||D(t_max)|| taken from the phased samples
+    of D, without wrapping them in a (re-checked) evolved observable.
+
     DEGENERATE means the premise failed: the observables already commute
     (the incompatibility kernel vanishes relative to the operand scale), so
     there is nothing to decohere.
@@ -247,7 +250,8 @@ def run_emergence(rho: VanHoveState,
     incompat = incompatibility_observable(o1, o2)
     hs_initial = hs_norm(incompat.kernel)
     series = expectation_series(rho, incompat, t_max, n_samples)
-    hs_final = hs_norm(evolve(incompat.to_observable(), t_max).kernel)
+    hs_final = float(incompat.grid.spacing
+                     * np.linalg.norm(phased_values(incompat.kernel, t_max)))
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)
 

@@ -33,7 +33,7 @@ from .spectral import (
     VanHoveObservable,
     VanHoveState,
     _require_same_grid,
-    check_hermitian,
+    hermitian_within,
 )
 
 INCOMPATIBILITY_HERMITIAN_TOL = 1e-10
@@ -43,12 +43,15 @@ DEFAULT_SUSTAIN = 10
 
 @dataclass(frozen=True, eq=False)
 class IncompatibilityObservable:
-    """Hermitian observable -i [O1, O2]; kernel only, the singular part cancels."""
+    """Hermitian observable -i [O1, O2]; kernel only, the singular part cancels.
+
+    The kernel is checked to 1e-10 unless its residual is already known.
+    """
 
     kernel: RegularKernel
 
     def __post_init__(self):
-        if not check_hermitian(self.kernel, INCOMPATIBILITY_HERMITIAN_TOL):
+        if not hermitian_within(self.kernel, INCOMPATIBILITY_HERMITIAN_TOL):
             raise ValueError("incompatibility kernel is not Hermitian at 1e-10")
 
     @property
@@ -93,12 +96,19 @@ class ExpectationSeries:
         return float(abs(self.values[0]))
 
 
+def phased_values(kernel: RegularKernel, t: float) -> np.ndarray:
+    """Fresh samples K(w, w') exp(i (w - w') t) of a present kernel."""
+    phases = np.exp(1j * t * kernel.grid.nodes)
+    return _accel.apply_phase(np.ascontiguousarray(kernel.values), phases)
+
+
 def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
     """Heisenberg evolution by time t: phase the kernel, keep the diagonal."""
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    phases = np.exp(1j * t * obs.grid.nodes)
-    evolved = _accel.apply_phase(np.ascontiguousarray(obs.kernel.values), phases)
+    if not obs.kernel.present:
+        return obs
+    evolved = phased_values(obs.kernel, t)
     return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved, _adopt=True))
 
 
@@ -107,9 +117,10 @@ def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarr
 
     The diagonal profiles enter through difference cross terms
     (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1, and the kernels through the
-    composed difference K1 o K2 - K2 o K1. Terms with an identically zero
-    kernel operand are skipped, so a diagonal-only observable against a
-    kernel costs no matmul. Both kernels are Hermitian, so the composed
+    composed difference K1 o K2 - K2 o K1. Terms with an absent or
+    identically zero kernel operand are skipped, so a diagonal-only
+    observable against a kernel costs no matmul; an absent kernel is
+    skipped without a scan. Both kernels are Hermitian, so the composed
     difference is M - M^H with M = K1 o K2: one matmul instead of two.
     When both kernels have identically zero imaginary parts, M is formed
     as a real product of their real parts and M - M^H is the real, exactly
@@ -120,8 +131,8 @@ def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarr
     d2 = o2.diag.values
     k1 = o1.kernel.values
     k2 = o2.kernel.values
-    has_k1 = bool(np.any(k1))
-    has_k2 = bool(np.any(k2))
+    has_k1 = o1.kernel.present and bool(np.any(k1))
+    has_k2 = o2.kernel.present and bool(np.any(k2))
     values = None
     if has_k2:
         values = np.subtract.outer(d1, d1) * k2
@@ -147,7 +158,7 @@ def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarr
         mixing *= grid.spacing
         values += mixing
     if values is None:
-        values = np.zeros_like(k1)
+        values = np.zeros(k1.shape, dtype=np.complex128)
     return values
 
 
@@ -158,10 +169,19 @@ def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKe
 
 def incompatibility_observable(o1: VanHoveObservable,
                                o2: VanHoveObservable) -> IncompatibilityObservable:
-    """Hermitian D = -i [O1, O2] built from the commutator kernel."""
+    """Hermitian D = -i [O1, O2] built from the commutator kernel.
+
+    When both operand kernels are exactly Hermitian (recorded residual 0.0,
+    or absent), so is D, with no scan: IEEE rounding is sign-symmetric, so
+    the cross terms (d(w) - d(w')) K and the mixing term M - M^H come out
+    exactly anti-Hermitian. Any other D is scanned at 1e-10.
+    """
     values = _commutator_values(o1, o2)
     values *= -1j
-    return IncompatibilityObservable(RegularKernel(o1.grid, values, _adopt=True))
+    kernel = RegularKernel(o1.grid, values, _adopt=True)
+    if o1.kernel.hermitian_residual == 0.0 and o2.kernel.hermitian_residual == 0.0:
+        kernel._record_residual(0.0)
+    return IncompatibilityObservable(kernel)
 
 
 def _nu_offsets(grid: FrequencyGrid) -> np.ndarray:
@@ -170,6 +190,8 @@ def _nu_offsets(grid: FrequencyGrid) -> np.ndarray:
 
 
 def _kernel_profile(rho: VanHoveState, kernel: RegularKernel) -> np.ndarray:
+    if not (rho.kernel.present and kernel.present):
+        return np.zeros(2 * rho.grid.n_points - 1, dtype=np.complex128)
     weights = np.conjugate(rho.kernel.values)
     weights *= kernel.values
     profile = _accel.nu_profile(np.ascontiguousarray(weights))

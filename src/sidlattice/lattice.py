@@ -370,6 +370,9 @@ class DensityState:
         mat = np.array(self.matrix, dtype=np.complex128, copy=True, order="C")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {mat.shape}")
+        # the range guards below are false for NaN, so finiteness comes first
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > STATE_TOL:
             raise ValueError("density matrix is not Hermitian to 1e-10")
         eigvals = np.linalg.eigvalsh(mat)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -35,6 +35,9 @@ STATE_NORM_TOL = 1e-10
 
 KERNEL_FAMILIES = ("gaussian_band", "lorentz_band", "rect_band", "random_bandlimited")
 _RANDOM_MODES = 6
+# Edge of the square tiles random_bandlimited is symmetrized in: a tile pair
+# stays cache-resident where a whole-array transpose does not.
+_MIX_TILE = 256
 
 
 def _frozen_array(values, dtype, shape=None, copy=True) -> np.ndarray:
@@ -110,20 +113,38 @@ class DiagonalPart:
 class RegularKernel:
     """Complex samples K(omega_k, omega_l) of a regular two-frequency kernel.
 
-    The samples are copied unless ``_adopt`` is true, which the library
-    passes for arrays it has just built and holds no other reference to:
-    those are frozen in place. Shape and finiteness are checked either way.
+    ``values=None`` is the absent kernel K = 0 (``absent``): a read-only
+    zero-stride view that holds no n x n array and is never scanned. Other
+    samples are copied unless ``_adopt`` is true, which the library passes
+    for arrays it has just built: those are frozen in place. Shape and
+    finiteness are checked either way, so an explicit zero array (``zeros``)
+    is a present kernel like any other. ``hermitian_residual`` is
+    max |K - K^H| once known (None before the first check).
     """
 
     grid: FrequencyGrid
-    values: np.ndarray
+    values: Optional[np.ndarray]
     _adopt: InitVar[bool] = False
+    present: bool = field(default=True, init=False)
+    hermitian_residual: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self, _adopt):
         n = self.grid.n_points
+        if self.values is None:
+            object.__setattr__(self, "values", np.broadcast_to(np.complex128(0.0), (n, n)))
+            object.__setattr__(self, "present", False)
+            self._record_residual(0.0)
+            return
         object.__setattr__(
             self, "values",
             _frozen_array(self.values, np.complex128, (n, n), copy=not _adopt))
+
+    @classmethod
+    def absent(cls, grid: FrequencyGrid) -> "RegularKernel":
+        return cls(grid, None)
+
+    def _record_residual(self, residual: float) -> None:
+        object.__setattr__(self, "hermitian_residual", residual)
 
     @classmethod
     def zeros(cls, grid: FrequencyGrid) -> "RegularKernel":
@@ -144,7 +165,8 @@ class VanHoveObservable:
     """Observable with a singular diagonal part plus a regular kernel.
 
     The kernel must be Hermitian within the default tolerance and the
-    diagonal profile real, so the whole operator is self-adjoint.
+    diagonal profile real, so the whole operator is self-adjoint. A kernel
+    whose Hermitian residual is already known is not scanned again.
     """
 
     diag: DiagonalPart
@@ -152,7 +174,7 @@ class VanHoveObservable:
 
     def __post_init__(self):
         _require_same_grid(self.diag.grid, self.kernel.grid)
-        if not check_hermitian(self.kernel, default_tol()):
+        if not hermitian_within(self.kernel, default_tol()):
             raise ValueError("observable kernel is not Hermitian within tolerance")
 
     @property
@@ -161,7 +183,7 @@ class VanHoveObservable:
 
     @classmethod
     def diag_only(cls, diag: DiagonalPart) -> "VanHoveObservable":
-        return cls(diag, RegularKernel.zeros(diag.grid))
+        return cls(diag, RegularKernel.absent(diag.grid))
 
     @classmethod
     def kernel_only(cls, kernel: RegularKernel) -> "VanHoveObservable":
@@ -182,7 +204,7 @@ class VanHoveState:
         total = self.diag.grid.spacing * float(np.sum(self.diag.values))
         if abs(total - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state diagonal quadrature is {total}, expected 1")
-        if not check_hermitian(self.kernel, default_tol()):
+        if not hermitian_within(self.kernel, default_tol()):
             raise ValueError("state kernel is not Hermitian within tolerance")
 
     @property
@@ -226,11 +248,18 @@ class KernelFamilySpec:
             self._require_positive("sigma", self.sigma)
         if self.family == "lorentz_band":
             self._require_positive("gamma", self.gamma)
+            # the band table divides by nu^2 + gamma^2
+            if not math.isfinite(self.gamma * self.gamma):
+                raise ValueError(f"width gamma={self.gamma} overflows gamma^2")
         self._require_positive("Sigma", self.Sigma)
         if self.mu is None or not math.isfinite(self.mu):
             raise ValueError(f"{self.family} needs a finite envelope center mu")
         if self.family == "random_bandlimited" and self.seed is None:
             raise ValueError("random_bandlimited needs a seed")
+        if self.seed is not None and not (
+                isinstance(self.seed, int) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @staticmethod
     def _require_positive(name: str, value):
@@ -274,18 +303,46 @@ def _warn_on_envelope_leak(grid: FrequencyGrid, spec: KernelFamilySpec) -> None:
         )
 
 
-def _random_bandlimited(grid: FrequencyGrid, spec: KernelFamilySpec) -> np.ndarray:
+def _mix_tile(tile, mirror, toeplitz, hankel) -> None:
+    np.add(tile, mirror.conj().T, out=tile)
+    tile *= 0.5
+    tile *= toeplitz
+    tile *= hankel
+
+
+def _hermitian_mix(base: np.ndarray, toeplitz: np.ndarray,
+                   hankel: np.ndarray) -> np.ndarray:
+    """0.5 (B + B^H) * toeplitz * hankel, written over B, one tile pair at a time.
+
+    Tile (I, J) is copied before it is written, so its mirror (J, I) still
+    reads the original samples; each entry gets the same IEEE operations, in
+    the same order, as the whole-array expression, without its n x n
+    temporaries.
+    """
+    n = base.shape[0]
+    for i in range(0, n, _MIX_TILE):
+        rows = slice(i, i + _MIX_TILE)
+        for j in range(i, n, _MIX_TILE):
+            cols = slice(j, j + _MIX_TILE)
+            upper = base[rows, cols].copy()
+            lower = base[cols, rows] if i != j else upper
+            _mix_tile(base[rows, cols], lower, toeplitz[rows, cols], hankel[rows, cols])
+            if i != j:
+                _mix_tile(base[cols, rows], upper, toeplitz[cols, rows], hankel[cols, rows])
+    return base
+
+
+def _random_bandlimited(grid: FrequencyGrid, spec: KernelFamilySpec,
+                        toeplitz: np.ndarray, hankel: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
-    n = grid.n_points
     phases = np.exp(
         2j * math.pi * np.outer(grid.nodes / grid.omega_max, np.arange(_RANDOM_MODES)))
     coeff = rng.standard_normal((_RANDOM_MODES, _RANDOM_MODES)) \
         + 1j * rng.standard_normal((_RANDOM_MODES, _RANDOM_MODES))
     coeff = 0.5 * (coeff + coeff.conj().T)
-    base = phases @ coeff @ phases.conj().T / _RANDOM_MODES
-    mix = base + base.conj().T
-    mix *= 0.5
-    return mix
+    base = phases @ coeff @ phases.conj().T
+    base /= _RANDOM_MODES
+    return _hermitian_mix(base, toeplitz, hankel)
 
 
 def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
@@ -301,6 +358,8 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     On the midpoint grid nu = h (k - l) and s = h (k + l + 1) / 2 for nodes
     k, l, so each factor is tabulated once on 2n - 1 points and spread over
     the n x n grid as a Toeplitz (nu) and a Hankel (s) view of that table.
+    random_bandlimited takes the Hermitian part 0.5 (B + B^H) of its mode
+    mixture B times both views in place, tile pair by tile pair.
     """
     _warn_on_envelope_leak(grid, spec)
     n = grid.n_points
@@ -324,9 +383,7 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     toeplitz = sliding_window_view(band, n)[:, ::-1]
     hankel = sliding_window_view(envelope, n)
     if spec.family == "random_bandlimited":
-        values = _random_bandlimited(grid, spec)
-        values *= toeplitz
-        values *= hankel
+        values = _random_bandlimited(grid, spec, toeplitz, hankel)
     else:
         values = np.multiply(toeplitz, hankel, dtype=np.complex128)
     return RegularKernel(grid, values, _adopt=True)
@@ -349,12 +406,23 @@ def kernel_compose(k1: RegularKernel, k2: RegularKernel) -> RegularKernel:
 
 def hs_norm(kernel: RegularKernel) -> float:
     """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2); zero iff K = 0."""
+    if not kernel.present:
+        return 0.0
     return float(kernel.grid.spacing * np.linalg.norm(kernel.values))
 
 
 def check_hermitian(kernel: RegularKernel, tol: Optional[float] = None) -> bool:
-    """True iff max |K(w, w') - conj(K(w', w))| <= tol."""
+    """True iff max |K(w, w') - conj(K(w', w))| <= tol; records the residual."""
     tol = default_tol() if tol is None else tol
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    return _accel.hermitian_residual(np.ascontiguousarray(kernel.values)) <= tol
+    residual = _accel.hermitian_residual(np.ascontiguousarray(kernel.values))
+    kernel._record_residual(residual)
+    return residual <= tol
+
+
+def hermitian_within(kernel: RegularKernel, tol: float) -> bool:
+    """check_hermitian, decided from the recorded residual when one is known."""
+    if kernel.hermitian_residual is None:
+        return check_hermitian(kernel, tol)
+    return kernel.hermitian_residual <= tol

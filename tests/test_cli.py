@@ -113,6 +113,24 @@ class TestLattice:
         assert report["laws"]["all_pass"] is True
         assert report["kolmogorov"]["max_residual"] == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_subspace_entry_exits_2(self, tmp_path, capsys, entry):
+        doc = _line_doc([1.0, 0.0], [0.0, 1.0])
+        doc["elements"][1][0][0][0] = entry
+        inp = _write(tmp_path / "in.json", doc)
+        assert main(["lattice", "--in", inp,
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "error: element 1: entries must be finite\n"
+
+    def test_nan_state_exits_2(self, tmp_path, capsys):
+        inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [0.0, 1.0]))
+        state = _write(tmp_path / "state.json", {
+            "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]})
+        assert main(["lattice", "--in", inp, "--state", state,
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid density state: ") and err.count("\n") == 1
+
     def test_truncated_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "elements": [[')
@@ -246,6 +264,21 @@ class TestOracle:
         assert main(["oracle", "--family", "rect_band",
                      "--params", '{"sigma_c": 1.0}', "--t", "1"]) == 2
 
+    @pytest.mark.parametrize("params,times", [
+        ('{"sigma_c": "x"}', "1"),
+        ('{"sigma_c": [1]}', "1"),
+        ('{"sigma1": 1.0, "sigma2": null}', "1"),
+        ('{"sigma_c": 1.0}', "0,nan"),
+        ('{"sigma_c": 1.0}', "inf"),
+        ('{"sigma_c": 1' + "0" * 400 + '}', "1"),
+    ])
+    def test_non_numeric_param_or_time_exits_2(self, capsys, params, times):
+        assert main(["oracle", "--family", "gaussian_band",
+                     "--params", params, "--t", times]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 def _set(path, value):
     def mutate(doc):
@@ -270,6 +303,14 @@ _MALFORMED = {
     "thresholds-null": _set(("thresholds",), None),
     "output-list": _set(("output",), []),
     "output-false": _set(("output",), False),
+    # pass a type-only spec check, then crash the kernel build
+    "seed-float": _set(("state", "kernel", "seed"), 1.5),
+    "seed-negative": _set(("state", "kernel", "seed"), -1),
+    "seed-bool": _set(("state", "kernel", "seed"), True),
+    "gamma-overflows": _set(("observables", "O2", "kernel"), {
+        "family": "lorentz_band", "gamma": 1e200, "mu": 10.0, "Sigma": 2.0}),
+    "amplitude-overflows": _set(("state", "kernel", "amplitude"), 1e308),
+    "t-max-int-past-float": _set(("time", "t_max"), 10**400),
 }
 
 
@@ -325,3 +366,47 @@ def test_falsy_block_is_named_in_the_error(tmp_path, capsys, block, value):
     assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
                  "--series", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err == f"error: config key {block!r} must be a dict\n"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("numeric work ran before the output path was checked")
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("emerge", "--report"), ("emerge", "--series"), ("simulate", "--out"),
+])
+def test_missing_output_directory_exits_2_before_any_kernel(
+        tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.setattr(cli, "build_kernel", _no_work)
+    cfg = _write(tmp_path / "cfg.json", _base_config())
+    paths = {"--report": str(tmp_path / "r.json"), "--series": str(tmp_path / "s.csv"),
+             "--out": str(tmp_path / "s.csv")}
+    paths[flag] = str(tmp_path / "missing" / "out.file")
+    flags = ("--report", "--series") if command == "emerge" else ("--out",)
+    argv = [command, "--config", cfg]
+    for f in flags:
+        argv += [f, paths[f]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "s.csv").exists()
+
+
+def test_missing_config_output_directory_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_kernel", _no_work)
+    monkeypatch.chdir(tmp_path)
+    doc = _base_config()
+    doc["output"] = {"series": "s.csv", "report": "missing/r.json"}
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: output directory ")
+
+
+def test_lattice_missing_report_directory_exits_2_before_closure(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_lattice", _no_work)
+    inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [0.0, 1.0]))
+    assert main(["lattice", "--in", inp,
+                 "--report", str(tmp_path / "missing" / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory ") and err.count("\n") == 1

@@ -20,8 +20,11 @@ from sidlattice import (
     build_kernel,
     check_lattice_laws,
     effective_compatibility,
+    evolve,
     expectation_series,
     generate_lattice,
+    hs_norm,
+    incompatibility_observable,
     is_boolean,
     make_grid,
     pointer_lattice,
@@ -216,6 +219,22 @@ class TestRunEmergence:
         assert report.decoherence_time is not None
         assert report.effective_compatibility_time is not None
         assert abs(report.hs_norm_initial - report.hs_norm_final) <= 1e-10
+
+    @pytest.mark.parametrize("t_max", [2.5, 7.0, 10.0])
+    def test_hs_norm_final_is_the_evolved_observable_norm(self, t_max):
+        grid = make_grid(20.0, 96)
+        rho = _complex_state(grid)
+        o1 = VanHoveObservable(DiagonalPart(grid, grid.nodes), build_kernel(
+            grid, KernelFamilySpec("random_bandlimited", amplitude=0.4, sigma=1.0,
+                                   mu=10.0, Sigma=2.0, seed=3)))
+        for a, b in ((o1, linear_vs_gaussian_pair(grid)[1]),
+                     linear_vs_gaussian_pair(grid)):
+            report = run_emergence(rho, a, b, BinPartition.equal_bins(grid, 2),
+                                   t_max, 21, epsilon=1e-6)
+            incompat = incompatibility_observable(a, b)
+            assert report.hs_norm_final == hs_norm(
+                evolve(incompat.to_observable(), t_max).kernel)
+            assert report.hs_norm_initial == hs_norm(incompat.kernel)
 
     def test_narrow_band_not_reached(self):
         grid = make_grid(20.0, 128)

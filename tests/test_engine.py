@@ -12,7 +12,7 @@ from conftest import (
     linear_vs_gaussian_pair,
     obs_matrix,
 )
-from sidlattice import _accel, engine
+from sidlattice import _accel, engine, spectral
 from sidlattice import (
     DiagonalPart,
     ExpectationSeries,
@@ -517,3 +517,70 @@ class TestCommutatorShortcuts:
         # a real product would drop the imaginary parts the 1e-300 entries carry
         assert np.any(got.imag)
         np.testing.assert_array_equal(got, _two_matmul_commutator(o1, o2))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+class TestAbsentKernelOperand:
+    def test_diag_only_matches_explicit_zero_kernel(self):
+        grid = make_grid(20.0, 64)
+        diag = DiagonalPart(grid, grid.nodes)
+        absent = VanHoveObservable.diag_only(diag)
+        explicit = VanHoveObservable(diag, RegularKernel.zeros(grid))
+        assert absent.kernel.values.strides == (0, 0)
+        assert explicit.kernel.values.strides == (64 * 16, 16)
+        rho = _random_state(grid, 8)
+        for other in (_random_observable(grid, 3),
+                      VanHoveObservable.diag_only(DiagonalPart(grid, np.cos(grid.nodes)))):
+            for a, b in ((absent, other), (other, absent)):
+                x, y = (explicit, other) if a is absent else (other, explicit)
+                assert np.array_equal(_bits(commutator_kernel(a, b).values),
+                                      _bits(commutator_kernel(x, y).values))
+                d_absent = incompatibility_observable(a, b)
+                d_explicit = incompatibility_observable(x, y)
+                assert np.array_equal(_bits(d_absent.kernel.values),
+                                      _bits(d_explicit.kernel.values))
+        assert expectation(rho, absent, 0.9) == expectation(rho, explicit, 0.9)
+        assert evolve(absent, 3.0) is absent
+
+    def test_absent_state_kernel_gives_the_explicit_zero_series(self):
+        grid = make_grid(20.0, 48)
+        diag = DiagonalPart(grid, np.exp(-0.5 * ((grid.nodes - 10.0) / 3.0) ** 2))
+        incompat = incompatibility_observable(
+            VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes)),
+            _random_observable(grid, 4))
+        absent = VanHoveState.normalized(diag, RegularKernel.absent(grid))
+        explicit = VanHoveState.normalized(diag, RegularKernel.zeros(grid))
+        got = expectation_series(absent, incompat, 5.0, 17).values
+        expected = expectation_series(explicit, incompat, 5.0, 17).values
+        assert np.array_equal(_bits(got), _bits(expected))
+
+
+class TestIncompatibilityCheckedOnce:
+    def test_exactly_hermitian_operands_give_d_without_a_scan(self, monkeypatch):
+        grid = make_grid(20.0, 64)
+        pairs = [(_random_observable(grid, 5), _random_observable(grid, 6)),
+                 (VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes)),
+                  _random_observable(grid, 7))]
+
+        def no_scan(*args):
+            raise AssertionError("D was scanned although it is Hermitian by construction")
+
+        monkeypatch.setattr(spectral, "check_hermitian", no_scan)
+        for o1, o2 in pairs:
+            incompat = incompatibility_observable(o1, o2)
+            assert incompat.kernel.hermitian_residual == 0.0
+            assert _accel.hermitian_residual(incompat.kernel.values) == 0.0
+
+    def test_inexact_operand_passes_entry_and_d_still_fails(self):
+        grid = make_grid(20.0, 16)
+        values = build_kernel(grid, KernelFamilySpec(
+            "gaussian_band", sigma=1.5, mu=10.0, Sigma=2.0)).values.copy()
+        values[0, 15] += 1e-9
+        o2 = VanHoveObservable.kernel_only(RegularKernel(grid, values))
+        assert 0.0 < o2.kernel.hermitian_residual <= 1e-8
+        o1 = VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes))
+        with pytest.raises(ValueError, match="1e-10"):
+            incompatibility_observable(o1, o2)

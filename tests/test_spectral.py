@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad as scipy_quad
 
-from sidlattice import _accel
+from sidlattice import _accel, spectral
 from sidlattice import (
     DiagonalPart,
     FrequencyGrid,
@@ -362,3 +363,124 @@ class TestBuildKernelFactorization:
         assert np.max(np.abs(kernel.values - direct)[keep], initial=0.0) \
             <= 1e-14 * scale
         assert _accel.hermitian_residual(kernel.values) == 0.0
+
+
+def _random_bandlimited_tables(n, amplitude, sigma=1.5, mu=10.0, Sigma=2.0):
+    """Toeplitz (nu) and Hankel (s) views built as build_kernel builds them."""
+    h = 20.0 / n
+    steps = np.arange(2 * n - 1, dtype=np.float64)
+    band = np.exp(-0.5 * ((h * (steps - (n - 1))) / sigma) ** 2)
+    band *= amplitude
+    envelope = np.exp(-0.5 * ((0.5 * h * (steps + 1.0) - mu) / Sigma) ** 2)
+    return sliding_window_view(band, n)[:, ::-1], sliding_window_view(envelope, n)
+
+
+def _whole_array_mix(base, toeplitz, hankel):
+    """The random_bandlimited Hermitian part as one whole-array expression."""
+    mix = base + base.conj().T
+    mix *= 0.5
+    mix *= toeplitz
+    mix *= hankel
+    return mix
+
+
+_ACROSS_TILE_EDGES = st.one_of(st.sampled_from([1, 2, 255, 256, 257, 513]),
+                               st.integers(1, 600))
+_EITHER_SIGN = st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05)
+
+
+class TestTiledRandomBandlimited:
+    @settings(max_examples=30, deadline=None)
+    @given(n=_ACROSS_TILE_EDGES, amplitude=_EITHER_SIGN,
+           seed=st.integers(0, 2**32 - 1))
+    def test_tiled_mix_is_the_whole_array_expression_bit_for_bit(
+            self, n, amplitude, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        toeplitz, hankel = _random_bandlimited_tables(n, amplitude)
+        expected = _whole_array_mix(base, toeplitz, hankel)
+        got = spectral._hermitian_mix(base.copy(), toeplitz, hankel)
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
+        assert _accel.hermitian_residual(got) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
+    @pytest.mark.parametrize("amplitude", [1.0, -0.7])
+    def test_build_is_the_whole_array_formula_bit_for_bit(self, n, amplitude):
+        grid = make_grid(20.0, n)
+        spec = KernelFamilySpec("random_bandlimited", amplitude=amplitude,
+                                sigma=1.5, mu=10.0, Sigma=2.0, seed=n)
+        rng = np.random.default_rng(spec.seed)
+        phases = np.exp(2j * math.pi * np.outer(grid.nodes / grid.omega_max,
+                                                np.arange(6)))
+        coeff = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        coeff = 0.5 * (coeff + coeff.conj().T)
+        base = phases @ coeff @ phases.conj().T / 6
+        expected = _whole_array_mix(base, *_random_bandlimited_tables(n, amplitude))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportOverflowWarning)
+            got = build_kernel(grid, spec).values
+        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
+        assert _accel.hermitian_residual(got) == 0.0
+
+
+class TestSpecRejectsWhatTheBuildCannotTake:
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            KernelFamilySpec("random_bandlimited", sigma=1.0, mu=5.0, Sigma=1.0,
+                             seed=seed)
+
+    def test_gamma_whose_square_overflows(self):
+        with pytest.raises(ValueError, match="overflows"):
+            KernelFamilySpec("lorentz_band", gamma=1e200, mu=5.0, Sigma=1.0)
+        KernelFamilySpec("lorentz_band", gamma=1e150, mu=5.0, Sigma=1.0)
+
+
+class TestAbsentKernel:
+    def test_holds_no_array_and_reads_as_zero(self):
+        g = make_grid(10.0, 512)
+        k = RegularKernel.absent(g)
+        assert not k.present and k.hermitian_residual == 0.0
+        assert k.values.shape == (512, 512) and k.values.strides == (0, 0)
+        assert not k.values.flags.writeable
+        assert not np.any(k.values) and hs_norm(k) == 0.0
+
+    def test_is_never_scanned(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("an absent kernel was scanned")
+
+        g = make_grid(10.0, 16)
+        diag = DiagonalPart(g, np.ones(16) / 10.0)
+        monkeypatch.setattr(spectral, "check_hermitian", no_scan)
+        monkeypatch.setattr(spectral, "_frozen_array", no_scan)
+        obs = VanHoveObservable.diag_only(diag)
+        assert not obs.kernel.present
+        VanHoveState(diag, RegularKernel.absent(g))
+
+    def test_explicit_zeros_are_a_present_kernel_and_scanned(self, monkeypatch):
+        calls = []
+        check = spectral.check_hermitian
+        monkeypatch.setattr(spectral, "check_hermitian",
+                            lambda k, tol=None: calls.append(k) or check(k, tol))
+        g = make_grid(10.0, 16)
+        obs = VanHoveObservable(DiagonalPart.zeros(g), RegularKernel.zeros(g))
+        assert obs.kernel.present and obs.kernel.values.strides == (16 * 16, 16)
+        assert calls == [obs.kernel]
+
+
+class TestHermitianResidualRecord:
+    def test_check_records_and_later_checks_reuse(self, monkeypatch):
+        g = make_grid(10.0, 8)
+        bad = np.zeros((8, 8), dtype=complex)
+        bad[0, 7] = 1e-9
+        k = RegularKernel(g, bad)
+        assert k.hermitian_residual is None
+        VanHoveObservable.kernel_only(k)  # 1e-9 passes the 1e-8 entry check
+        assert k.hermitian_residual == 1e-9
+
+        def no_scan(*args):
+            raise AssertionError("a recorded residual was scanned again")
+
+        monkeypatch.setattr(spectral, "check_hermitian", no_scan)
+        assert spectral.hermitian_within(k, 1e-8)
+        assert not spectral.hermitian_within(k, 1e-10)
