@@ -28,6 +28,7 @@ from .engine import (
     combined_decay_rate,
     expectation_series,
     incompatibility_observable,
+    require_window,
 )
 from .errors import ConfigError, SidLatticeError, UnsupportedFamily, WindowExceeded
 from .lattice import (
@@ -41,6 +42,7 @@ from .lattice import (
     kolmogorov_check,
 )
 from .spectral import (
+    MAX_GRID_POINTS,
     DiagonalPart,
     FrequencyGrid,
     KernelFamilySpec,
@@ -240,6 +242,15 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
         require_pointer_cap(partition)
     resolved = _resolve_outputs(doc, outputs)
 
+    time_doc = _cfg_get(doc, "time", dict, "config")
+    t_max = _cfg_get(time_doc, "t_max", float, "time")
+    n_samples = _cfg_get(time_doc, "n_samples", int, "time")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ConfigError(f"t_max must be positive, got {t_max}")
+    if n_samples < 2:
+        raise ConfigError(f"n_samples must be at least 2, got {n_samples}")
+    require_window(grid, t_max)
+
     state_doc = _cfg_get(doc, "state", dict, "config")
     diag = _build_diag(
         grid, _cfg_get(state_doc, "diag", dict, "state", required=False), "state")
@@ -255,19 +266,6 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
         raise ConfigError("observables block needs O1 and O2")
     o1 = _build_observable(grid, obs_doc["O1"], "O1")
     o2 = _build_observable(grid, obs_doc["O2"], "O2")
-
-    time_doc = _cfg_get(doc, "time", dict, "config")
-    t_max = _cfg_get(time_doc, "t_max", float, "time")
-    n_samples = _cfg_get(time_doc, "n_samples", int, "time")
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ConfigError(f"t_max must be positive, got {t_max}")
-    if n_samples < 2:
-        raise ConfigError(f"n_samples must be at least 2, got {n_samples}")
-    half = 0.5 * grid.recurrence_time
-    if t_max > half:
-        raise WindowExceeded(
-            f"t_max={t_max} exceeds half the recurrence time: recurrence "
-            f"2*pi/spacing = {grid.recurrence_time}, window limit {half}")
 
     thr_doc = _cfg_get(doc, "thresholds", dict, "config", required=False) or {}
     ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", required=False)
@@ -308,6 +306,8 @@ def _parse_subspaces(doc: dict) -> tuple[int, list[Subspace]]:
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise ConfigError(f"dim must be a positive integer, got {dim!r}")
+    if dim > MAX_GRID_POINTS:
+        raise ConfigError(f"dim={dim} exceeds the dense-storage cap {MAX_GRID_POINTS}")
     elements = doc["elements"]
     if not isinstance(elements, list):
         raise ConfigError("'elements' must be a list of subspaces")

@@ -10,9 +10,8 @@ integrable in nu = omega - omega'.
 On the uniform grid the phases depend only on the node-index difference,
 so expectation values are evaluated by collapsing the weighted kernel onto
 its anti-diagonals (the nu profile) and summing one oscillatory factor per
-offset. That regrouping is exact, keeps roundoff at the 1e-13 level even
-for strongly cancelling late-time sums, and is the hot path accelerated in
-:mod:`sidlattice._accel`.
+offset. That regrouping is exact and keeps roundoff at the 1e-13 level even
+for strongly cancelling late-time sums.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _accel
 from .errors import UnsupportedFamily, WindowExceeded
 from .spectral import (
     DiagonalPart,
@@ -99,7 +97,9 @@ class ExpectationSeries:
 def phased_values(kernel: RegularKernel, t: float) -> np.ndarray:
     """Fresh samples K(w, w') exp(i (w - w') t) of a present kernel."""
     phases = np.exp(1j * t * kernel.grid.nodes)
-    return _accel.apply_phase(np.ascontiguousarray(kernel.values), phases)
+    out = kernel.values * phases[:, None]
+    out *= np.conjugate(phases)[None, :]
+    return out
 
 
 def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
@@ -184,9 +184,30 @@ def incompatibility_observable(o1: VanHoveObservable,
     return IncompatibilityObservable(kernel)
 
 
-def _nu_offsets(grid: FrequencyGrid) -> np.ndarray:
+def _nu_profile(values: np.ndarray) -> np.ndarray:
+    n = values.shape[0]
+    out = np.empty(2 * n - 1, dtype=np.complex128)
+    for m in range(-(n - 1), n):
+        # diagonal(offset=q) walks entries [i, i+q], i.e. k - l = -q
+        out[m + n - 1] = values.diagonal(-m).sum()
+    return out
+
+
+def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
+                  times: np.ndarray) -> np.ndarray:
+    """For each time t, the sum over offsets m of profile[m] exp(i m spacing t)."""
     n = grid.n_points
-    return grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
+    nu = grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
+    return np.exp(1j * np.outer(times, nu)) @ profile
+
+
+def require_window(grid: FrequencyGrid, t_max: float) -> None:
+    """Raise WindowExceeded when t_max goes past half the recurrence time."""
+    half = 0.5 * grid.recurrence_time
+    if t_max > half:
+        raise WindowExceeded(
+            f"t_max={t_max} exceeds half the recurrence time: recurrence "
+            f"2*pi/spacing = {grid.recurrence_time}, window limit {half}")
 
 
 def _kernel_profile(rho: VanHoveState, kernel: RegularKernel) -> np.ndarray:
@@ -194,7 +215,7 @@ def _kernel_profile(rho: VanHoveState, kernel: RegularKernel) -> np.ndarray:
         return np.zeros(2 * rho.grid.n_points - 1, dtype=np.complex128)
     weights = np.conjugate(rho.kernel.values)
     weights *= kernel.values
-    profile = _accel.nu_profile(np.ascontiguousarray(weights))
+    profile = _nu_profile(weights)
     return rho.grid.spacing**2 * profile
 
 
@@ -211,8 +232,7 @@ def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
         raise ValueError(f"time must be finite, got {t}")
     diag_term = grid.spacing * float(np.dot(rho.diag.values, obs.diag.values))
     profile = _kernel_profile(rho, obs.kernel)
-    kernel_term = _accel.phase_series(
-        profile, _nu_offsets(grid), np.array([t], dtype=np.float64))[0]
+    kernel_term = _phase_series(grid, profile, np.array([t], dtype=np.float64))[0]
     return diag_term + complex(kernel_term)
 
 
@@ -229,15 +249,11 @@ def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
         raise ValueError(f"t_max must be positive, got {t_max}")
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    recurrence = grid.recurrence_time
-    if t_max > 0.5 * recurrence:
-        raise WindowExceeded(
-            f"t_max={t_max} exceeds half the recurrence time "
-            f"{recurrence} (limit {0.5 * recurrence})")
+    require_window(grid, t_max)
     times = np.linspace(0.0, t_max, int(n_samples))
     profile = _kernel_profile(rho, incompat.kernel)
-    values = _accel.phase_series(profile, _nu_offsets(grid), times)
-    return ExpectationSeries(times, values, recurrence)
+    values = _phase_series(grid, profile, times)
+    return ExpectationSeries(times, values, grid.recurrence_time)
 
 
 def decoherence_time(series: ExpectationSeries,

@@ -3,7 +3,6 @@
 import os
 
 ENV_TOL = "SIDLATTICE_TOL"
-ENV_BACKEND = "SIDLATTICE_BACKEND"
 
 _DEFAULT_TOL = 1e-8
 
@@ -20,11 +19,3 @@ def default_tol() -> float:
     if value <= 0.0:
         raise ValueError(f"{ENV_TOL} must be positive, got {value}")
     return value
-
-
-def backend() -> str:
-    """Numeric backend for hot kernels: ``numba`` (default) or ``numpy``."""
-    choice = os.environ.get(ENV_BACKEND, "numba").strip().lower()
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"{ENV_BACKEND} must be 'numba' or 'numpy', got {choice!r}")
-    return choice

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"{recurrence}" in err
 
+    def test_window_guard_runs_before_any_kernel(self, tmp_path, monkeypatch):
+        def no_kernel_build(*args):
+            raise AssertionError("a kernel was built before the window check")
+
+        monkeypatch.setattr(cli, "build_kernel", no_kernel_build)
+        cfg = _write(tmp_path / "cfg.json", _base_config(t_max=1e3))
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "x.csv")]) == 3
+
     def test_out_falls_back_to_config_output(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         doc = _base_config()
@@ -130,6 +140,19 @@ class TestLattice:
                      "--report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid density state: ") and err.count("\n") == 1
+
+    def test_dim_past_the_storage_cap_exits_2_before_any_element(
+            self, tmp_path, capsys, monkeypatch):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("a lattice was generated past the dim cap")
+
+        monkeypatch.setattr(cli, "generate_lattice", no_closure)
+        # the element is malformed too, so parsing it first would name it
+        inp = _write(tmp_path / "in.json", {"dim": 100_000_000, "elements": [[[]]]})
+        assert main(["lattice", "--in", inp,
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: dim=100000000 exceeds the dense-storage cap 4096\n")
 
     def test_truncated_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -323,6 +346,18 @@ def test_malformed_scenario_field_exits_2(tmp_path, capsys, mutate):
                  "--series", str(tmp_path / "s.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overflowing_kernel_exits_2_without_a_runtime_warning(tmp_path, capsys):
+    doc = _base_config(n_points=32, t_max=4.0)
+    doc["state"]["kernel"]["amplitude"] = 1e308
+    cfg = _write(tmp_path / "cfg.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                     "--series", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: state kernel invalid: samples must be finite\n")
 
 
 def test_lattice_max_elements_below_two_exits_2(tmp_path, capsys):

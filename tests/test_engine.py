@@ -12,7 +12,7 @@ from conftest import (
     linear_vs_gaussian_pair,
     obs_matrix,
 )
-from sidlattice import _accel, engine, spectral
+from sidlattice import engine, spectral
 from sidlattice import (
     DiagonalPart,
     ExpectationSeries,
@@ -241,6 +241,33 @@ class TestExpectation:
             expectation(rho, obs, 0.0)
 
 
+class TestAntiDiagonalRegrouping:
+    @pytest.fixture
+    def kernel(self):
+        rng = np.random.default_rng(99)
+        return rng.standard_normal((37, 37)) + 1j * rng.standard_normal((37, 37))
+
+    def test_nu_profile_matches_direct_sum(self, kernel):
+        profile = engine._nu_profile(kernel)
+        n = kernel.shape[0]
+        assert profile.shape == (2 * n - 1,)
+        for m in (-(n - 1), -3, 0, 5, n - 1):
+            expected = sum(kernel[k, k - m] for k in range(n) if 0 <= k - m < n)
+            assert abs(profile[m + n - 1] - expected) < 1e-12
+        assert abs(profile.sum() - kernel.sum()) < 1e-10
+
+    def test_phase_series_matches_direct(self, kernel):
+        grid = make_grid(0.25 * 37, 37)
+        assert grid.spacing == 0.25
+        profile = engine._nu_profile(kernel)
+        nu = 0.25 * np.arange(-36, 37, dtype=np.float64)
+        times = np.array([0.0, 0.7, 2.1])
+        got = engine._phase_series(grid, profile, times)
+        for j, t in enumerate(times):
+            expected = np.sum(profile * np.exp(1j * nu * t))
+            assert abs(got[j] - expected) < 1e-12
+
+
 class TestGaussianDecay:
     def test_matches_closed_form(self):
         grid, rho, incompat = gaussian_scenario(n_points=256)
@@ -456,10 +483,9 @@ class TestCommutatorShortcuts:
             rho = _random_state(grid, 6)
             assert np.array_equal(
                 engine._kernel_profile(rho, incompat.kernel),
-                grid.spacing**2 * _accel.nu_profile(np.ascontiguousarray(
-                    np.conjugate(rho.kernel.values) * d)))
+                grid.spacing**2 * engine._nu_profile(np.conjugate(rho.kernel.values) * d))
             assert np.array_equal(
-                _accel._apply_phase_py(d, phases),
+                engine.phased_values(incompat.kernel, 0.7),
                 d * phases[:, None] * np.conjugate(phases)[None, :])
 
     @settings(max_examples=20, deadline=None)
@@ -479,7 +505,7 @@ class TestCommutatorShortcuts:
         bound = 1e-12 * grid.spacing * np.linalg.norm(k1) * np.linalg.norm(k2)
         got = commutator_kernel(o1, o2).values
         assert np.max(np.abs(got - oracle)) <= bound
-        assert _accel.hermitian_residual(-1j * got) == 0.0
+        assert spectral._hermitian_residual(-1j * got) == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 64), pair=st.sampled_from([
@@ -502,7 +528,7 @@ class TestCommutatorShortcuts:
         bound = 1e-12 * grid.spacing * np.linalg.norm(k1) * np.linalg.norm(k2)
         got = commutator_kernel(o1, o2).values
         assert np.max(np.abs(got - oracle)) <= bound
-        assert _accel.hermitian_residual(-1j * got) == 0.0
+        assert spectral._hermitian_residual(-1j * got) == 0.0
 
     def test_tiny_imaginary_part_takes_complex_product(self):
         grid = make_grid(20.0, 32)
@@ -572,7 +598,7 @@ class TestIncompatibilityCheckedOnce:
         for o1, o2 in pairs:
             incompat = incompatibility_observable(o1, o2)
             assert incompat.kernel.hermitian_residual == 0.0
-            assert _accel.hermitian_residual(incompat.kernel.values) == 0.0
+            assert spectral._hermitian_residual(incompat.kernel.values) == 0.0
 
     def test_inexact_operand_passes_entry_and_d_still_fails(self):
         grid = make_grid(20.0, 16)

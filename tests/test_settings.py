@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sidlattice import RegularKernel, check_hermitian, is_compatible, make_grid
-from sidlattice.settings import backend, default_tol
+from sidlattice.settings import default_tol
 from conftest import line
 
 
@@ -28,14 +28,6 @@ def test_env_override_validation(monkeypatch):
     monkeypatch.setenv("SIDLATTICE_TOL", "-1e-8")
     with pytest.raises(ValueError):
         default_tol()
-
-
-def test_backend_env_validation(monkeypatch):
-    monkeypatch.setenv("SIDLATTICE_BACKEND", "fortran")
-    with pytest.raises(ValueError):
-        backend()
-    monkeypatch.setenv("SIDLATTICE_BACKEND", "numpy")
-    assert backend() == "numpy"
 
 
 def test_tolerance_threads_into_lattice_ops(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad as scipy_quad
 
-from sidlattice import _accel, spectral
+from sidlattice import spectral
 from sidlattice import (
     DiagonalPart,
     FrequencyGrid,
@@ -255,6 +256,45 @@ class TestCheckHermitian:
         assert check_hermitian(build_kernel(g, _quiet_gaussian()), 1e-12)
 
 
+def _dense_residual(values):
+    return float(np.max(np.abs(values - values.conj().T)))
+
+
+class TestBlockwiseResidual:
+    def test_equals_dense_in_every_block_position(self):
+        block, n = 8, 29  # n is not a multiple of the block size
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        base = base + base.conj().T
+        starts = range(0, n, block)
+        with patch.object(spectral, "_RESIDUAL_BLOCK", block):
+            assert spectral._hermitian_residual(base) == 0.0
+            for r0 in starts:
+                for c0 in starts:
+                    values = base.copy()
+                    r = min(r0 + 3, n - 1)
+                    c = min(c0 + 5, n - 1)
+                    values[r, c] += 1e-3 - 2e-3j
+                    got = spectral._hermitian_residual(values)
+                    assert got == _dense_residual(values)
+                    assert got > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), block=st.integers(1, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_dense_property(self, n, block, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        with patch.object(spectral, "_RESIDUAL_BLOCK", block):
+            assert spectral._hermitian_residual(values) == _dense_residual(values)
+
+    def test_equals_dense_at_default_block_size(self):
+        n = 2 * spectral._RESIDUAL_BLOCK + 37
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert spectral._hermitian_residual(values) == _dense_residual(values)
+
+
 class TestObservableAndState:
     def test_observable_requires_hermitian_kernel(self):
         g = make_grid(10.0, 4)
@@ -362,7 +402,7 @@ class TestBuildKernelFactorization:
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(kernel.values - direct)[keep], initial=0.0) \
             <= 1e-14 * scale
-        assert _accel.hermitian_residual(kernel.values) == 0.0
+        assert spectral._hermitian_residual(kernel.values) == 0.0
 
 
 def _random_bandlimited_tables(n, amplitude, sigma=1.5, mu=10.0, Sigma=2.0):
@@ -401,7 +441,7 @@ class TestTiledRandomBandlimited:
         expected = _whole_array_mix(base, toeplitz, hankel)
         got = spectral._hermitian_mix(base.copy(), toeplitz, hankel)
         assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
-        assert _accel.hermitian_residual(got) == 0.0
+        assert spectral._hermitian_residual(got) == 0.0
 
     @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
     @pytest.mark.parametrize("amplitude", [1.0, -0.7])
@@ -420,7 +460,7 @@ class TestTiledRandomBandlimited:
             warnings.simplefilter("ignore", SupportOverflowWarning)
             got = build_kernel(grid, spec).values
         assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
-        assert _accel.hermitian_residual(got) == 0.0
+        assert spectral._hermitian_residual(got) == 0.0
 
 
 class TestSpecRejectsWhatTheBuildCannotTake:
