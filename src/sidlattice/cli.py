@@ -251,22 +251,6 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
         raise ConfigError(f"n_samples must be at least 2, got {n_samples}")
     require_window(grid, t_max)
 
-    state_doc = _cfg_get(doc, "state", dict, "config")
-    diag = _build_diag(
-        grid, _cfg_get(state_doc, "diag", dict, "state", required=False), "state")
-    kernel = _build_kernel(
-        grid, _cfg_get(state_doc, "kernel", dict, "state", required=False), "state")
-    try:
-        rho = VanHoveState.normalized(diag, kernel)
-    except ValueError as exc:
-        raise ConfigError(f"invalid state: {exc}") from exc
-
-    obs_doc = _cfg_get(doc, "observables", dict, "config")
-    if "O1" not in obs_doc or "O2" not in obs_doc:
-        raise ConfigError("observables block needs O1 and O2")
-    o1 = _build_observable(grid, obs_doc["O1"], "O1")
-    o2 = _build_observable(grid, obs_doc["O2"], "O2")
-
     thr_doc = _cfg_get(doc, "thresholds", dict, "config", required=False) or {}
     ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", required=False)
     ratio = DEFAULT_THRESHOLD_RATIO if ratio is None else ratio
@@ -282,6 +266,22 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
 
     if need_partition and epsilon is None:
         raise ConfigError("emerge needs thresholds.epsilon")
+
+    state_doc = _cfg_get(doc, "state", dict, "config")
+    diag = _build_diag(
+        grid, _cfg_get(state_doc, "diag", dict, "state", required=False), "state")
+    kernel = _build_kernel(
+        grid, _cfg_get(state_doc, "kernel", dict, "state", required=False), "state")
+    try:
+        rho = VanHoveState.normalized(diag, kernel)
+    except ValueError as exc:
+        raise ConfigError(f"invalid state: {exc}") from exc
+
+    obs_doc = _cfg_get(doc, "observables", dict, "config")
+    if "O1" not in obs_doc or "O2" not in obs_doc:
+        raise ConfigError("observables block needs O1 and O2")
+    o1 = _build_observable(grid, obs_doc["O1"], "O1")
+    o2 = _build_observable(grid, obs_doc["O2"], "O2")
 
     return Scenario(
         grid=grid, rho=rho, o1=o1, o2=o2, t_max=t_max, n_samples=n_samples,

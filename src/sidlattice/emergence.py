@@ -35,7 +35,8 @@ from .lattice import (
     meet,
     ortho,
 )
-from .spectral import FrequencyGrid, VanHoveObservable, VanHoveState, hs_norm
+from .spectral import FrequencyGrid, VanHoveObservable, VanHoveState, _hs_norm_of_blocks
+from .spectral import hs_norm
 
 HS_CONSTANCY_TOL = 1e-10
 DEGENERACY_RTOL = 1e-10
@@ -239,7 +240,7 @@ def run_emergence(rho: VanHoveState,
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
     hs_norm_final is spacing * ||D(t_max)|| taken from the phased samples
-    of D, without wrapping them in a (re-checked) evolved observable.
+    of D, by row blocks, without wrapping them in a (re-checked) observable.
 
     DEGENERATE means the premise failed: the observables already commute
     (the incompatibility kernel vanishes relative to the operand scale), so
@@ -250,8 +251,8 @@ def run_emergence(rho: VanHoveState,
     incompat = incompatibility_observable(o1, o2)
     hs_initial = hs_norm(incompat.kernel)
     series = expectation_series(rho, incompat, t_max, n_samples)
-    hs_final = float(incompat.grid.spacing
-                     * np.linalg.norm(phased_values(incompat.kernel, t_max)))
+    hs_final = _hs_norm_of_blocks(
+        incompat.grid, lambda rows: phased_values(incompat.kernel, t_max, rows))
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import UnsupportedFamily, WindowExceeded
 from .spectral import (
@@ -30,7 +31,9 @@ from .spectral import (
     RegularKernel,
     VanHoveObservable,
     VanHoveState,
+    _ROW_BLOCK,
     _require_same_grid,
+    _row_blocks,
     hermitian_within,
 )
 
@@ -94,10 +97,10 @@ class ExpectationSeries:
         return float(abs(self.values[0]))
 
 
-def phased_values(kernel: RegularKernel, t: float) -> np.ndarray:
-    """Fresh samples K(w, w') exp(i (w - w') t) of a present kernel."""
+def phased_values(kernel: RegularKernel, t: float, rows: slice = slice(None)) -> np.ndarray:
+    """Fresh samples K(w, w') exp(i (w - w') t) of a present kernel, in the given rows."""
     phases = np.exp(1j * t * kernel.grid.nodes)
-    out = kernel.values * phases[:, None]
+    out = kernel.values[rows] * phases[rows, None]
     out *= np.conjugate(phases)[None, :]
     return out
 
@@ -112,85 +115,80 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
     return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved, _adopt=True))
 
 
-def _commutator_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarray:
-    """Fresh, writable samples of the [O1, O2] kernel.
+def _incompatibility_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarray:
+    """Fresh, writable complex samples of D = -i [O1, O2], one row block at a time.
 
-    The diagonal profiles enter through difference cross terms
-    (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1, and the kernels through the
-    composed difference K1 o K2 - K2 o K1. Terms with an absent or
-    identically zero kernel operand are skipped, so a diagonal-only
-    observable against a kernel costs no matmul; an absent kernel is
-    skipped without a scan. Both kernels are Hermitian, so the composed
-    difference is M - M^H with M = K1 o K2: one matmul instead of two.
-    When both kernels have identically zero imaginary parts, M is formed
-    as a real product of their real parts and M - M^H is the real, exactly
-    antisymmetric M - M^T; otherwise M is the complex product.
+    [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1;
+    a cross term is skipped when its kernel is absent (unscanned) or zero, or
+    its diagonal constant. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H,
+    M = K1 o K2 (real for two real kernels), the one n x n array beside D. A
+    real block of [O1, O2] goes, negated, into the imaginary part of D alone.
     """
     grid = _require_same_grid(o1.grid, o2.grid)
-    d1 = o1.diag.values
-    d2 = o2.diag.values
-    k1 = o1.kernel.values
-    k2 = o2.kernel.values
+    d1, d2 = o1.diag.values, o2.diag.values
+    k1, k2 = o1.kernel.values, o2.kernel.values
     has_k1 = o1.kernel.present and bool(np.any(k1))
     has_k2 = o2.kernel.present and bool(np.any(k2))
-    values = None
-    if has_k2:
-        values = np.subtract.outer(d1, d1) * k2
-    if has_k1:
-        cross = np.subtract.outer(d2, d2) * k1
-        if values is None:
-            values = np.negative(cross, out=cross)
+    cross1, cross2 = has_k2 and np.ptp(d1) != 0, has_k1 and np.ptp(d2) != 0
+    m = k1 @ k2 if has_k1 and has_k2 else None
+    out = np.zeros(k1.shape, dtype=np.complex128)
+    for rows in _row_blocks(grid.n_points):
+        block = np.subtract.outer(d1[rows], d1) * k2[rows] if cross1 else None
+        if cross2:
+            term = np.subtract.outer(d2[rows], d2) * k1[rows]
+            block = np.negative(term, out=term) if block is None else block - term
+        if m is not None:
+            mixing = m[rows] - m[:, rows].T.conj()
+            mixing *= grid.spacing
+            block = mixing if block is None else block + mixing
+        if block is None:  # no term at all: D = 0
+            break
+        if np.iscomplexobj(block):
+            np.multiply(block, -1j, out=out[rows])
         else:
-            values -= cross
-        del cross
-    if has_k1 and has_k2:
-        if np.any(k1.imag) or np.any(k2.imag):
-            m = k1 @ k2
-            # M - M^H into the buffer of conj(M).T, which is not M's own memory
-            mixing = m.conj().T
-            np.subtract(m, mixing, out=mixing)
-        else:
-            r1 = np.ascontiguousarray(k1.real)
-            m = r1 @ np.ascontiguousarray(k2.real)
-            # M - M^T into the real part of K1, which the product no longer needs
-            mixing = np.subtract(m, m.T, out=r1)
-        del m
-        mixing *= grid.spacing
-        values += mixing
-    if values is None:
-        values = np.zeros(k1.shape, dtype=np.complex128)
-    return values
+            np.negative(block, out=out.imag[rows])
+    return out
 
 
 def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
-    """Regular kernel of [O1, O2]; anti-Hermitian, singular part identically zero."""
-    return RegularKernel(o1.grid, _commutator_values(o1, o2), _adopt=True)
+    """Regular kernel of [O1, O2] = i D; anti-Hermitian, singular part identically zero."""
+    return RegularKernel(o1.grid, 1j * _incompatibility_values(o1, o2), _adopt=True)
 
 
 def incompatibility_observable(o1: VanHoveObservable,
                                o2: VanHoveObservable) -> IncompatibilityObservable:
-    """Hermitian D = -i [O1, O2] built from the commutator kernel.
+    """Hermitian D = -i [O1, O2], written one row block at a time.
 
     When both operand kernels are exactly Hermitian (recorded residual 0.0,
     or absent), so is D, with no scan: IEEE rounding is sign-symmetric, so
     the cross terms (d(w) - d(w')) K and the mixing term M - M^H come out
     exactly anti-Hermitian. Any other D is scanned at 1e-10.
     """
-    values = _commutator_values(o1, o2)
-    values *= -1j
-    kernel = RegularKernel(o1.grid, values, _adopt=True)
+    kernel = RegularKernel(o1.grid, _incompatibility_values(o1, o2), _adopt=True)
     if o1.kernel.hermitian_residual == 0.0 and o2.kernel.hermitian_residual == 0.0:
         kernel._record_residual(0.0)
     return IncompatibilityObservable(kernel)
 
 
+def _skewed_profile(n: int, fill) -> np.ndarray:
+    """profile[m + n - 1] = sum over k - l = m of the n x n array fill writes by row blocks.
+
+    fill(rows, view[:b]) writes b rows into a zeroed (h, n + h - 1) buffer, entry
+    [i, l] at column h - 1 - i + l: one column per anti-diagonal, corners left zero.
+    """
+    h = _ROW_BLOCK
+    buf = np.zeros((h, n + h - 1), dtype=np.complex128)
+    view = as_strided(buf.reshape(-1)[h - 1:], (h, n), ((n + h - 2) * 16, 16))
+    profile = np.zeros(2 * n - 1, dtype=np.complex128)
+    for rows in _row_blocks(n):
+        b = rows.stop - rows.start
+        fill(rows, view[:b])
+        profile[rows.start:rows.start + n + b - 1] += buf[:b, h - b:].sum(axis=0)[::-1]
+    return profile
+
+
 def _nu_profile(values: np.ndarray) -> np.ndarray:
-    n = values.shape[0]
-    out = np.empty(2 * n - 1, dtype=np.complex128)
-    for m in range(-(n - 1), n):
-        # diagonal(offset=q) walks entries [i, i+q], i.e. k - l = -q
-        out[m + n - 1] = values.diagonal(-m).sum()
-    return out
+    return _skewed_profile(values.shape[0], lambda rows, view: np.copyto(view, values[rows]))
 
 
 def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
@@ -198,7 +196,8 @@ def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
     """For each time t, the sum over offsets m of profile[m] exp(i m spacing t)."""
     n = grid.n_points
     nu = grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
-    return np.exp(1j * np.outer(times, nu)) @ profile
+    phases = np.multiply.outer(times, 1j * nu)
+    return np.exp(phases, out=phases) @ profile
 
 
 def require_window(grid: FrequencyGrid, t_max: float) -> None:
@@ -213,10 +212,12 @@ def require_window(grid: FrequencyGrid, t_max: float) -> None:
 def _kernel_profile(rho: VanHoveState, kernel: RegularKernel) -> np.ndarray:
     if not (rho.kernel.present and kernel.present):
         return np.zeros(2 * rho.grid.n_points - 1, dtype=np.complex128)
-    weights = np.conjugate(rho.kernel.values)
-    weights *= kernel.values
-    profile = _nu_profile(weights)
-    return rho.grid.spacing**2 * profile
+
+    def fill(rows, view):  # in the complex view, so real and complex operands mix
+        np.conjugate(rho.kernel.values[rows], out=view)
+        view *= kernel.values[rows]
+
+    return rho.grid.spacing**2 * _skewed_profile(rho.grid.n_points, fill)
 
 
 def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:

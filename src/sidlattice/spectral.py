@@ -37,16 +37,22 @@ _RANDOM_MODES = 6
 # Edge of the square tiles random_bandlimited is symmetrized in: a tile pair
 # stays cache-resident where a whole-array transpose does not.
 _MIX_TILE = 256
-# Rows per block of the Hermitian residual: bounds its temporaries at
-# 256 x n entries.
-_RESIDUAL_BLOCK = 256
+# Rows per block of the Hermitian residual and of every other pass over an
+# n x n kernel (D, nu-profile, HS norm): bounds temporaries at 256 x n entries.
+_RESIDUAL_BLOCK = _ROW_BLOCK = 256
+
+
+def _row_blocks(n: int):
+    """Slices of _ROW_BLOCK consecutive rows covering 0 .. n - 1, in order."""
+    return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
 
 
 def _frozen_array(values, dtype, shape=None, copy=True) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True if copy else None, order="C")
     if shape is not None and out.shape != shape:
         raise LengthMismatch(f"expected shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out.view(np.float64) if out.dtype == np.complex128 else out)):
+    parts = out.view(np.float64) if out.dtype == np.complex128 else out
+    if not all(np.isfinite(parts[rows]).all() for rows in _row_blocks(len(parts))):
         raise ValueError("samples must be finite")
     out.setflags(write=False)
     return out
@@ -113,15 +119,15 @@ class DiagonalPart:
 
 @dataclass(frozen=True, eq=False)
 class RegularKernel:
-    """Complex samples K(omega_k, omega_l) of a regular two-frequency kernel.
+    """Real or complex samples K(omega_k, omega_l) of a regular two-frequency kernel.
 
     ``values=None`` is the absent kernel K = 0 (``absent``): a read-only
-    zero-stride view that holds no n x n array and is never scanned. Other
-    samples are copied unless ``_adopt`` is true, which the library passes
-    for arrays it has just built: those are frozen in place. Shape and
-    finiteness are checked either way, so an explicit zero array (``zeros``)
-    is a present kernel like any other. ``hermitian_residual`` is
-    max |K - K^H| once known (None before the first check).
+    float zero-stride view that holds no n x n array and is never scanned.
+    Other samples, float64 if real and complex128 if complex, are copied
+    unless ``_adopt`` is true, which the library passes for arrays it has
+    just built: those are frozen in place. Shape and finiteness are checked
+    either way, so an explicit zero array (``zeros``) is a present kernel
+    like any other. ``hermitian_residual`` is max |K - K^H| once known.
     """
 
     grid: FrequencyGrid
@@ -133,13 +139,13 @@ class RegularKernel:
     def __post_init__(self, _adopt):
         n = self.grid.n_points
         if self.values is None:
-            object.__setattr__(self, "values", np.broadcast_to(np.complex128(0.0), (n, n)))
+            object.__setattr__(self, "values", np.broadcast_to(np.float64(0.0), (n, n)))
             object.__setattr__(self, "present", False)
             self._record_residual(0.0)
             return
+        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
         object.__setattr__(
-            self, "values",
-            _frozen_array(self.values, np.complex128, (n, n), copy=not _adopt))
+            self, "values", _frozen_array(self.values, dtype, (n, n), copy=not _adopt))
 
     @classmethod
     def absent(cls, grid: FrequencyGrid) -> "RegularKernel":
@@ -360,8 +366,9 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     On the midpoint grid nu = h (k - l) and s = h (k + l + 1) / 2 for nodes
     k, l, so each factor is tabulated once on 2n - 1 points and spread over
     the n x n grid as a Toeplitz (nu) and a Hankel (s) view of that table.
-    random_bandlimited takes the Hermitian part 0.5 (B + B^H) of its mode
-    mixture B times both views in place, tile pair by tile pair.
+    The real families are float64; random_bandlimited, complex, takes the
+    Hermitian part 0.5 (B + B^H) of its mode mixture B times both views in
+    place, tile pair by tile pair.
     """
     _warn_on_envelope_leak(grid, spec)
     n = grid.n_points
@@ -389,7 +396,7 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
         if spec.family == "random_bandlimited":
             values = _random_bandlimited(grid, spec, toeplitz, hankel)
         else:
-            values = np.multiply(toeplitz, hankel, dtype=np.complex128)
+            values = np.multiply(toeplitz, hankel)
     return RegularKernel(grid, values, _adopt=True)
 
 
@@ -408,11 +415,21 @@ def kernel_compose(k1: RegularKernel, k2: RegularKernel) -> RegularKernel:
     return RegularKernel(grid, grid.spacing * (k1.values @ k2.values), _adopt=True)
 
 
+def _hs_norm_of_blocks(grid: FrequencyGrid, block) -> float:
+    """spacing * sqrt(sum |K|^2), summed over the row blocks block(rows) of K in order."""
+    total = 0.0
+    for rows in _row_blocks(grid.n_points):
+        parts = block(rows).reshape(-1).view(np.float64)  # re, im of a complex block
+        total += float(parts @ parts)
+        del parts  # so that the next block is not made beside this one
+    return grid.spacing * math.sqrt(total)
+
+
 def hs_norm(kernel: RegularKernel) -> float:
     """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2); zero iff K = 0."""
     if not kernel.present:
         return 0.0
-    return float(kernel.grid.spacing * np.linalg.norm(kernel.values))
+    return _hs_norm_of_blocks(kernel.grid, lambda rows: kernel.values[rows])
 
 
 def _hermitian_residual(values: np.ndarray) -> float:

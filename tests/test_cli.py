@@ -437,6 +437,26 @@ def test_missing_config_output_directory_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: output directory ")
 
 
+@pytest.mark.parametrize("mutate", [
+    _set(("thresholds", "decoherence_ratio"), 2.0),
+    _set(("thresholds", "sustain"), 0),
+    lambda doc: doc["thresholds"].pop("epsilon"),
+], ids=["ratio-2", "sustain-0", "emerge-without-epsilon"])
+def test_threshold_errors_exit_2_before_any_kernel(tmp_path, capsys, monkeypatch, mutate):
+    built = []
+    build = cli.build_kernel
+    monkeypatch.setattr(cli, "build_kernel",
+                        lambda *args: built.append(args) or build(*args))
+    doc = _base_config()
+    mutate(doc)
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert built == []
+
+
 def test_lattice_missing_report_directory_exits_2_before_closure(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "generate_lattice", _no_work)

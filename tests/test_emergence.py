@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,3 +265,33 @@ class TestRunEmergence:
         import json
 
         json.dumps(doc)  # must be serializable as-is
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("o1_kernel", [False, True], ids=["diag-only-O1", "kernel-O1"])
+    def test_no_n_by_n_temporary_beyond_d(self, o1_kernel):
+        """The traced peak stays within half an n x n complex array of the live arrays.
+
+        rho and the operands are built before tracing starts, so the live
+        traced arrays are D and, for two real kernels, the real product
+        M = K1 K2 the commutator holds beside it.
+        """
+        n = 1024
+        grid = make_grid(20.0, n)
+        rho = _complex_state(grid)
+        o1, o2 = linear_vs_gaussian_pair(grid)
+        if o1_kernel:
+            o1 = VanHoveObservable(o1.diag, build_kernel(grid, KernelFamilySpec(
+                "lorentz_band", amplitude=0.5, gamma=1.0, mu=10.0, Sigma=2.0)))
+        live = n * n * 16 + (n * n * 8 if o1_kernel else 0)
+        tracemalloc.start()
+        try:
+            incompat = incompatibility_observable(o1, o2)
+            expectation_series(rho, incompat, 10.0, 201)
+            del incompat
+            run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 201,
+                          epsilon=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= live + n * n * 8

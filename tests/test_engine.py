@@ -534,6 +534,7 @@ class TestCommutatorShortcuts:
         grid = make_grid(20.0, 32)
         k1 = build_kernel(grid, KernelFamilySpec(
             "gaussian_band", amplitude=-0.7, sigma=1.5, mu=10.0, Sigma=2.0)).values.copy()
+        k1 = k1.astype(np.complex128)
         k1[0, 31] += 1e-300j
         k1[31, 0] -= 1e-300j
         o1 = VanHoveObservable.kernel_only(RegularKernel(grid, k1))
@@ -610,3 +611,64 @@ class TestIncompatibilityCheckedOnce:
         o1 = VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes))
         with pytest.raises(ValueError, match="1e-10"):
             incompatibility_observable(o1, o2)
+
+
+class TestConstantDiagonalSkip:
+    def test_skipped_cross_term_gives_the_forced_d(self, monkeypatch):
+        grid = make_grid(20.0, 300)  # more than one row block
+        lorentz = build_kernel(grid, KernelFamilySpec(
+            "lorentz_band", amplitude=0.5, gamma=1.0, mu=10.0, Sigma=2.0))
+        gaussian = build_kernel(grid, KernelFamilySpec(
+            "gaussian_band", sigma=1.5, mu=10.0, Sigma=2.0))
+        linear = DiagonalPart(grid, grid.nodes)
+        constant = DiagonalPart(grid, np.full(300, 2.5))
+        pairs = [
+            # kernels on both observables, O2 without a diagonal
+            (VanHoveObservable(linear, lorentz), VanHoveObservable.kernel_only(gaussian)),
+            (VanHoveObservable(constant, _random_observable(grid, 3).kernel),
+             _random_observable(grid, 4)),
+            (VanHoveObservable(constant, lorentz), VanHoveObservable(constant, gaussian)),
+        ]
+        skipped = [engine._incompatibility_values(a, b) for a, b in pairs]
+        # a nonzero spread for every diagonal forces every cross term
+        monkeypatch.setattr(engine.np, "ptp", lambda diag: 1.0)
+        for (a, b), d in zip(pairs, skipped):
+            forced = engine._incompatibility_values(a, b)
+            # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
+            assert np.array_equal(_bits(d + 0.0), _bits(forced + 0.0))
+
+
+def _hermitian_array(rng, n, is_complex):
+    a = rng.standard_normal((n, n))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+class TestFusedProfile:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([2, 255, 256, 257, 511, 512, 513]),
+                       st.integers(2, 600)),
+           rho_complex=st.booleans(), kernel_complex=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_direct_double_sum(self, n, rho_complex, kernel_complex, seed):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(20.0, n)
+        rho = VanHoveState.normalized(
+            DiagonalPart(grid, np.ones(n)),
+            RegularKernel(grid, _hermitian_array(rng, n, rho_complex)))
+        kernel = RegularKernel(grid, _hermitian_array(rng, n, kernel_complex))
+        assert rho.kernel.values.dtype == (np.complex128 if rho_complex else np.float64)
+        assert kernel.values.dtype == (np.complex128 if kernel_complex else np.float64)
+
+        got = engine._kernel_profile(rho, kernel)
+        terms = grid.spacing**2 * np.conjugate(rho.kernel.values) * kernel.values
+        offsets = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
+        direct = np.zeros(2 * n - 1, dtype=np.complex128)
+        np.add.at(direct, offsets, terms.ravel())
+        scale = np.zeros(2 * n - 1)
+        np.add.at(scale, offsets, np.abs(terms).ravel())
+        assert np.all(np.abs(got - direct) <= 1e-12 * scale)
+
+        weights = np.conjugate(rho.kernel.values) * kernel.values
+        assert np.array_equal(got, grid.spacing**2 * engine._nu_profile(weights))

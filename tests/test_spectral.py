@@ -463,6 +463,53 @@ class TestTiledRandomBandlimited:
         assert spectral._hermitian_residual(got) == 0.0
 
 
+def _real_family_tables(grid, spec):
+    """Toeplitz (nu) and Hankel (s) views of a real family, built as build_kernel builds them."""
+    n, h = grid.n_points, grid.spacing
+    steps = np.arange(2 * n - 1, dtype=np.float64)
+    nu = h * (steps - (n - 1))
+    s = 0.5 * h * (steps + 1.0)
+    if spec.family == "rect_band":
+        envelope = np.abs(s - spec.mu) <= spec.Sigma
+        band = (np.abs(nu) <= spec.sigma).astype(np.float64)
+    else:
+        envelope = np.exp(-0.5 * ((s - spec.mu) / spec.Sigma) ** 2)
+        band = np.exp(-0.5 * (nu / spec.sigma) ** 2) if spec.family == "gaussian_band" \
+            else spec.gamma**2 / (nu**2 + spec.gamma**2)
+    band *= spec.amplitude
+    return sliding_window_view(band, n)[:, ::-1], sliding_window_view(envelope, n)
+
+
+class TestKernelDtypes:
+    @pytest.mark.parametrize("family,width", [
+        ("gaussian_band", {"sigma": 1.5}),
+        ("lorentz_band", {"gamma": 0.7}),
+        ("rect_band", {"sigma": 1.5}),
+    ])
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    @pytest.mark.parametrize("amplitude", [1.0, -0.7])
+    def test_real_family_is_the_real_part_of_the_complex_product(
+            self, family, width, n, amplitude):
+        grid = make_grid(20.0, n)
+        spec = KernelFamilySpec(family, amplitude=amplitude, mu=10.0, Sigma=2.0, **width)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportOverflowWarning)
+            values = build_kernel(grid, spec).values
+        product = np.multiply(*_real_family_tables(grid, spec), dtype=np.complex128)
+        assert values.dtype == np.float64
+        assert np.array_equal(values.view(np.uint8),
+                              np.ascontiguousarray(product.real).view(np.uint8))
+
+    def test_complex_samples_stay_complex(self):
+        grid = make_grid(20.0, 16)
+        random = build_kernel(grid, KernelFamilySpec(
+            "random_bandlimited", sigma=1.0, mu=10.0, Sigma=2.0, seed=3))
+        assert random.values.dtype == np.complex128
+        assert RegularKernel(grid, np.eye(16, dtype=complex)).values.dtype == np.complex128
+        assert RegularKernel(grid, np.eye(16)).values.dtype == np.float64
+        assert RegularKernel.absent(grid).values.dtype == np.float64
+
+
 class TestSpecRejectsWhatTheBuildCannotTake:
     @pytest.mark.parametrize("seed", [1.5, -1, True, "3"])
     def test_seed_must_be_a_non_negative_int(self, seed):
