@@ -304,7 +304,7 @@ def _parse_subspaces(doc: dict) -> tuple[int, list[Subspace]]:
     if "dim" not in doc or "elements" not in doc:
         raise ConfigError("subspace document needs 'dim' and 'elements'")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConfigError(f"dim must be a positive integer, got {dim!r}")
     if dim > MAX_GRID_POINTS:
         raise ConfigError(f"dim={dim} exceeds the dense-storage cap {MAX_GRID_POINTS}")

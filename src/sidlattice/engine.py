@@ -193,11 +193,19 @@ def _nu_profile(values: np.ndarray) -> np.ndarray:
 
 def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
                   times: np.ndarray) -> np.ndarray:
-    """For each time t, the sum over offsets m of profile[m] exp(i m spacing t)."""
+    """For each time t, the sum over offsets m of profile[m] exp(i m spacing t).
+
+    The phases are formed one block of times at a time, so the peak does not
+    grow with the number of samples.
+    """
     n = grid.n_points
     nu = grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
-    phases = np.multiply.outer(times, 1j * nu)
-    return np.exp(phases, out=phases) @ profile
+    values = np.empty(len(times), dtype=np.complex128)
+    for rows in _row_blocks(len(times)):
+        phases = np.multiply.outer(times[rows], 1j * nu)
+        values[rows] = np.exp(phases, out=phases) @ profile
+        del phases  # else the next block is formed while this one is alive
+    return values
 
 
 def require_window(grid: FrequencyGrid, t_max: float) -> None:

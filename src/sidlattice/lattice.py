@@ -5,7 +5,8 @@ projector comparisons at a configurable tolerance (spectral norm of the
 projector difference). The meet is computed from the eigenvalue-2 space of
 the summed projectors, the join by re-orthonormalizing stacked bases, and
 the complement from the projector null space, so every operation is
-deterministic and tolerance-controlled.
+deterministic and tolerance-controlled. The closure records which element
+each operation result is, and the lattice-level checks read those tables.
 """
 
 from __future__ import annotations
@@ -182,11 +183,21 @@ def distributivity_defect(a: Subspace, b: Subspace, c: Subspace,
 
 @dataclass(frozen=True, eq=False)
 class PropertyLattice:
-    """Finite set of subspaces containing 0 and 1; closed marks fixpoint closure."""
+    """Finite set of subspaces containing 0 and 1; closed marks fixpoint closure.
+
+    A closed lattice carries its operation tables as element indices:
+    meet[i, j] and join[i, j] name the element that e_i ^ e_j and e_i v e_j
+    match, and ortho[i] the one that e_i' matches. The law suite, the
+    Boolean verdict, the compatibility matrix and the Kolmogorov residuals
+    read these tables.
+    """
 
     ambient_dim: int
     elements: tuple
     closed: bool
+    meet: Optional[np.ndarray] = None
+    join: Optional[np.ndarray] = None
+    ortho: Optional[np.ndarray] = None
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -199,19 +210,36 @@ class PropertyLattice:
         if 0 not in ranks or self.ambient_dim not in ranks:
             raise ValueError("lattice must contain the zero and full subspaces")
         object.__setattr__(self, "elements", elements)
+        if not self.closed:
+            return
+        n = len(elements)
+        for name, shape in (("meet", (n, n)), ("join", (n, n)), ("ortho", (n,))):
+            table = getattr(self, name)
+            if table is None or np.shape(table) != shape:
+                raise ValueError(
+                    f"a closed lattice needs a {name} table of shape {shape}")
+            table = np.array(table, dtype=np.intp)
+            if np.any((table < 0) | (table >= n)):
+                raise ValueError(f"{name} table entries must index elements")
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index_of(self, s: Subspace, tol: Optional[float] = None) -> Optional[int]:
         """Index of the element matching s within tol, or None."""
-        tol = default_tol() if tol is None else tol
-        for i, e in enumerate(self.elements):
-            if _fast_distinct(e, s, tol):
-                continue
-            if projector_distance(e, s) <= tol:
-                return i
-        return None
+        return _first_match(self.elements, s, default_tol() if tol is None else tol)
+
+
+def _first_match(elements: Sequence[Subspace], s: Subspace, tol: float) -> Optional[int]:
+    """Index of the first element within tol of s (projector distance), or None."""
+    for i, e in enumerate(elements):
+        if _fast_distinct(e, s, tol):
+            continue
+        if projector_distance(e, s) <= tol:
+            return i
+    return None
 
 
 def _fast_distinct(a: Subspace, b: Subspace, tol: float) -> bool:
@@ -229,9 +257,11 @@ def generate_lattice(seeds: Iterable[Subspace],
                      ambient_dim: Optional[int] = None) -> PropertyLattice:
     """Close a generating set under meet, join, and complement.
 
-    Deduplicates at the comparison tolerance and stops at max_elements; a
-    capped closure is returned with closed=False rather than raised, so the
-    caller can inspect the partial set.
+    Deduplicates at the comparison tolerance and records, for every pair it
+    visits, the index each result matched or became; a closed result carries
+    these as its operation tables. The closure stops at max_elements; a capped
+    closure is returned with closed=False rather than raised, so the caller
+    can inspect the partial set.
     """
     seeds = list(seeds)
     tol = default_tol() if tol is None else tol
@@ -246,106 +276,62 @@ def generate_lattice(seeds: Iterable[Subspace],
             raise DimensionMismatch("seed in wrong ambient dimension")
 
     elements: list[Subspace] = [Subspace.zero(ambient_dim), Subspace.full(ambient_dim)]
-    overflow = False
+    # filled as the closure visits pairs; sized by the result, not by max_elements
+    meets: dict[tuple[int, int], int] = {}
+    joins: dict[tuple[int, int], int] = {}
+    orthos: list[int] = []
 
-    def add(candidate: Subspace) -> bool:
-        nonlocal overflow
-        for e in elements:
-            if _fast_distinct(e, candidate, tol):
-                continue
-            if projector_distance(e, candidate) <= tol:
-                return False
-        if len(elements) >= max_elements:
-            overflow = True
-            return False
-        elements.append(candidate)
-        return True
+    def add(candidate: Subspace) -> Optional[int]:
+        """Index the candidate matched or became; None past max_elements."""
+        k = _first_match(elements, candidate, tol)
+        if k is None and len(elements) < max_elements:
+            elements.append(candidate)
+            k = len(elements) - 1
+        return k
+
+    def capped() -> PropertyLattice:
+        return PropertyLattice(ambient_dim, tuple(elements), closed=False)
 
     for s in seeds:
-        add(s)
-        if overflow:
-            return PropertyLattice(ambient_dim, tuple(elements), closed=False)
+        if add(s) is None:
+            return capped()
 
     processed = 0
-    while processed < len(elements) and not overflow:
+    while processed < len(elements):
         batch_end = len(elements)
         for i in range(processed, batch_end):
-            add(ortho(elements[i]))
-            if overflow:
-                break
+            o = add(ortho(elements[i]))
+            if o is None:
+                return capped()
+            orthos.append(o)
             for j in range(batch_end):
-                add(meet(elements[i], elements[j], tol))
-                if overflow:
-                    break
-                add(join(elements[i], elements[j]))
-                if overflow:
-                    break
-            if overflow:
-                break
+                m = add(meet(elements[i], elements[j], tol))
+                v = add(join(elements[i], elements[j]))
+                if m is None or v is None:
+                    return capped()
+                meets[i, j] = meets[j, i] = m
+                joins[i, j] = joins[j, i] = v
         processed = batch_end
 
-    closed = not overflow and processed == len(elements)
-    return PropertyLattice(ambient_dim, tuple(elements), closed=closed)
+    idx = range(len(elements))
+    return PropertyLattice(
+        ambient_dim, tuple(elements), closed=True,
+        meet=np.array([[meets[i, j] for j in idx] for i in idx]),
+        join=np.array([[joins[i, j] for j in idx] for i in idx]),
+        ortho=np.array(orthos))
 
 
-class _OperationTables:
-    """Meet/join/ortho/leq index tables of a closed lattice.
-
-    Snapping each operation result back to a lattice element turns the law
-    suite into exact finite algebra. Construction fails with NotClosed if a
-    result does not match any element, which contradicts the closed flag.
-    """
-
-    def __init__(self, lat: PropertyLattice, tol: float):
-        n = len(lat)
-        self.lat = lat
-        self.tol = tol
-        self.zero_idx = next(i for i, e in enumerate(lat.elements) if e.rank == 0)
-        self.full_idx = next(
-            i for i, e in enumerate(lat.elements) if e.rank == lat.ambient_dim)
-        self.leq_table = np.zeros((n, n), dtype=bool)
-        self.meet_table = np.zeros((n, n), dtype=np.int64)
-        self.join_table = np.zeros((n, n), dtype=np.int64)
-        self.ortho_table = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            self.ortho_table[i] = self._snap(ortho(lat.elements[i]))
-            for j in range(n):
-                self.leq_table[i, j] = leq(lat.elements[i], lat.elements[j], tol)
-            for j in range(i, n):
-                m = self._snap(meet(lat.elements[i], lat.elements[j], tol))
-                v = self._snap(join(lat.elements[i], lat.elements[j]))
-                self.meet_table[i, j] = self.meet_table[j, i] = m
-                self.join_table[i, j] = self.join_table[j, i] = v
-
-    def _snap(self, s: Subspace) -> int:
-        idx = self.lat.index_of(s, self.tol)
-        if idx is None:
-            raise NotClosed(
-                "operation result does not match any lattice element; "
-                "the lattice is not closed at this tolerance")
-        return idx
-
-    def compatibility_matrix(self) -> np.ndarray:
-        m, j, o = self.meet_table, self.join_table, self.ortho_table
-        idx = np.arange(len(self.lat))
-        # a == (a ^ b) v (a ^ b'), then symmetrically for b
-        left = j[m, m[:, o]] == idx[:, None]
-        return left & left.T
-
-
-def is_boolean(lat: PropertyLattice, tol: Optional[float] = None) -> bool:
+def is_boolean(lat: PropertyLattice) -> bool:
     """Every pair compatible and every triple distributive.
 
-    Requires a closed lattice; the check runs on snapped operation tables,
-    which is exact for closures produced by generate_lattice.
+    Requires a closed lattice; the check runs on its operation tables, which
+    is exact finite algebra for closures produced by generate_lattice.
     """
     if not lat.closed:
         raise NotClosed("is_boolean needs a closed lattice")
-    tol = default_tol() if tol is None else tol
-    tables = _OperationTables(lat, tol)
-    if not tables.compatibility_matrix().all():
+    if not compatibility_matrix(lat).all():
         return False
-    m, j = tables.meet_table, tables.join_table
+    m, j = lat.meet, lat.join
     n = len(lat)
     idx = np.arange(n)
     for a in range(n):
@@ -414,29 +400,24 @@ class KolmogorovReport:
 
 def kolmogorov_check(state: DensityState, lat: PropertyLattice,
                      tol: Optional[float] = None) -> KolmogorovReport:
-    """Additivity residual for every element pair; lists pairs above tol."""
+    """Additivity residual for every element pair; lists pairs above tol.
+
+    P(a v b) and P(a ^ b) are the probabilities of the elements the
+    lattice's join and meet tables name.
+    """
     if not lat.closed:
         raise NotClosed("kolmogorov_check needs a closed lattice")
     tol = default_tol() if tol is None else tol
-    probs = [probability(state, e) for e in lat.elements]
-    max_residual = 0.0
-    violations = []
-    pairs = 0
-    n = len(lat)
-    for i in range(n):
-        for j in range(i, n):
-            pairs += 1
-            p_join = probability(state, join(lat.elements[i], lat.elements[j]))
-            p_meet = probability(state, meet(lat.elements[i], lat.elements[j], tol))
-            residual = abs(p_join + p_meet - probs[i] - probs[j])
-            if residual > max_residual:
-                max_residual = residual
-            if residual > tol:
-                violations.append((i, j, residual))
-    return KolmogorovReport(max_residual, tuple(violations), pairs)
+    probs = np.array([probability(state, e) for e in lat.elements])
+    rows, cols = np.triu_indices(len(lat))
+    residuals = np.abs(probs[lat.join[rows, cols]] + probs[lat.meet[rows, cols]]
+                       - probs[rows] - probs[cols])
+    over = residuals > tol
+    violations = zip(rows[over].tolist(), cols[over].tolist(), residuals[over].tolist())
+    return KolmogorovReport(float(residuals.max()), tuple(violations), len(residuals))
 
 
-def check_lattice_laws(lat: PropertyLattice, tol: Optional[float] = None) -> dict:
+def check_lattice_laws(lat: PropertyLattice) -> dict:
     """Always-valid law suite on a closed lattice, as a JSON-ready dict.
 
     Covers the order axioms, GLB/LUB characterizations, the
@@ -446,12 +427,13 @@ def check_lattice_laws(lat: PropertyLattice, tol: Optional[float] = None) -> dic
     """
     if not lat.closed:
         raise NotClosed("law suite needs a closed lattice")
-    tol = default_tol() if tol is None else tol
-    tables = _OperationTables(lat, tol)
-    lq = tables.leq_table
-    m, j, o = tables.meet_table, tables.join_table, tables.ortho_table
+    m, j, o = lat.meet, lat.join, lat.ortho
     n = len(lat)
     idx = np.arange(n)
+    zero_idx = next(i for i, e in enumerate(lat.elements) if e.rank == 0)
+    full_idx = next(i for i, e in enumerate(lat.elements) if e.rank == lat.ambient_dim)
+    # a <= b iff a ^ b = a
+    lq = m == idx[:, None]
 
     laws: dict[str, dict] = {}
 
@@ -472,8 +454,8 @@ def check_lattice_laws(lat: PropertyLattice, tol: Optional[float] = None) -> dic
 
     record("involution", o[o] == idx)
     record("order_reversal", ~lq | lq[o][:, o].T)
-    record("complement_meet_zero", m[idx, o] == tables.zero_idx)
-    record("complement_join_full", j[idx, o] == tables.full_idx)
+    record("complement_meet_zero", m[idx, o] == zero_idx)
+    record("complement_join_full", j[idx, o] == full_idx)
     record("de_morgan", o[j] == m[o[idx][:, None], o[idx][None, :]])
     record("orthomodular", ~lq | (j[idx[:, None], m[idx[None, :], o[idx][:, None]]]
                                   == idx[None, :]))
@@ -506,9 +488,12 @@ def _bound_maximality(lq: np.ndarray, table: np.ndarray, lower: bool) -> np.ndar
     return ok
 
 
-def compatibility_matrix(lat: PropertyLattice, tol: Optional[float] = None) -> np.ndarray:
-    """Pairwise is_compatible verdicts of a closed lattice via snapped tables."""
+def compatibility_matrix(lat: PropertyLattice) -> np.ndarray:
+    """Pairwise is_compatible verdicts of a closed lattice, read from its tables."""
     if not lat.closed:
         raise NotClosed("compatibility matrix needs a closed lattice")
-    tol = default_tol() if tol is None else tol
-    return _OperationTables(lat, tol).compatibility_matrix()
+    m, j, o = lat.meet, lat.join, lat.ortho
+    idx = np.arange(len(lat))
+    # a == (a ^ b) v (a ^ b'), then symmetrically for b
+    left = j[m, m[:, o]] == idx[:, None]
+    return left & left.T

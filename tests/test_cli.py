@@ -154,6 +154,13 @@ class TestLattice:
         assert capsys.readouterr().err == (
             "error: dim=100000000 exceeds the dense-storage cap 4096\n")
 
+    def test_bool_dim_exits_2(self, tmp_path, capsys):
+        inp = _write(tmp_path / "in.json", {"dim": True, "elements": []})
+        assert main(["lattice", "--in", inp,
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: dim must be a positive integer, got True\n")
+
     def test_truncated_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "elements": [[')

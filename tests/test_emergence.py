@@ -32,8 +32,6 @@ from sidlattice import (
     run_emergence,
 )
 from sidlattice import emergence
-from sidlattice.lattice import _OperationTables
-from sidlattice.settings import default_tol
 
 
 def _complex_state(grid, seed=7):
@@ -139,8 +137,8 @@ class TestPointerLattice:
 
     @pytest.mark.parametrize("n_bins", [1, 2, 3, 4, 5])
     def test_bitmask_tables_match_subspace_closure(self, n_bins):
-        # Reference: close the bin-indicator subspaces generically and snap
-        # every operation back to an element, then compare with the masks.
+        # Reference: close the bin-indicator subspaces generically; the closure
+        # records the element each operation lands on. Compare with the masks.
         grid = make_grid(20.0, 10)
         partition = BinPartition.equal_bins(grid, n_bins)
         algebra = PointerAlgebra(partition)
@@ -162,14 +160,13 @@ class TestPointerLattice:
         masks = range(len(algebra))
         index = np.array([lat.index_of(subspace(a)) for a in masks])
         assert sorted(index.tolist()) == list(range(len(lat)))
-        tables = _OperationTables(lat, default_tol())
         for a in masks:
-            assert tables.ortho_table[index[a]] == index[algebra.full ^ a]
+            assert lat.ortho[index[a]] == index[algebra.full ^ a]
             for b in masks:
                 i, j = index[a], index[b]
-                assert tables.meet_table[i, j] == index[a & b]
-                assert tables.join_table[i, j] == index[a | b]
-                assert tables.leq_table[i, j] == (a & ~b == 0)
+                assert lat.meet[i, j] == index[a & b]
+                assert lat.join[i, j] == index[a | b]
+                assert (lat.meet[i, j] == i) == (a & ~b == 0)
 
     def test_grid_mismatch(self):
         grid = make_grid(20.0, 64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -350,6 +351,22 @@ class TestExpectationSeries:
                            0.5 * grid.recurrence_time)
         initial = expectation(rho, incompat.to_observable(), 0.0)
         assert abs(tail) <= 1e-3 * abs(initial)
+
+    def test_peak_does_not_grow_with_samples(self):
+        # formed for all times at once, the phases of 2001 samples at
+        # n = 1024 traced 66 MB
+        grid, rho, incompat = gaussian_scenario(n_points=1024)
+        tracemalloc.start()
+        try:
+            series = expectation_series(rho, incompat, 10.0, 2001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+        profile = engine._kernel_profile(rho, incompat.kernel)
+        for k in (0, 255, 256, 2000):  # either side of a block edge
+            alone = engine._phase_series(grid, profile, series.times[k:k + 1])[0]
+            assert abs(series.values[k] - alone) <= 1e-12 * series.initial_magnitude
 
     def test_validation(self):
         grid = make_grid(20.0, 32)

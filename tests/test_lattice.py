@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_unitary, line, random_density, random_subspace
 from sidlattice import (
@@ -28,6 +30,7 @@ from sidlattice import (
     projector_distance,
     subspace_equal,
 )
+from sidlattice.settings import default_tol
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
@@ -285,6 +288,60 @@ class TestGenerateLattice:
         with pytest.raises(DimensionMismatch):
             generate_lattice([line(1.0, 0.0), line(1.0, 0.0, 0.0)])
 
+    def test_closed_lattice_needs_tables(self):
+        ends = (Subspace.zero(2), Subspace.full(2))
+        square, row = np.zeros((2, 2), dtype=int), np.array([1, 0])
+        with pytest.raises(ValueError):
+            PropertyLattice(2, ends, closed=True)
+        with pytest.raises(ValueError):
+            PropertyLattice(2, ends, closed=True, meet=square, join=square)
+        with pytest.raises(ValueError):
+            PropertyLattice(2, ends, closed=True, meet=square[:1], join=square,
+                            ortho=row)
+        with pytest.raises(ValueError):
+            PropertyLattice(2, ends, closed=True, meet=square, join=square,
+                            ortho=square)
+        with pytest.raises(ValueError):
+            PropertyLattice(2, ends, closed=True, meet=square, join=square,
+                            ortho=np.array([2, 0]))
+        lat = PropertyLattice(2, ends, closed=True, meet=np.array([[0, 0], [0, 1]]),
+                              join=np.array([[0, 1], [1, 1]]), ortho=row)
+        assert check_lattice_laws(lat)["all_pass"] and is_boolean(lat)
+
+
+@st.composite
+def generating_sets(draw):
+    """1-3 lines or planes in C^d, d = 2-4: spans of columns of one unitary
+    (commuting seeds) mixed with Haar-random ones."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = haar_unitary(rng, d)
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        rank = draw(st.integers(1, min(2, d - 1)))
+        if draw(st.booleans()):
+            cols = draw(st.lists(st.integers(0, d - 1), min_size=rank,
+                                 max_size=rank, unique=True))
+            seeds.append(Subspace(d, basis[:, cols]))
+        else:
+            seeds.append(random_subspace(rng, d, rank=rank))
+    return seeds
+
+
+class TestOperationTables:
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=generating_sets())
+    def test_tables_match_fresh_operations(self, seeds):
+        lat = generate_lattice(seeds, max_elements=32)
+        assume(lat.closed)
+        tol = default_tol()
+        for i, a in enumerate(lat.elements):
+            assert lat.ortho[i] == lat.index_of(ortho(a))
+            for j, b in enumerate(lat.elements):
+                assert lat.meet[i, j] == lat.index_of(meet(a, b))
+                assert lat.join[i, j] == lat.index_of(join(a, b))
+                assert leq(a, b, tol) == (lat.meet[i, j] == i)
+
 
 class TestIsBoolean:
     def test_trivial_lattice(self):
@@ -396,6 +453,42 @@ class TestKolmogorov:
         lat = PropertyLattice(2, (Subspace.zero(2), Subspace.full(2)), closed=False)
         with pytest.raises(NotClosed):
             kolmogorov_check(DensityState.pure([1.0, 0.0]), lat)
+
+    @pytest.mark.parametrize("case", ["atoms", "two_lines", "mo2_bool_bool"])
+    def test_tables_match_fresh_operations(self, case):
+        rng = np.random.default_rng(47)
+        if case == "atoms":
+            eye = np.eye(3)
+            lat = generate_lattice([line(*eye[i]) for i in range(3)])
+            states = [random_density(rng, 3) for _ in range(5)]
+        elif case == "two_lines":
+            lat = generate_lattice([line(1.0, 0.0), from_vectors(2, [DIAG2])])
+            states = [DensityState.pure([1.0, 0.0]), random_density(rng, 2)]
+        else:
+            # blocks on coordinates (0, 1), (2, 3), (4, 5): two tilted lines
+            # (MO2) and two Boolean pairs, hidden by a Haar rotation
+            eye, u = np.eye(6), haar_unitary(rng, 6)
+            lines = [eye[0], math.cos(0.7) * eye[0] + math.sin(0.7) * eye[1]]
+            lines += [eye[k] for k in range(2, 6)]
+            lat = generate_lattice([from_vectors(6, [u @ v]) for v in lines])
+            assert lat.closed and len(lat) == 96
+            states = [random_density(rng, 6)]
+        tol = default_tol()
+        for state in states:
+            rep = kolmogorov_check(state, lat)
+            probs = [probability(state, e) for e in lat.elements]
+            fresh = {
+                (i, j): abs(probability(state, join(a, b))
+                            + probability(state, meet(a, b, tol)) - probs[i] - probs[j])
+                for i, a in enumerate(lat.elements)
+                for j, b in enumerate(lat.elements) if i <= j}
+            assert rep.pairs_checked == len(fresh)
+            assert bool(rep.violations) == (case != "atoms")
+            assert rep.max_residual == pytest.approx(max(fresh.values()), abs=1e-12)
+            assert [(i, j) for i, j, _ in rep.violations] == [
+                pair for pair, r in fresh.items() if r > tol]
+            for i, j, r in rep.violations:
+                assert r == pytest.approx(fresh[i, j], abs=1e-12)
 
 
 class TestLawSuite:
