@@ -26,9 +26,9 @@ from .engine import (
     ExpectationSeries,
     analytic_decay,
     combined_decay_rate,
-    expectation_series,
-    incompatibility_observable,
+    incompatibility_rows,
     require_window,
+    series_from_rows,
 )
 from .errors import ConfigError, SidLatticeError, UnsupportedFamily, WindowExceeded
 from .lattice import (
@@ -61,6 +61,8 @@ EXIT_LAWS = 4
 EXIT_DEGENERATE = 5
 
 DIAG_FAMILIES = ("linear", "constant", "gaussian", "zero")
+# Cap on time.n_samples, checked before any kernel is built (a guard, not an option)
+MAX_SAMPLES = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -100,11 +102,14 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _cfg_get(doc: dict, key: str, kind, what: str, required: bool = True):
+_REQUIRED = object()
+
+
+def _cfg_get(doc: dict, key: str, kind, what: str, default=_REQUIRED):
     if key not in doc:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing {what} key {key!r}")
-        return None
+        return default
     value = doc[key]
     if kind is float and _is_number(value):
         return float(value)
@@ -127,28 +132,28 @@ def _build_diag(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Diagonal
         return DiagonalPart.zeros(grid)
     where = f"{what} diag"
     family = doc.get("family")
-    amplitude = _cfg_get(doc, "amplitude", float, where, required=False)
-    amplitude = 1.0 if amplitude is None else amplitude
-    if "samples" in doc:
-        samples = _cfg_get(doc, "samples", list, where)
-        if len(samples) != grid.n_points or not all(map(_is_number, samples)):
-            raise ConfigError(f"{where} samples must list {grid.n_points} numbers")
-        values = np.asarray(samples, dtype=np.float64)
-    elif family == "linear":
-        values = amplitude * grid.nodes
-    elif family == "constant":
-        values = amplitude * np.ones(grid.n_points)
-    elif family == "zero":
-        return DiagonalPart.zeros(grid)
-    elif family == "gaussian":
-        mu = _cfg_get(doc, "mu", float, f"{what} gaussian diag")
-        width = _cfg_get(doc, "Sigma", float, f"{what} gaussian diag")
-        if not width > 0:
-            raise ConfigError(f"{what} gaussian diag needs Sigma > 0")
-        values = amplitude * np.exp(-0.5 * ((grid.nodes - mu) / width) ** 2)
-    else:
-        raise ConfigError(
-            f"{what} diag family must be one of {DIAG_FAMILIES} or explicit samples")
+    amplitude = _cfg_get(doc, "amplitude", float, where, default=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # DiagonalPart rejects inf, nan
+        if "samples" in doc:
+            samples = _cfg_get(doc, "samples", list, where)
+            if len(samples) != grid.n_points or not all(map(_is_number, samples)):
+                raise ConfigError(f"{where} samples must list {grid.n_points} numbers")
+            values = np.asarray(samples, dtype=np.float64)
+        elif family == "linear":
+            values = amplitude * grid.nodes
+        elif family == "constant":
+            values = amplitude * np.ones(grid.n_points)
+        elif family == "zero":
+            return DiagonalPart.zeros(grid)
+        elif family == "gaussian":
+            mu = _cfg_get(doc, "mu", float, f"{what} gaussian diag")
+            width = _cfg_get(doc, "Sigma", float, f"{what} gaussian diag")
+            if not width > 0:
+                raise ConfigError(f"{what} gaussian diag needs Sigma > 0")
+            values = amplitude * np.exp(-0.5 * ((grid.nodes - mu) / width) ** 2)
+        else:
+            raise ConfigError(
+                f"{what} diag family must be one of {DIAG_FAMILIES} or explicit samples")
     try:
         return DiagonalPart(grid, values)
     except ValueError as exc:
@@ -172,8 +177,8 @@ def _build_kernel(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Regula
 def _build_observable(grid: FrequencyGrid, doc: dict, what: str) -> VanHoveObservable:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be an object with diag/kernel")
-    diag = _build_diag(grid, _cfg_get(doc, "diag", dict, what, required=False), what)
-    kernel = _build_kernel(grid, _cfg_get(doc, "kernel", dict, what, required=False), what)
+    diag = _build_diag(grid, _cfg_get(doc, "diag", dict, what, default=None), what)
+    kernel = _build_kernel(grid, _cfg_get(doc, "kernel", dict, what, default=None), what)
     try:
         return VanHoveObservable(diag, kernel)
     except ValueError as exc:
@@ -196,8 +201,8 @@ class Scenario:
 
 
 def _resolve_outputs(doc: dict, outputs: dict) -> dict:
-    out_doc = _cfg_get(doc, "output", dict, "config", required=False) or {}
-    configured = {key: _cfg_get(out_doc, key, str, "output", required=False)
+    out_doc = _cfg_get(doc, "output", dict, "config", default={})
+    configured = {key: _cfg_get(out_doc, key, str, "output", default=None)
                   for key in ("series", "report")}
     resolved = {}
     for name, cli_path in outputs.items():
@@ -231,10 +236,7 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
         part_doc = doc.get("partition")
         if not isinstance(part_doc, dict):
             raise ConfigError("emerge needs a partition block with n_bins")
-        n_bins = _cfg_get(part_doc, "n_bins", int, "partition",
-                          required=False)
-        if n_bins is None:
-            n_bins = 4
+        n_bins = _cfg_get(part_doc, "n_bins", int, "partition", default=4)
         if not 1 <= n_bins <= grid.n_points:
             raise ConfigError(f"n_bins must be in [1, {grid.n_points}], got {n_bins}")
         partition = BinPartition.equal_bins(grid, n_bins)
@@ -247,16 +249,15 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
     n_samples = _cfg_get(time_doc, "n_samples", int, "time")
     if not (math.isfinite(t_max) and t_max > 0):
         raise ConfigError(f"t_max must be positive, got {t_max}")
-    if n_samples < 2:
-        raise ConfigError(f"n_samples must be at least 2, got {n_samples}")
+    if not 2 <= n_samples <= MAX_SAMPLES:
+        raise ConfigError(f"n_samples must be in [2, {MAX_SAMPLES}], got {n_samples}")
     require_window(grid, t_max)
 
-    thr_doc = _cfg_get(doc, "thresholds", dict, "config", required=False) or {}
-    ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", required=False)
-    ratio = DEFAULT_THRESHOLD_RATIO if ratio is None else ratio
-    sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", required=False)
-    sustain = DEFAULT_SUSTAIN if sustain is None else sustain
-    epsilon = _cfg_get(thr_doc, "epsilon", float, "thresholds", required=False)
+    thr_doc = _cfg_get(doc, "thresholds", dict, "config", default={})
+    ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds",
+                     default=DEFAULT_THRESHOLD_RATIO)
+    sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", default=DEFAULT_SUSTAIN)
+    epsilon = _cfg_get(thr_doc, "epsilon", float, "thresholds", default=None)
     if epsilon is not None and not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < ratio < 1.0:
@@ -269,9 +270,9 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
 
     state_doc = _cfg_get(doc, "state", dict, "config")
     diag = _build_diag(
-        grid, _cfg_get(state_doc, "diag", dict, "state", required=False), "state")
+        grid, _cfg_get(state_doc, "diag", dict, "state", default=None), "state")
     kernel = _build_kernel(
-        grid, _cfg_get(state_doc, "kernel", dict, "state", required=False), "state")
+        grid, _cfg_get(state_doc, "kernel", dict, "state", default=None), "state")
     try:
         rho = VanHoveState.normalized(diag, kernel)
     except ValueError as exc:
@@ -293,9 +294,8 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
 def run_simulate(config_path: str, out_path: Optional[str]) -> int:
     scenario = load_scenario(config_path, need_partition=False,
                              outputs={"series": out_path})
-    incompat = incompatibility_observable(scenario.o1, scenario.o2)
-    series = expectation_series(
-        scenario.rho, incompat, scenario.t_max, scenario.n_samples)
+    series = series_from_rows(scenario.rho, incompatibility_rows(scenario.o1, scenario.o2),
+                              scenario.t_max, scenario.n_samples)
     _write_series_csv(scenario.outputs["series"], series)
     return EXIT_OK
 
@@ -431,37 +431,22 @@ def run_oracle(family: str, params_json: str, t_list: str) -> int:
     if not np.all(np.isfinite(times)):
         raise ConfigError("--t times must be finite")
 
-    if family == "gaussian_band":
-        kind = "gaussian"
-        if "sigma_c" in params:
-            rate = float(params["sigma_c"])
-        else:
-            try:
-                spec1 = KernelFamilySpec(family, sigma=float(params["sigma1"]),
-                                         mu=0.0, Sigma=1.0)
-                spec2 = KernelFamilySpec(family, sigma=float(params["sigma2"]),
-                                         mu=0.0, Sigma=1.0)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(
-                    "gaussian_band oracle needs sigma_c or sigma1+sigma2") from exc
-            kind, rate = combined_decay_rate(spec1, spec2)
-    elif family == "lorentz_band":
-        kind = "lorentz"
-        if "gamma_c" in params:
-            rate = float(params["gamma_c"])
-        else:
-            try:
-                spec1 = KernelFamilySpec(family, gamma=float(params["gamma1"]),
-                                         mu=0.0, Sigma=1.0)
-                spec2 = KernelFamilySpec(family, gamma=float(params["gamma2"]),
-                                         mu=0.0, Sigma=1.0)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(
-                    "lorentz_band oracle needs gamma_c or gamma1+gamma2") from exc
-            kind, rate = combined_decay_rate(spec1, spec2)
-    else:
+    kinds = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lorentz", "gamma")}
+    if family not in kinds:
         raise ConfigError(
             f"oracle family must be gaussian_band or lorentz_band, got {family!r}")
+    kind, width = kinds[family]
+    if f"{width}_c" in params:
+        rate = float(params[f"{width}_c"])
+    else:
+        try:
+            spec1, spec2 = (KernelFamilySpec(family, mu=0.0, Sigma=1.0,
+                                             **{width: float(params[f"{width}{k}"])})
+                            for k in (1, 2))
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(
+                f"{family} oracle needs {width}_c or {width}1+{width}2") from exc
+        kind, rate = combined_decay_rate(spec1, spec2)
     if not (math.isfinite(rate) and rate > 0):
         raise ConfigError(f"decay rate must be positive, got {rate}")
 

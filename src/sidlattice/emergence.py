@@ -22,9 +22,9 @@ from .engine import (
     DEFAULT_THRESHOLD_RATIO,
     ExpectationSeries,
     decoherence_time,
-    expectation_series,
-    incompatibility_observable,
+    incompatibility_rows,
     phased_values,
+    series_from_rows,
 )
 from .errors import GridMismatch, LatticeTooLarge
 from .lattice import (
@@ -35,8 +35,8 @@ from .lattice import (
     meet,
     ortho,
 )
-from .spectral import FrequencyGrid, VanHoveObservable, VanHoveState, _hs_norm_of_blocks
-from .spectral import hs_norm
+from .spectral import FrequencyGrid, VanHoveObservable, VanHoveState, _require_same_grid
+from .spectral import _row_blocks, _sum_of_squares, hs_norm
 
 HS_CONSTANCY_TOL = 1e-10
 DEGENERACY_RTOL = 1e-10
@@ -220,10 +220,8 @@ class EmergenceReport:
 
 
 def _degeneracy_scale(o1: VanHoveObservable, o2: VanHoveObservable) -> float:
-    k1 = hs_norm(o1.kernel)
-    k2 = hs_norm(o2.kernel)
-    d1 = float(np.ptp(o1.diag.values)) if o1.diag.values.size else 0.0
-    d2 = float(np.ptp(o2.diag.values)) if o2.diag.values.size else 0.0
+    k1, k2 = hs_norm(o1.kernel), hs_norm(o2.kernel)
+    d1, d2 = (float(np.ptp(o.diag.values)) for o in (o1, o2))
     return k1 * k2 + d1 * k2 + d2 * k1
 
 
@@ -239,8 +237,8 @@ def run_emergence(rho: VanHoveState,
                   max_elements: int = DEFAULT_MAX_ELEMENTS) -> EmergenceReport:
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
-    hs_norm_final is spacing * ||D(t_max)|| taken from the phased samples
-    of D, by row blocks, without wrapping them in a (re-checked) observable.
+    Each row block of D (see incompatibility_rows) goes once into the series
+    and into hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
 
     DEGENERATE means the premise failed: the observables already commute
     (the incompatibility kernel vanishes relative to the operand scale), so
@@ -248,11 +246,20 @@ def run_emergence(rho: VanHoveState,
     """
     # first, so that a partition over the element cap fails before kernel work
     pointer = pointer_lattice([o1, o2], partition, max_elements=max_elements)
-    incompat = incompatibility_observable(o1, o2)
-    hs_initial = hs_norm(incompat.kernel)
-    series = expectation_series(rho, incompat, t_max, n_samples)
-    hs_final = _hs_norm_of_blocks(
-        incompat.grid, lambda rows: phased_values(incompat.kernel, t_max, rows))
+    grid = _require_same_grid(rho.grid, o1.grid, o2.grid)
+    squares = [0.0, 0.0]  # sum |D|^2 at t = 0 and at t_max, block by block
+
+    def tallied(d_rows):
+        phases = np.exp(1j * t_max * grid.nodes)
+        for rows in _row_blocks(grid.n_points):
+            block = next(d_rows)
+            squares[0] += _sum_of_squares(block)
+            squares[1] += _sum_of_squares(phased_values(block, phases, rows))
+            yield block
+            del block  # so that the next block is not made beside this one
+
+    series = series_from_rows(rho, tallied(incompatibility_rows(o1, o2)), t_max, n_samples)
+    hs_initial, hs_final = (grid.spacing * math.sqrt(total) for total in squares)
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)
 

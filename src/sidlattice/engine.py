@@ -17,6 +17,7 @@ for strongly cancelling late-time sums.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +35,7 @@ from .spectral import (
     _ROW_BLOCK,
     _require_same_grid,
     _row_blocks,
+    _stored_rows,
     hermitian_within,
 )
 
@@ -97,10 +99,9 @@ class ExpectationSeries:
         return float(abs(self.values[0]))
 
 
-def phased_values(kernel: RegularKernel, t: float, rows: slice = slice(None)) -> np.ndarray:
-    """Fresh samples K(w, w') exp(i (w - w') t) of a present kernel, in the given rows."""
-    phases = np.exp(1j * t * kernel.grid.nodes)
-    out = kernel.values[rows] * phases[rows, None]
+def phased_values(values: np.ndarray, phases: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Fresh K[rows] exp(i (w - w') t) from the rows K[rows] and phases = exp(i w t)."""
+    out = values * phases[rows, None]
     out *= np.conjugate(phases)[None, :]
     return out
 
@@ -111,28 +112,30 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
         raise ValueError(f"time must be finite, got {t}")
     if not obs.kernel.present:
         return obs
-    evolved = phased_values(obs.kernel, t)
+    evolved = phased_values(obs.kernel.values, np.exp(1j * t * obs.grid.nodes))
     return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved, _adopt=True))
 
 
-def _incompatibility_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarray:
-    """Fresh, writable complex samples of D = -i [O1, O2], one row block at a time.
+def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable,
+                            out: Optional[np.ndarray] = None):
+    """Complex row blocks of D = -i [O1, O2] in _row_blocks order: fresh, or a zeroed out's.
 
     [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1;
     a cross term is skipped when its kernel is absent (unscanned) or zero, or
     its diagonal constant. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H,
-    M = K1 o K2 (real for two real kernels), the one n x n array beside D. A
-    real block of [O1, O2] goes, negated, into the imaginary part of D alone.
+    M = K1 o K2 (real for two real kernels), the one n x n array the blocks
+    need. A real block of [O1, O2] goes, negated, into D's imaginary part alone.
     """
     grid = _require_same_grid(o1.grid, o2.grid)
+    n = grid.n_points
     d1, d2 = o1.diag.values, o2.diag.values
     k1, k2 = o1.kernel.values, o2.kernel.values
     has_k1 = o1.kernel.present and bool(np.any(k1))
     has_k2 = o2.kernel.present and bool(np.any(k2))
     cross1, cross2 = has_k2 and np.ptp(d1) != 0, has_k1 and np.ptp(d2) != 0
     m = k1 @ k2 if has_k1 and has_k2 else None
-    out = np.zeros(k1.shape, dtype=np.complex128)
-    for rows in _row_blocks(grid.n_points):
+
+    def d_block(rows, dest):  # fresh D[rows], or written into dest
         block = np.subtract.outer(d1[rows], d1) * k2[rows] if cross1 else None
         if cross2:
             term = np.subtract.outer(d2[rows], d2) * k1[rows]
@@ -141,12 +144,21 @@ def _incompatibility_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.
             mixing = m[rows] - m[:, rows].T.conj()
             mixing *= grid.spacing
             block = mixing if block is None else block + mixing
-        if block is None:  # no term at all: D = 0
-            break
-        if np.iscomplexobj(block):
-            np.multiply(block, -1j, out=out[rows])
-        else:
-            np.negative(block, out=out.imag[rows])
+        if block is not None and np.iscomplexobj(block):
+            return np.multiply(block, -1j, out=block if dest is None else dest)
+        d = np.zeros((rows.stop - rows.start, n), np.complex128) if dest is None else dest
+        if block is not None:  # else no term at all: D = 0
+            np.negative(block, out=d.imag)
+        return d
+
+    for rows in _row_blocks(n):
+        yield d_block(rows, None if out is None else out[rows])
+
+
+def _incompatibility_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarray:
+    """Fresh, writable complex samples of D = -i [O1, O2], written block by block."""
+    out = np.zeros((o1.grid.n_points,) * 2, dtype=np.complex128)
+    deque(_incompatibility_blocks(o1, o2, out), maxlen=0)
     return out
 
 
@@ -170,6 +182,17 @@ def incompatibility_observable(o1: VanHoveObservable,
     return IncompatibilityObservable(kernel)
 
 
+def incompatibility_rows(o1: VanHoveObservable, o2: VanHoveObservable):
+    """Iterator of D's row blocks in _row_blocks order, each to be read once.
+
+    Made as read, with no n x n D, from operands exactly Hermitian by the rule of
+    incompatibility_observable; else the rows of its checked D.
+    """
+    if o1.kernel.hermitian_residual == 0.0 and o2.kernel.hermitian_residual == 0.0:
+        return _incompatibility_blocks(o1, o2)
+    return _stored_rows(incompatibility_observable(o1, o2).kernel)
+
+
 def _skewed_profile(n: int, fill) -> np.ndarray:
     """profile[m + n - 1] = sum over k - l = m of the n x n array fill writes by row blocks.
 
@@ -185,10 +208,6 @@ def _skewed_profile(n: int, fill) -> np.ndarray:
         fill(rows, view[:b])
         profile[rows.start:rows.start + n + b - 1] += buf[:b, h - b:].sum(axis=0)[::-1]
     return profile
-
-
-def _nu_profile(values: np.ndarray) -> np.ndarray:
-    return _skewed_profile(values.shape[0], lambda rows, view: np.copyto(view, values[rows]))
 
 
 def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
@@ -217,15 +236,18 @@ def require_window(grid: FrequencyGrid, t_max: float) -> None:
             f"2*pi/spacing = {grid.recurrence_time}, window limit {half}")
 
 
-def _kernel_profile(rho: VanHoveState, kernel: RegularKernel) -> np.ndarray:
-    if not (rho.kernel.present and kernel.present):
-        return np.zeros(2 * rho.grid.n_points - 1, dtype=np.complex128)
+def _kernel_profile(rho: VanHoveState, d_rows) -> np.ndarray:
+    """spacing^2 nu-profile of conj(rho) o D, reading all of D's row blocks (None: absent D)."""
+    n = rho.grid.n_points
+    if d_rows is None or not rho.kernel.present:
+        deque(d_rows or (), maxlen=0)
+        return np.zeros(2 * n - 1, dtype=np.complex128)
 
     def fill(rows, view):  # in the complex view, so real and complex operands mix
         np.conjugate(rho.kernel.values[rows], out=view)
-        view *= kernel.values[rows]
+        view *= next(d_rows)
 
-    return rho.grid.spacing**2 * _skewed_profile(rho.grid.n_points, fill)
+    return rho.grid.spacing**2 * _skewed_profile(n, fill)
 
 
 def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
@@ -240,29 +262,33 @@ def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     diag_term = grid.spacing * float(np.dot(rho.diag.values, obs.diag.values))
-    profile = _kernel_profile(rho, obs.kernel)
+    profile = _kernel_profile(rho, _stored_rows(obs.kernel))
     kernel_term = _phase_series(grid, profile, np.array([t], dtype=np.float64))[0]
     return diag_term + complex(kernel_term)
 
 
-def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
-                       t_max: float, n_samples: int) -> ExpectationSeries:
-    """Uniformly sampled expectation of the incompatibility observable.
+def series_from_rows(rho: VanHoveState, d_rows, t_max: float,
+                     n_samples: int) -> ExpectationSeries:
+    """Uniformly sampled expectation of D, from its row blocks (see _kernel_profile).
 
-    Raises WindowExceeded when t_max goes past half the recurrence time
-    2*pi/spacing, where the discrete spectrum can no longer emulate the
-    continuum limit.
+    Raises WindowExceeded past half the recurrence time 2*pi/spacing.
     """
-    grid = _require_same_grid(rho.grid, incompat.grid)
+    grid = rho.grid
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be positive, got {t_max}")
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     require_window(grid, t_max)
     times = np.linspace(0.0, t_max, int(n_samples))
-    profile = _kernel_profile(rho, incompat.kernel)
-    values = _phase_series(grid, profile, times)
+    values = _phase_series(grid, _kernel_profile(rho, d_rows), times)
     return ExpectationSeries(times, values, grid.recurrence_time)
+
+
+def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
+                       t_max: float, n_samples: int) -> ExpectationSeries:
+    """Uniformly sampled expectation of incompat: series_from_rows over its stored kernel."""
+    _require_same_grid(rho.grid, incompat.grid)
+    return series_from_rows(rho, _stored_rows(incompat.kernel), t_max, n_samples)
 
 
 def decoherence_time(series: ExpectationSeries,

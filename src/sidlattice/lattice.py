@@ -257,11 +257,11 @@ def generate_lattice(seeds: Iterable[Subspace],
                      ambient_dim: Optional[int] = None) -> PropertyLattice:
     """Close a generating set under meet, join, and complement.
 
-    Deduplicates at the comparison tolerance and records, for every pair it
-    visits, the index each result matched or became; a closed result carries
-    these as its operation tables. The closure stops at max_elements; a capped
-    closure is returned with closed=False rather than raised, so the caller
-    can inspect the partial set.
+    Deduplicates at the comparison tolerance and records, for every unordered
+    pair it visits (once), the index each result matched or became; a closed
+    result carries these as its operation tables. The closure stops at
+    max_elements; a capped closure is returned with closed=False rather than
+    raised, so the caller can inspect the partial set.
     """
     seeds = list(seeds)
     tol = default_tol() if tol is None else tol
@@ -304,7 +304,8 @@ def generate_lattice(seeds: Iterable[Subspace],
             if o is None:
                 return capped()
             orthos.append(o)
-            for j in range(batch_end):
+            # a batch partner j < i was paired with i when j was processed
+            for j in (*range(processed), *range(i, batch_end)):
                 m = add(meet(elements[i], elements[j], tol))
                 v = add(join(elements[i], elements[j]))
                 if m is None or v is None:

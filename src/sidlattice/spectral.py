@@ -47,6 +47,12 @@ def _row_blocks(n: int):
     return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
 
 
+def _stored_rows(kernel: RegularKernel):
+    """Iterator of a stored kernel's row blocks in _row_blocks order; None if absent."""
+    return (kernel.values[rows] for rows in _row_blocks(kernel.grid.n_points)) \
+        if kernel.present else None
+
+
 def _frozen_array(values, dtype, shape=None, copy=True) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True if copy else None, order="C")
     if shape is not None and out.shape != shape:
@@ -70,6 +76,8 @@ class FrequencyGrid:
             raise NonPositiveRange(f"omega_max must be positive, got {self.omega_max}")
         if self.n_points < 2:
             raise TooFewPoints(f"need at least 2 points, got {self.n_points}")
+        if self.spacing == 0.0:
+            raise NonPositiveRange(f"spacing {self.omega_max} / {self.n_points} underflows to 0")
 
     @property
     def spacing(self) -> float:
@@ -369,6 +377,10 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     The real families are float64; random_bandlimited, complex, takes the
     Hermitian part 0.5 (B + B^H) of its mode mixture B times both views in
     place, tile pair by tile pair.
+
+    With a bitwise symmetric band table the kernel carries the residual 0.0
+    unscanned: entries (k, l) and (l, k) are then products of the same IEEE
+    factors, and the Hermitian part above is sign-symmetric entry by entry.
     """
     _warn_on_envelope_leak(grid, spec)
     n = grid.n_points
@@ -397,7 +409,10 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
             values = _random_bandlimited(grid, spec, toeplitz, hankel)
         else:
             values = np.multiply(toeplitz, hankel)
-    return RegularKernel(grid, values, _adopt=True)
+    kernel = RegularKernel(grid, values, _adopt=True)
+    if np.array_equal(band, band[::-1]):
+        kernel._record_residual(0.0)
+    return kernel
 
 
 def quad1(grid: FrequencyGrid, samples) -> complex:
@@ -415,21 +430,17 @@ def kernel_compose(k1: RegularKernel, k2: RegularKernel) -> RegularKernel:
     return RegularKernel(grid, grid.spacing * (k1.values @ k2.values), _adopt=True)
 
 
-def _hs_norm_of_blocks(grid: FrequencyGrid, block) -> float:
-    """spacing * sqrt(sum |K|^2), summed over the row blocks block(rows) of K in order."""
-    total = 0.0
-    for rows in _row_blocks(grid.n_points):
-        parts = block(rows).reshape(-1).view(np.float64)  # re, im of a complex block
-        total += float(parts @ parts)
-        del parts  # so that the next block is not made beside this one
-    return grid.spacing * math.sqrt(total)
+def _sum_of_squares(block: np.ndarray) -> float:
+    """sum |K|^2 over a block of K, from the re, im parts of a complex block."""
+    parts = block.reshape(-1).view(np.float64)
+    return float(parts @ parts)
 
 
 def hs_norm(kernel: RegularKernel) -> float:
-    """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2); zero iff K = 0."""
+    """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2), summed by row blocks; 0 iff K = 0."""
     if not kernel.present:
         return 0.0
-    return _hs_norm_of_blocks(kernel.grid, lambda rows: kernel.values[rows])
+    return kernel.grid.spacing * math.sqrt(sum(map(_sum_of_squares, _stored_rows(kernel))))
 
 
 def _hermitian_residual(values: np.ndarray) -> float:

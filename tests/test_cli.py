@@ -472,3 +472,61 @@ def test_lattice_missing_report_directory_exits_2_before_closure(
                  "--report", str(tmp_path / "missing" / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: output directory ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mutate,message", [
+    # omega_max / n_points underflows to a zero spacing
+    (_set(("grid",), {"omega_max": 1e-320, "n_points": 4096}), "underflows to 0"),
+    (_set(("time", "n_samples"), 10**13), f"n_samples must be in [2, {cli.MAX_SAMPLES}]"),
+    (_set(("observables", "O1", "diag"), {"family": "linear", "amplitude": 1e308}),
+     "invalid O1 diag: samples must be finite"),
+    (_set(("state", "diag", "Sigma"), 1e-320), "invalid state: "),
+], ids=["spacing-underflow", "n-samples-past-cap", "linear-diag-overflow",
+        "gaussian-diag-tiny-sigma"])
+def test_boundary_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mutate, message):
+    built = []
+    build = cli.build_kernel
+    monkeypatch.setattr(cli, "build_kernel",
+                        lambda *args: built.append(args) or build(*args))
+    doc = _base_config()
+    mutate(doc)
+    cfg = _write(tmp_path / "cfg.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                     "--series", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    if "n_samples" in message:  # the cap is checked before any kernel is built
+        assert built == []
+
+
+def test_max_samples_itself_is_accepted_by_the_loader(tmp_path):
+    doc = _base_config()
+    doc["time"]["n_samples"] = cli.MAX_SAMPLES
+    cfg = _write(tmp_path / "cfg.json", doc)
+    scenario = cli.load_scenario(cfg, need_partition=False, outputs={"series": "s.csv"})
+    assert scenario.n_samples == cli.MAX_SAMPLES
+
+
+class TestStreamedIncompatibility:
+    @pytest.mark.parametrize("o1_kernel", [False, True], ids=["diag-only-O1", "kernel-O1"])
+    def test_cli_runs_never_store_or_scan_d(self, tmp_path, monkeypatch, o1_kernel):
+        from sidlattice import engine, spectral
+
+        def stored_or_scanned(*args):
+            raise AssertionError("the CLI path stored or scanned an n x n array")
+
+        doc = _base_config(n_points=300, t_max=10.0, n_samples=101)  # two row blocks
+        if o1_kernel:
+            doc["observables"]["O1"]["kernel"] = {
+                "family": "lorentz_band", "amplitude": 0.5, "gamma": 1.0,
+                "mu": 10.0, "Sigma": 2.0}
+        cfg = _write(tmp_path / "cfg.json", doc)
+        monkeypatch.setattr(engine, "incompatibility_observable", stored_or_scanned)
+        monkeypatch.setattr(spectral, "check_hermitian", stored_or_scanned)
+        assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                     "--series", str(tmp_path / "s.csv")]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()

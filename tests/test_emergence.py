@@ -13,6 +13,7 @@ from sidlattice import (
     KernelFamilySpec,
     LatticeTooLarge,
     PointerAlgebra,
+    RegularKernel,
     Subspace,
     VanHoveObservable,
     VanHoveState,
@@ -31,7 +32,7 @@ from sidlattice import (
     pointer_lattice,
     run_emergence,
 )
-from sidlattice import emergence
+from sidlattice import cli, emergence, engine
 
 
 def _complex_state(grid, seed=7):
@@ -201,7 +202,7 @@ class TestRunEmergence:
         def no_kernel_work(*args):
             raise AssertionError("kernel work ran before the cap check")
 
-        monkeypatch.setattr(emergence, "incompatibility_observable", no_kernel_work)
+        monkeypatch.setattr(emergence, "incompatibility_rows", no_kernel_work)
         with pytest.raises(LatticeTooLarge):
             run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 9),
                           10.0, 101, epsilon=1e-6)
@@ -292,3 +293,99 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= live + n * n * 8
+
+    @pytest.mark.parametrize("o1_kernel", [False, True], ids=["diag-only-O1", "kernel-O1"])
+    def test_emerge_and_simulate_hold_no_n_by_n_d(self, tmp_path, monkeypatch, o1_kernel):
+        """D is made and used one 256-row block at a time.
+
+        At n = 2048 a block is an eighth of an n x n complex array, and a
+        stored D would be a whole one. rho and the operands are built before
+        tracing starts, so the live traced arrays are the blocks and, for two
+        real kernels, the real product M = K1 K2.
+        """
+        n = 2048
+        grid = make_grid(20.0, n)
+        rho = _complex_state(grid)
+        o1, o2 = _operands(grid, o1_kernel)
+        bound = 0.6 * n * n * 16 + (n * n * 8 if o1_kernel else 0)
+        scenario = cli.Scenario(
+            grid=grid, rho=rho, o1=o1, o2=o2, t_max=10.0, n_samples=201,
+            decoherence_ratio=0.5, epsilon=None, sustain=10, partition=None,
+            outputs={"series": str(tmp_path / "s.csv")})
+        monkeypatch.setattr(cli, "load_scenario", lambda *args, **kwargs: scenario)
+        runs = {
+            "emerge": lambda: run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
+                                            10.0, 201, epsilon=1e-6),
+            "simulate": lambda: cli.run_simulate("unread.json", None),
+        }
+        for name, run in runs.items():
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, name
+
+
+def _operands(grid, o1_kernel, o1_family="lorentz_band"):
+    o1, o2 = linear_vs_gaussian_pair(grid)
+    if o1_kernel:
+        widths = {"lorentz_band": {"gamma": 1.0}, "random_bandlimited": {"sigma": 1.0, "seed": 3}}
+        o1 = VanHoveObservable(o1.diag, build_kernel(grid, KernelFamilySpec(
+            o1_family, amplitude=0.5, mu=10.0, Sigma=2.0, **widths[o1_family])))
+    return o1, o2
+
+
+class TestStreamedIncompatibility:
+    @pytest.mark.parametrize("o1_kernel,o1_family", [
+        (False, None), (True, "lorentz_band"), (True, "random_bandlimited")])
+    def test_matches_the_stored_d_bit_for_bit(self, o1_kernel, o1_family):
+        grid = make_grid(20.0, 300)  # more than one row block
+        rho = _complex_state(grid)
+        o1, o2 = _operands(grid, o1_kernel, o1_family)
+        report = run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
+                               10.0, 101, epsilon=1e-6)
+        incompat = incompatibility_observable(o1, o2)
+        stored = expectation_series(rho, incompat, 10.0, 101)
+        assert report.series.values.tobytes() == stored.values.tobytes()
+        assert report.hs_norm_initial == hs_norm(incompat.kernel)
+        assert report.hs_norm_final == hs_norm(
+            evolve(incompat.to_observable(), 10.0).kernel)
+        simulated = engine.series_from_rows(
+            rho, engine.incompatibility_rows(o1, o2), 10.0, 101)
+        assert simulated.values.tobytes() == stored.values.tobytes()
+
+    def test_absent_state_kernel_still_sums_the_norms(self):
+        grid = make_grid(20.0, 300)
+        diag = DiagonalPart(grid, np.exp(-0.5 * ((grid.nodes - 10.0) / 3.0) ** 2))
+        rho = VanHoveState.normalized(diag, RegularKernel.absent(grid))
+        o1, o2 = _operands(grid, True)
+        report = run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
+                               10.0, 101, epsilon=1e-6)
+        incompat = incompatibility_observable(o1, o2)
+        assert report.hs_norm_initial == hs_norm(incompat.kernel) > 0.0
+        assert report.hs_norm_final == hs_norm(
+            evolve(incompat.to_observable(), 10.0).kernel)
+        assert not np.any(report.series.values)
+
+    def test_inexact_operand_still_fails_the_d_check(self, tmp_path, monkeypatch):
+        grid = make_grid(20.0, 16)
+        values = build_kernel(grid, KernelFamilySpec(
+            "gaussian_band", sigma=1.5, mu=10.0, Sigma=2.0)).values.copy()
+        values[0, 15] += 1e-9
+        o2 = VanHoveObservable.kernel_only(RegularKernel(grid, values))
+        assert 0.0 < o2.kernel.hermitian_residual <= 1e-8
+        o1 = VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes))
+        rho = _complex_state(grid)
+        with pytest.raises(ValueError, match="1e-10"):
+            run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 2), 10.0, 21,
+                          epsilon=1e-6)
+        scenario = cli.Scenario(
+            grid=grid, rho=rho, o1=o1, o2=o2, t_max=10.0, n_samples=21,
+            decoherence_ratio=0.5, epsilon=None, sustain=10, partition=None,
+            outputs={"series": str(tmp_path / "s.csv")})
+        monkeypatch.setattr(cli, "load_scenario", lambda *args, **kwargs: scenario)
+        with pytest.raises(ValueError, match="1e-10"):
+            cli.run_simulate("unread.json", None)
+        assert not (tmp_path / "s.csv").exists()

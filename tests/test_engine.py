@@ -242,6 +242,12 @@ class TestExpectation:
             expectation(rho, obs, 0.0)
 
 
+def _nu_profile(values):
+    """Anti-diagonal sums of an n x n array, through the engine's skewed block sum."""
+    return engine._skewed_profile(
+        values.shape[0], lambda rows, view: np.copyto(view, values[rows]))
+
+
 class TestAntiDiagonalRegrouping:
     @pytest.fixture
     def kernel(self):
@@ -249,7 +255,7 @@ class TestAntiDiagonalRegrouping:
         return rng.standard_normal((37, 37)) + 1j * rng.standard_normal((37, 37))
 
     def test_nu_profile_matches_direct_sum(self, kernel):
-        profile = engine._nu_profile(kernel)
+        profile = _nu_profile(kernel)
         n = kernel.shape[0]
         assert profile.shape == (2 * n - 1,)
         for m in (-(n - 1), -3, 0, 5, n - 1):
@@ -260,7 +266,7 @@ class TestAntiDiagonalRegrouping:
     def test_phase_series_matches_direct(self, kernel):
         grid = make_grid(0.25 * 37, 37)
         assert grid.spacing == 0.25
-        profile = engine._nu_profile(kernel)
+        profile = _nu_profile(kernel)
         nu = 0.25 * np.arange(-36, 37, dtype=np.float64)
         times = np.array([0.0, 0.7, 2.1])
         got = engine._phase_series(grid, profile, times)
@@ -363,7 +369,7 @@ class TestExpectationSeries:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6
-        profile = engine._kernel_profile(rho, incompat.kernel)
+        profile = engine._kernel_profile(rho, engine._stored_rows(incompat.kernel))
         for k in (0, 255, 256, 2000):  # either side of a block edge
             alone = engine._phase_series(grid, profile, series.times[k:k + 1])[0]
             assert abs(series.values[k] - alone) <= 1e-12 * series.initial_magnitude
@@ -499,10 +505,10 @@ class TestCommutatorShortcuts:
             assert np.array_equal(d, -1j * commutator_kernel(a, b).values)
             rho = _random_state(grid, 6)
             assert np.array_equal(
-                engine._kernel_profile(rho, incompat.kernel),
-                grid.spacing**2 * engine._nu_profile(np.conjugate(rho.kernel.values) * d))
+                engine._kernel_profile(rho, engine._stored_rows(incompat.kernel)),
+                grid.spacing**2 * _nu_profile(np.conjugate(rho.kernel.values) * d))
             assert np.array_equal(
-                engine.phased_values(incompat.kernel, 0.7),
+                engine.phased_values(d, phases),
                 d * phases[:, None] * np.conjugate(phases)[None, :])
 
     @settings(max_examples=20, deadline=None)
@@ -678,7 +684,7 @@ class TestFusedProfile:
         assert rho.kernel.values.dtype == (np.complex128 if rho_complex else np.float64)
         assert kernel.values.dtype == (np.complex128 if kernel_complex else np.float64)
 
-        got = engine._kernel_profile(rho, kernel)
+        got = engine._kernel_profile(rho, engine._stored_rows(kernel))
         terms = grid.spacing**2 * np.conjugate(rho.kernel.values) * kernel.values
         offsets = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
         direct = np.zeros(2 * n - 1, dtype=np.complex128)
@@ -688,4 +694,4 @@ class TestFusedProfile:
         assert np.all(np.abs(got - direct) <= 1e-12 * scale)
 
         weights = np.conjugate(rho.kernel.values) * kernel.values
-        assert np.array_equal(got, grid.spacing**2 * engine._nu_profile(weights))
+        assert np.array_equal(got, grid.spacing**2 * _nu_profile(weights))

@@ -67,6 +67,12 @@ class TestGrid:
             assert np.all(np.diff(g.nodes) > 0)
             assert g.nodes[0] > 0 and g.nodes[-1] < omega_max
 
+    def test_spacing_that_underflows_is_rejected(self):
+        # 1e-320 / 4096 rounds to 0.0: no recurrence time, no nodes to tell apart
+        with pytest.raises(NonPositiveRange, match="underflows"):
+            make_grid(1e-320, 4096)
+        assert make_grid(1e-320, 2).spacing > 0.0
+
     def test_grid_value_equality(self):
         assert make_grid(10.0, 4) == FrequencyGrid(10.0, 4)
         assert make_grid(10.0, 4) != make_grid(10.0, 8)
@@ -571,3 +577,38 @@ class TestHermitianResidualRecord:
         monkeypatch.setattr(spectral, "check_hermitian", no_scan)
         assert spectral.hermitian_within(k, 1e-8)
         assert not spectral.hermitian_within(k, 1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["gaussian_band", "lorentz_band", "rect_band",
+                                   "random_bandlimited"]),
+           n=st.one_of(st.sampled_from([2, 255, 256, 257, 513]), st.integers(2, 600)),
+           amplitude=st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05),
+           width=st.floats(0.2, 4.0), mu=st.floats(0.0, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_built_kernels_carry_the_exact_zero_residual_unscanned(
+            self, family, n, amplitude, width, mu, seed):
+        def no_scan(*args):
+            raise AssertionError("a built kernel was scanned")
+
+        grid = make_grid(20.0, n)
+        spec = KernelFamilySpec(
+            family, amplitude=amplitude, mu=mu, Sigma=2.0,
+            gamma=width if family == "lorentz_band" else None,
+            sigma=None if family == "lorentz_band" else width,
+            seed=seed if family == "random_bandlimited" else None)
+        with warnings.catch_warnings(), patch.object(spectral, "check_hermitian", no_scan):
+            warnings.simplefilter("ignore", SupportOverflowWarning)
+            k = build_kernel(grid, spec)
+            VanHoveObservable.kernel_only(k)
+        assert k.hermitian_residual == 0.0 == spectral._hermitian_residual(k.values)
+
+    def test_a_passed_in_copy_of_a_built_kernel_is_scanned(self, monkeypatch):
+        calls = []
+        check = spectral.check_hermitian
+        monkeypatch.setattr(spectral, "check_hermitian",
+                            lambda k, tol=None: calls.append(k) or check(k, tol))
+        g = make_grid(20.0, 32)
+        k = RegularKernel(g, build_kernel(g, _quiet_gaussian()).values)
+        assert k.hermitian_residual is None
+        VanHoveObservable.kernel_only(k)
+        assert calls == [k] and k.hermitian_residual == 0.0
