@@ -10,6 +10,7 @@ with sorted keys. Exit codes: 0 success, 2 config error, 3 window guard,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -102,14 +103,11 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-_REQUIRED = object()
-
-
-def _cfg_get(doc: dict, key: str, kind, what: str, default=_REQUIRED):
+def _cfg_get(doc: dict, key: str, kind, what: str, required: bool = True):
     if key not in doc:
-        if default is _REQUIRED:
+        if required:
             raise ConfigError(f"missing {what} key {key!r}")
-        return default
+        return None
     value = doc[key]
     if kind is float and _is_number(value):
         return float(value)
@@ -132,7 +130,8 @@ def _build_diag(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Diagonal
         return DiagonalPart.zeros(grid)
     where = f"{what} diag"
     family = doc.get("family")
-    amplitude = _cfg_get(doc, "amplitude", float, where, default=1.0)
+    amplitude = _cfg_get(doc, "amplitude", float, where, required=False)
+    amplitude = 1.0 if amplitude is None else amplitude
     with np.errstate(over="ignore", invalid="ignore"):  # DiagonalPart rejects inf, nan
         if "samples" in doc:
             samples = _cfg_get(doc, "samples", list, where)
@@ -177,8 +176,8 @@ def _build_kernel(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Regula
 def _build_observable(grid: FrequencyGrid, doc: dict, what: str) -> VanHoveObservable:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be an object with diag/kernel")
-    diag = _build_diag(grid, _cfg_get(doc, "diag", dict, what, default=None), what)
-    kernel = _build_kernel(grid, _cfg_get(doc, "kernel", dict, what, default=None), what)
+    diag = _build_diag(grid, _cfg_get(doc, "diag", dict, what, required=False), what)
+    kernel = _build_kernel(grid, _cfg_get(doc, "kernel", dict, what, required=False), what)
     try:
         return VanHoveObservable(diag, kernel)
     except ValueError as exc:
@@ -201,8 +200,8 @@ class Scenario:
 
 
 def _resolve_outputs(doc: dict, outputs: dict) -> dict:
-    out_doc = _cfg_get(doc, "output", dict, "config", default={})
-    configured = {key: _cfg_get(out_doc, key, str, "output", default=None)
+    out_doc = _cfg_get(doc, "output", dict, "config", required=False) or {}
+    configured = {key: _cfg_get(out_doc, key, str, "output", required=False)
                   for key in ("series", "report")}
     resolved = {}
     for name, cli_path in outputs.items():
@@ -236,7 +235,10 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
         part_doc = doc.get("partition")
         if not isinstance(part_doc, dict):
             raise ConfigError("emerge needs a partition block with n_bins")
-        n_bins = _cfg_get(part_doc, "n_bins", int, "partition", default=4)
+        n_bins = _cfg_get(part_doc, "n_bins", int, "partition",
+                          required=False)
+        if n_bins is None:
+            n_bins = 4
         if not 1 <= n_bins <= grid.n_points:
             raise ConfigError(f"n_bins must be in [1, {grid.n_points}], got {n_bins}")
         partition = BinPartition.equal_bins(grid, n_bins)
@@ -253,11 +255,12 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
         raise ConfigError(f"n_samples must be in [2, {MAX_SAMPLES}], got {n_samples}")
     require_window(grid, t_max)
 
-    thr_doc = _cfg_get(doc, "thresholds", dict, "config", default={})
-    ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds",
-                     default=DEFAULT_THRESHOLD_RATIO)
-    sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", default=DEFAULT_SUSTAIN)
-    epsilon = _cfg_get(thr_doc, "epsilon", float, "thresholds", default=None)
+    thr_doc = _cfg_get(doc, "thresholds", dict, "config", required=False) or {}
+    ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", required=False)
+    ratio = DEFAULT_THRESHOLD_RATIO if ratio is None else ratio
+    sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", required=False)
+    sustain = DEFAULT_SUSTAIN if sustain is None else sustain
+    epsilon = _cfg_get(thr_doc, "epsilon", float, "thresholds", required=False)
     if epsilon is not None and not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < ratio < 1.0:
@@ -270,9 +273,9 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
 
     state_doc = _cfg_get(doc, "state", dict, "config")
     diag = _build_diag(
-        grid, _cfg_get(state_doc, "diag", dict, "state", default=None), "state")
+        grid, _cfg_get(state_doc, "diag", dict, "state", required=False), "state")
     kernel = _build_kernel(
-        grid, _cfg_get(state_doc, "kernel", dict, "state", default=None), "state")
+        grid, _cfg_get(state_doc, "kernel", dict, "state", required=False), "state")
     try:
         rho = VanHoveState.normalized(diag, kernel)
     except ValueError as exc:
@@ -291,11 +294,23 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
     )
 
 
+@contextlib.contextmanager
+def _evaluating():
+    """A ValueError of the numeric run exits 2 with one line and no warning: D, the
+    series and the HS norms are checked finite, so an overflow there is one of these."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except ValueError as exc:
+        raise ConfigError(f"cannot evaluate the scenario: {exc}") from exc
+
+
 def run_simulate(config_path: str, out_path: Optional[str]) -> int:
     scenario = load_scenario(config_path, need_partition=False,
                              outputs={"series": out_path})
-    series = series_from_rows(scenario.rho, incompatibility_rows(scenario.o1, scenario.o2),
-                              scenario.t_max, scenario.n_samples)
+    with _evaluating():
+        series = series_from_rows(scenario.rho, incompatibility_rows(scenario.o1, scenario.o2),
+                                  scenario.t_max, scenario.n_samples)
     _write_series_csv(scenario.outputs["series"], series)
     return EXIT_OK
 
@@ -399,10 +414,11 @@ def run_emerge(config_path: str, report_path: Optional[str],
                series_path: Optional[str]) -> int:
     scenario = load_scenario(config_path, need_partition=True,
                              outputs={"report": report_path, "series": series_path})
-    report = run_emergence(
-        scenario.rho, scenario.o1, scenario.o2, scenario.partition,
-        scenario.t_max, scenario.n_samples, scenario.epsilon,
-        threshold_ratio=scenario.decoherence_ratio, sustain=scenario.sustain)
+    with _evaluating():
+        report = run_emergence(
+            scenario.rho, scenario.o1, scenario.o2, scenario.partition,
+            scenario.t_max, scenario.n_samples, scenario.epsilon,
+            threshold_ratio=scenario.decoherence_ratio, sustain=scenario.sustain)
     _write_json(scenario.outputs["report"], report.to_json_dict())
     _write_series_csv(scenario.outputs["series"], report.series)
     if report.verdict is Verdict.DEGENERATE:
@@ -431,22 +447,37 @@ def run_oracle(family: str, params_json: str, t_list: str) -> int:
     if not np.all(np.isfinite(times)):
         raise ConfigError("--t times must be finite")
 
-    kinds = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lorentz", "gamma")}
-    if family not in kinds:
+    if family == "gaussian_band":
+        kind = "gaussian"
+        if "sigma_c" in params:
+            rate = float(params["sigma_c"])
+        else:
+            try:
+                spec1 = KernelFamilySpec(family, sigma=float(params["sigma1"]),
+                                         mu=0.0, Sigma=1.0)
+                spec2 = KernelFamilySpec(family, sigma=float(params["sigma2"]),
+                                         mu=0.0, Sigma=1.0)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(
+                    "gaussian_band oracle needs sigma_c or sigma1+sigma2") from exc
+            kind, rate = combined_decay_rate(spec1, spec2)
+    elif family == "lorentz_band":
+        kind = "lorentz"
+        if "gamma_c" in params:
+            rate = float(params["gamma_c"])
+        else:
+            try:
+                spec1 = KernelFamilySpec(family, gamma=float(params["gamma1"]),
+                                         mu=0.0, Sigma=1.0)
+                spec2 = KernelFamilySpec(family, gamma=float(params["gamma2"]),
+                                         mu=0.0, Sigma=1.0)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(
+                    "lorentz_band oracle needs gamma_c or gamma1+gamma2") from exc
+            kind, rate = combined_decay_rate(spec1, spec2)
+    else:
         raise ConfigError(
             f"oracle family must be gaussian_band or lorentz_band, got {family!r}")
-    kind, width = kinds[family]
-    if f"{width}_c" in params:
-        rate = float(params[f"{width}_c"])
-    else:
-        try:
-            spec1, spec2 = (KernelFamilySpec(family, mu=0.0, Sigma=1.0,
-                                             **{width: float(params[f"{width}{k}"])})
-                            for k in (1, 2))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(
-                f"{family} oracle needs {width}_c or {width}1+{width}2") from exc
-        kind, rate = combined_decay_rate(spec1, spec2)
     if not (math.isfinite(rate) and rate > 0):
         raise ConfigError(f"decay rate must be positive, got {rate}")
 

@@ -188,7 +188,7 @@ class EmergenceReport:
     verdict: Verdict
 
     def __post_init__(self):
-        if abs(self.hs_norm_initial - self.hs_norm_final) > HS_CONSTANCY_TOL:
+        if not abs(self.hs_norm_initial - self.hs_norm_final) <= HS_CONSTANCY_TOL:
             raise ValueError(
                 "evolution must conserve the kernel norm: "
                 f"{self.hs_norm_initial} vs {self.hs_norm_final}")
@@ -220,8 +220,10 @@ class EmergenceReport:
 
 
 def _degeneracy_scale(o1: VanHoveObservable, o2: VanHoveObservable) -> float:
-    k1, k2 = hs_norm(o1.kernel), hs_norm(o2.kernel)
-    d1, d2 = (float(np.ptp(o.diag.values)) for o in (o1, o2))
+    k1 = hs_norm(o1.kernel)
+    k2 = hs_norm(o2.kernel)
+    d1 = float(np.ptp(o1.diag.values)) if o1.diag.values.size else 0.0
+    d2 = float(np.ptp(o2.diag.values)) if o2.diag.values.size else 0.0
     return k1 * k2 + d1 * k2 + d2 * k1
 
 

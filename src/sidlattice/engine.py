@@ -33,6 +33,7 @@ from .spectral import (
     VanHoveObservable,
     VanHoveState,
     _ROW_BLOCK,
+    _finite,
     _require_same_grid,
     _row_blocks,
     _stored_rows,
@@ -85,6 +86,7 @@ class ExpectationSeries:
             raise ValueError("times and values must be matching 1-d arrays")
         if times.size < 1 or np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
+        _finite(values)
         if times[-1] > 0.5 * self.recurrence_time:
             raise WindowExceeded(
                 f"series reaches t={times[-1]}, beyond half the recurrence "
@@ -186,10 +188,11 @@ def incompatibility_rows(o1: VanHoveObservable, o2: VanHoveObservable):
     """Iterator of D's row blocks in _row_blocks order, each to be read once.
 
     Made as read, with no n x n D, from operands exactly Hermitian by the rule of
-    incompatibility_observable; else the rows of its checked D.
+    incompatibility_observable; else the rows of its checked D. Either way a
+    block that is not finite raises ValueError, as RegularKernel does.
     """
     if o1.kernel.hermitian_residual == 0.0 and o2.kernel.hermitian_residual == 0.0:
-        return _incompatibility_blocks(o1, o2)
+        return map(_finite, _incompatibility_blocks(o1, o2))
     return _stored_rows(incompatibility_observable(o1, o2).kernel)
 
 
@@ -208,6 +211,10 @@ def _skewed_profile(n: int, fill) -> np.ndarray:
         fill(rows, view[:b])
         profile[rows.start:rows.start + n + b - 1] += buf[:b, h - b:].sum(axis=0)[::-1]
     return profile
+
+
+def _nu_profile(values: np.ndarray) -> np.ndarray:
+    return _skewed_profile(values.shape[0], lambda rows, view: np.copyto(view, values[rows]))
 
 
 def _phase_series(grid: FrequencyGrid, profile: np.ndarray,

@@ -57,11 +57,16 @@ def _frozen_array(values, dtype, shape=None, copy=True) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True if copy else None, order="C")
     if shape is not None and out.shape != shape:
         raise LengthMismatch(f"expected shape {shape}, got {out.shape}")
-    parts = out.view(np.float64) if out.dtype == np.complex128 else out
+    _finite(out).setflags(write=False)
+    return out
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, once every sample is found finite by row blocks; else ValueError."""
+    parts = values.view(np.float64) if values.dtype == np.complex128 else values
     if not all(np.isfinite(parts[rows]).all() for rows in _row_blocks(len(parts))):
         raise ValueError("samples must be finite")
-    out.setflags(write=False)
-    return out
+    return values
 
 
 @dataclass(frozen=True)

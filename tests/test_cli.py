@@ -530,3 +530,26 @@ class TestStreamedIncompatibility:
                      "--series", str(tmp_path / "s.csv")]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["emerge", "simulate"])
+    @pytest.mark.parametrize("o1,o2_amplitude", [
+        ({"diag": {"family": "linear", "amplitude": 1e306}}, 1e4),
+        ({"kernel": {"family": "gaussian_band", "amplitude": 1e200, "sigma": 1.5,
+                     "mu": 10.0, "Sigma": 2.0}}, 1e200),
+    ], ids=["diag-times-kernel", "kernel-times-kernel"])
+    def test_d_that_overflows_exits_2_with_one_line(self, tmp_path, capsys, command,
+                                                    o1, o2_amplitude):
+        doc = _base_config(n_points=300)  # more than one row block
+        doc["observables"]["O1"] = o1
+        doc["observables"]["O2"]["kernel"]["amplitude"] = o2_amplitude
+        cfg = _write(tmp_path / "cfg.json", doc)
+        outputs = {"emerge": ["--report", str(tmp_path / "r.json"),
+                              "--series", str(tmp_path / "s.csv")],
+                   "simulate": ["--out", str(tmp_path / "s.csv")]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", cfg, *outputs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot evaluate the scenario: ")
+        assert err.count("\n") == 1 and "finite" in err
+        assert not (tmp_path / "r.json").exists() and not (tmp_path / "s.csv").exists()

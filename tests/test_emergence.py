@@ -33,6 +33,7 @@ from sidlattice import (
     run_emergence,
 )
 from sidlattice import cli, emergence, engine
+from sidlattice.errors import ConfigError
 
 
 def _complex_state(grid, seed=7):
@@ -381,11 +382,43 @@ class TestStreamedIncompatibility:
         with pytest.raises(ValueError, match="1e-10"):
             run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 2), 10.0, 21,
                           epsilon=1e-6)
+        with pytest.raises(ValueError, match="1e-10"):
+            engine.series_from_rows(rho, engine.incompatibility_rows(o1, o2), 10.0, 21)
         scenario = cli.Scenario(
             grid=grid, rho=rho, o1=o1, o2=o2, t_max=10.0, n_samples=21,
             decoherence_ratio=0.5, epsilon=None, sustain=10, partition=None,
             outputs={"series": str(tmp_path / "s.csv")})
         monkeypatch.setattr(cli, "load_scenario", lambda *args, **kwargs: scenario)
-        with pytest.raises(ValueError, match="1e-10"):
+        with pytest.raises(ConfigError, match="1e-10") as caught:  # exit 2 on the CLI
             cli.run_simulate("unread.json", None)
+        assert isinstance(caught.value.__cause__, ValueError)
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "stored"])
+    def test_d_that_overflows_is_rejected(self, streamed):
+        """Checked on D itself: without a state kernel the series never reads D."""
+        grid = make_grid(20.0, 300)
+        diag = DiagonalPart(grid, np.exp(-0.5 * ((grid.nodes - 10.0) / 3.0) ** 2))
+        rho = VanHoveState.normalized(diag, RegularKernel.absent(grid))
+        kernel = build_kernel(grid, KernelFamilySpec(
+            "gaussian_band", amplitude=1e4, sigma=1.5, mu=10.0, Sigma=2.0))
+        if not streamed:  # a residual within tolerance sends D through the stored check
+            values = kernel.values.copy()
+            values[0, -1] += 1e-12
+            kernel = RegularKernel(grid, values)
+        o1 = VanHoveObservable.diag_only(DiagonalPart(grid, 1e306 * grid.nodes))
+        o2 = VanHoveObservable.kernel_only(kernel)
+        assert (o2.kernel.hermitian_residual == 0.0) is streamed
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="samples must be finite"):
+                run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 21,
+                              epsilon=1e-6)
+            with pytest.raises(ValueError, match="samples must be finite"):
+                engine.series_from_rows(rho, engine.incompatibility_rows(o1, o2), 10.0, 21)
+
+    def test_norms_that_overflow_fail_the_constancy_check(self):
+        times = np.linspace(0.0, 1.0, 3)
+        series = ExpectationSeries(times, np.ones(3, dtype=complex), 10.0)
+        with pytest.raises(ValueError, match="conserve the kernel norm"):
+            emergence.EmergenceReport(series, None, None, math.inf, math.inf, False,
+                                      Verdict.NOT_REACHED)

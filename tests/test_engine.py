@@ -242,12 +242,6 @@ class TestExpectation:
             expectation(rho, obs, 0.0)
 
 
-def _nu_profile(values):
-    """Anti-diagonal sums of an n x n array, through the engine's skewed block sum."""
-    return engine._skewed_profile(
-        values.shape[0], lambda rows, view: np.copyto(view, values[rows]))
-
-
 class TestAntiDiagonalRegrouping:
     @pytest.fixture
     def kernel(self):
@@ -255,7 +249,7 @@ class TestAntiDiagonalRegrouping:
         return rng.standard_normal((37, 37)) + 1j * rng.standard_normal((37, 37))
 
     def test_nu_profile_matches_direct_sum(self, kernel):
-        profile = _nu_profile(kernel)
+        profile = engine._nu_profile(kernel)
         n = kernel.shape[0]
         assert profile.shape == (2 * n - 1,)
         for m in (-(n - 1), -3, 0, 5, n - 1):
@@ -266,7 +260,7 @@ class TestAntiDiagonalRegrouping:
     def test_phase_series_matches_direct(self, kernel):
         grid = make_grid(0.25 * 37, 37)
         assert grid.spacing == 0.25
-        profile = _nu_profile(kernel)
+        profile = engine._nu_profile(kernel)
         nu = 0.25 * np.arange(-36, 37, dtype=np.float64)
         times = np.array([0.0, 0.7, 2.1])
         got = engine._phase_series(grid, profile, times)
@@ -422,6 +416,12 @@ class TestDecoherenceTime:
         with pytest.raises(ValueError):
             decoherence_time(series, 0.5, 0)
 
+    def test_values_must_be_finite(self):
+        times = np.linspace(0.0, 1.0, 4)
+        for bad in (math.inf, complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                ExpectationSeries(times, np.array([1.0, bad, 1.0, 1.0], dtype=complex), 10.0)
+
 
 class TestAnalyticOracle:
     def test_normalized_at_zero(self):
@@ -506,7 +506,7 @@ class TestCommutatorShortcuts:
             rho = _random_state(grid, 6)
             assert np.array_equal(
                 engine._kernel_profile(rho, engine._stored_rows(incompat.kernel)),
-                grid.spacing**2 * _nu_profile(np.conjugate(rho.kernel.values) * d))
+                grid.spacing**2 * engine._nu_profile(np.conjugate(rho.kernel.values) * d))
             assert np.array_equal(
                 engine.phased_values(d, phases),
                 d * phases[:, None] * np.conjugate(phases)[None, :])
@@ -694,4 +694,4 @@ class TestFusedProfile:
         assert np.all(np.abs(got - direct) <= 1e-12 * scale)
 
         weights = np.conjugate(rho.kernel.values) * kernel.values
-        assert np.array_equal(got, grid.spacing**2 * _nu_profile(weights))
+        assert np.array_equal(got, grid.spacing**2 * engine._nu_profile(weights))
