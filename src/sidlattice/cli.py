@@ -153,6 +153,9 @@ def _build_diag(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Diagonal
         else:
             raise ConfigError(
                 f"{what} diag family must be one of {DIAG_FAMILIES} or explicit samples")
+    # a family sampled to zero; the state's quadrature check names its own
+    if "samples" not in doc and what != "state" and amplitude != 0.0 and not np.any(values):
+        raise ConfigError(f"{where} samples to zero on the grid")
     try:
         return DiagonalPart(grid, values)
     except ValueError as exc:
@@ -178,6 +181,8 @@ def _build_observable(grid: FrequencyGrid, doc: dict, what: str) -> VanHoveObser
         raise ConfigError(f"{what} must be an object with diag/kernel")
     diag = _build_diag(grid, _cfg_get(doc, "diag", dict, what, required=False), what)
     kernel = _build_kernel(grid, _cfg_get(doc, "kernel", dict, what, required=False), what)
+    if kernel.present and kernel.is_zero:
+        raise ConfigError(f"{what} kernel samples to zero on the grid")
     try:
         return VanHoveObservable(diag, kernel)
     except ValueError as exc:
@@ -229,6 +234,8 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
                          _cfg_get(grid_doc, "n_points", int, "grid"))
     except (SidLatticeError, ValueError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
+    if not math.isfinite(grid.recurrence_time):  # a subnormal spacing; the library takes it
+        raise ConfigError(f"invalid grid: spacing {grid.spacing} makes 2*pi/spacing overflow")
 
     partition = None
     if need_partition:

@@ -118,29 +118,33 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
     return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved, _adopt=True))
 
 
-def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable,
-                            out: Optional[np.ndarray] = None):
-    """Complex row blocks of D = -i [O1, O2] in _row_blocks order: fresh, or a zeroed out's.
+def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable):
+    """d_block(rows, dest=None): complex rows of D = -i [O1, O2], fresh or in a zeroed dest.
 
     [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1;
-    a cross term is skipped when its kernel is absent (unscanned) or zero, or
-    its diagonal constant. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H,
-    M = K1 o K2 (real for two real kernels), the one n x n array the blocks
-    need. A real block of [O1, O2] goes, negated, into D's imaginary part alone.
+    a cross term is skipped when its kernel is zero (``is_zero``: absent, or
+    read once) or its diagonal constant. For Hermitian kernels
+    K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
+    one n x n array the blocks need. It is formed here, by row blocks of K1
+    against K2 made dense for it alone. A real block of [O1, O2] goes,
+    negated, into D's imaginary part alone.
     """
     grid = _require_same_grid(o1.grid, o2.grid)
     n = grid.n_points
     d1, d2 = o1.diag.values, o2.diag.values
-    k1, k2 = o1.kernel.values, o2.kernel.values
-    has_k1 = o1.kernel.present and bool(np.any(k1))
-    has_k2 = o2.kernel.present and bool(np.any(k2))
-    cross1, cross2 = has_k2 and np.ptp(d1) != 0, has_k1 and np.ptp(d2) != 0
-    m = k1 @ k2 if has_k1 and has_k2 else None
+    k1, k2 = o1.kernel, o2.kernel
+    cross1, cross2 = not k2.is_zero and np.ptp(d1) != 0, not k1.is_zero and np.ptp(d2) != 0
+    m = None
+    if not (k1.is_zero or k2.is_zero):
+        right = k2.dense(np.result_type(k1.dtype, k2.dtype))
+        m = np.empty((n, n), right.dtype)
+        for rows in _row_blocks(n):
+            np.matmul(k1.rows(rows), right, out=m[rows])
 
-    def d_block(rows, dest):  # fresh D[rows], or written into dest
-        block = np.subtract.outer(d1[rows], d1) * k2[rows] if cross1 else None
+    def d_block(rows, dest=None):
+        block = np.subtract.outer(d1[rows], d1) * k2.rows(rows) if cross1 else None
         if cross2:
-            term = np.subtract.outer(d2[rows], d2) * k1[rows]
+            term = np.subtract.outer(d2[rows], d2) * k1.rows(rows)
             block = np.negative(term, out=term) if block is None else block - term
         if m is not None:
             mixing = m[rows] - m[:, rows].T.conj()
@@ -153,14 +157,15 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable,
             np.negative(block, out=d.imag)
         return d
 
-    for rows in _row_blocks(n):
-        yield d_block(rows, None if out is None else out[rows])
+    return d_block
 
 
 def _incompatibility_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarray:
     """Fresh, writable complex samples of D = -i [O1, O2], written block by block."""
+    d_block = _incompatibility_blocks(o1, o2)
     out = np.zeros((o1.grid.n_points,) * 2, dtype=np.complex128)
-    deque(_incompatibility_blocks(o1, o2, out), maxlen=0)
+    for rows in _row_blocks(o1.grid.n_points):
+        d_block(rows, out[rows])
     return out
 
 
@@ -180,7 +185,7 @@ def incompatibility_observable(o1: VanHoveObservable,
     """
     kernel = RegularKernel(o1.grid, _incompatibility_values(o1, o2), _adopt=True)
     if o1.kernel.hermitian_residual == 0.0 and o2.kernel.hermitian_residual == 0.0:
-        kernel._record_residual(0.0)
+        kernel.hermitian_residual = 0.0
     return IncompatibilityObservable(kernel)
 
 
@@ -192,7 +197,8 @@ def incompatibility_rows(o1: VanHoveObservable, o2: VanHoveObservable):
     block that is not finite raises ValueError, as RegularKernel does.
     """
     if o1.kernel.hermitian_residual == 0.0 and o2.kernel.hermitian_residual == 0.0:
-        return map(_finite, _incompatibility_blocks(o1, o2))
+        d_block = _incompatibility_blocks(o1, o2)
+        return (_finite(d_block(rows)) for rows in _row_blocks(o1.grid.n_points))
     return _stored_rows(incompatibility_observable(o1, o2).kernel)
 
 
@@ -251,7 +257,7 @@ def _kernel_profile(rho: VanHoveState, d_rows) -> np.ndarray:
         return np.zeros(2 * n - 1, dtype=np.complex128)
 
     def fill(rows, view):  # in the complex view, so real and complex operands mix
-        np.conjugate(rho.kernel.values[rows], out=view)
+        np.conjugate(rho.kernel.rows(rows, out=view), out=view)
         view *= next(d_rows)
 
     return rho.grid.spacing**2 * _skewed_profile(n, fill)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,11 +34,9 @@ STATE_NORM_TOL = 1e-10
 
 KERNEL_FAMILIES = ("gaussian_band", "lorentz_band", "rect_band", "random_bandlimited")
 _RANDOM_MODES = 6
-# Edge of the square tiles random_bandlimited is symmetrized in: a tile pair
-# stays cache-resident where a whole-array transpose does not.
-_MIX_TILE = 256
 # Rows per block of the Hermitian residual and of every other pass over an
 # n x n kernel (D, nu-profile, HS norm): bounds temporaries at 256 x n entries.
+# The random_bandlimited mixture is made in square tiles of the same edge.
 _RESIDUAL_BLOCK = _ROW_BLOCK = 256
 
 
@@ -48,8 +46,8 @@ def _row_blocks(n: int):
 
 
 def _stored_rows(kernel: RegularKernel):
-    """Iterator of a stored kernel's row blocks in _row_blocks order; None if absent."""
-    return (kernel.values[rows] for rows in _row_blocks(kernel.grid.n_points)) \
+    """Iterator of a kernel's row blocks in _row_blocks order, made as read; None if absent."""
+    return (kernel.rows(rows) for rows in _row_blocks(kernel.grid.n_points)) \
         if kernel.present else None
 
 
@@ -125,52 +123,113 @@ class DiagonalPart:
     def zeros(cls, grid: FrequencyGrid) -> "DiagonalPart":
         return cls(grid, np.zeros(grid.n_points))
 
-    @classmethod
-    def from_function(cls, grid: FrequencyGrid, fn) -> "DiagonalPart":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=np.float64))
+
+class _Tables(NamedTuple):
+    """K[k, l] = band[k - l + n - 1] * envelope[k + l], times the Hermitian part of
+    random_bandlimited's mode mixture B = mixed @ phases_h / 6 (mixed = phases @ coeff)."""
+
+    band: np.ndarray
+    envelope: np.ndarray
+    mixed: Optional[np.ndarray] = None
+    phases_h: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True, eq=False)
 class RegularKernel:
     """Real or complex samples K(omega_k, omega_l) of a regular two-frequency kernel.
 
-    ``values=None`` is the absent kernel K = 0 (``absent``): a read-only
-    float zero-stride view that holds no n x n array and is never scanned.
-    Other samples, float64 if real and complex128 if complex, are copied
-    unless ``_adopt`` is true, which the library passes for arrays it has
-    just built: those are frozen in place. Shape and finiteness are checked
-    either way, so an explicit zero array (``zeros``) is a present kernel
-    like any other. ``hermitian_residual`` is max |K - K^H| once known.
+    Each kernel is read by row blocks through ``rows``. ``values=None`` is
+    the absent kernel K = 0 (``absent``): a read-only float zero-stride view
+    that is never scanned. ``build_kernel`` passes ``_Tables``: that kernel
+    holds no n x n array and makes rows on demand; ``values`` is built once,
+    when first asked. Other samples, float64 if real and complex128 if
+    complex, are copied unless ``_adopt`` is true, which the library passes
+    for arrays it has just built: those are frozen in place. Shape and
+    finiteness are checked either way, so an explicit zero array (``zeros``)
+    is a present kernel like any other. ``hermitian_residual`` is
+    max |K - K^H| once known.
     """
 
-    grid: FrequencyGrid
-    values: Optional[np.ndarray]
-    _adopt: InitVar[bool] = False
-    present: bool = field(default=True, init=False)
-    hermitian_residual: Optional[float] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self, _adopt):
-        n = self.grid.n_points
-        if self.values is None:
-            object.__setattr__(self, "values", np.broadcast_to(np.float64(0.0), (n, n)))
-            object.__setattr__(self, "present", False)
-            self._record_residual(0.0)
-            return
-        dtype = np.complex128 if np.iscomplexobj(self.values) else np.float64
-        object.__setattr__(
-            self, "values", _frozen_array(self.values, dtype, (n, n), copy=not _adopt))
+    def __init__(self, grid: FrequencyGrid, values, _adopt: bool = False):
+        n = grid.n_points
+        self.grid = grid
+        self.present = values is not None
+        self.hermitian_residual: Optional[float] = None if self.present else 0.0
+        self._tables = values if isinstance(values, _Tables) else None
+        if values is None:
+            self.values = np.broadcast_to(np.float64(0.0), (n, n))
+        elif self._tables is None:
+            dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+            self.values = _frozen_array(values, dtype, (n, n), copy=not _adopt)
+        self.dtype = self.values.dtype if self._tables is None else np.dtype(
+            np.float64 if self._tables.mixed is None else np.complex128)
 
     @classmethod
     def absent(cls, grid: FrequencyGrid) -> "RegularKernel":
         return cls(grid, None)
 
-    def _record_residual(self, residual: float) -> None:
-        object.__setattr__(self, "hermitian_residual", residual)
-
     @classmethod
     def zeros(cls, grid: FrequencyGrid) -> "RegularKernel":
         n = grid.n_points
         return cls(grid, np.zeros((n, n), dtype=np.complex128), _adopt=True)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The n x n samples of a tabulated kernel, made by row blocks and kept read-only."""
+        values = self.dense()
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def is_zero(self) -> bool:
+        """True iff every sample is 0: absent, or read up to the first row block that is not."""
+        return not (self.present and any(map(np.any, _stored_rows(self))))
+
+    def dense(self, dtype=None) -> np.ndarray:
+        """A fresh n x n array of the samples as dtype, written by row blocks."""
+        n = self.grid.n_points
+        out = np.empty((n, n), self.dtype if dtype is None else dtype)
+        for rows in _row_blocks(n):
+            self.rows(rows, out[rows])
+        return out
+
+    def rows(self, block: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """K[block] for a slice of _row_blocks: into out if given, else fresh or a read-only
+        view. For random_bandlimited other slices may differ from values[block] in the last bits.
+        """
+        if self._tables is None:
+            return self.values[block] if out is None else np.positive(self.values[block], out=out)
+        band, envelope, mixed, phases_h = self._tables
+        n = self.grid.n_points
+        toeplitz = sliding_window_view(band, n)[block, ::-1]
+        hankel = sliding_window_view(envelope, n)[block]
+        if mixed is None:
+            return np.multiply(toeplitz, hankel, out=out)
+        out = np.empty(toeplitz.shape, np.complex128) if out is None else out
+        for cols in _row_blocks(n):
+            # 0.5 (B + B^H) * toeplitz * hankel, in this order, in a contiguous tile
+            # (numpy buffers a ufunc that writes into a strided out)
+            tile, mirror = _mixture_tile(mixed, phases_h, block, cols), \
+                _mixture_tile(mixed, phases_h, cols, block)
+            np.add(tile, np.conjugate(mirror, out=mirror).T, out=tile)
+            tile *= 0.5
+            tile *= toeplitz[:, cols]
+            tile *= hankel[:, cols]
+            out[:, cols] = tile
+            del tile, mirror  # else they are alive while the next pair is made
+        return out
+
+
+def _mixture_tile(mixed: np.ndarray, phases_h: np.ndarray, rows: slice,
+                  cols: slice) -> np.ndarray:
+    """B[rows, cols] for slices of _row_blocks, bit for bit the whole product's entries.
+
+    A slab one row or column wide (a last block) is widened by the one before
+    and trimmed: numpy would take a matrix-vector product, which rounds differently.
+    """
+    r, c = int(rows.stop - rows.start == 1), int(cols.stop - cols.start == 1)
+    tile = (mixed[rows.start - r:rows.stop] @ phases_h[:, cols.start - c:cols.stop])[r:, c:]
+    tile /= _RANDOM_MODES
+    return tile
 
 
 def _require_same_grid(*grids: FrequencyGrid) -> FrequencyGrid:
@@ -324,48 +383,6 @@ def _warn_on_envelope_leak(grid: FrequencyGrid, spec: KernelFamilySpec) -> None:
         )
 
 
-def _mix_tile(tile, mirror, toeplitz, hankel) -> None:
-    np.add(tile, mirror.conj().T, out=tile)
-    tile *= 0.5
-    tile *= toeplitz
-    tile *= hankel
-
-
-def _hermitian_mix(base: np.ndarray, toeplitz: np.ndarray,
-                   hankel: np.ndarray) -> np.ndarray:
-    """0.5 (B + B^H) * toeplitz * hankel, written over B, one tile pair at a time.
-
-    Tile (I, J) is copied before it is written, so its mirror (J, I) still
-    reads the original samples; each entry gets the same IEEE operations, in
-    the same order, as the whole-array expression, without its n x n
-    temporaries.
-    """
-    n = base.shape[0]
-    for i in range(0, n, _MIX_TILE):
-        rows = slice(i, i + _MIX_TILE)
-        for j in range(i, n, _MIX_TILE):
-            cols = slice(j, j + _MIX_TILE)
-            upper = base[rows, cols].copy()
-            lower = base[cols, rows] if i != j else upper
-            _mix_tile(base[rows, cols], lower, toeplitz[rows, cols], hankel[rows, cols])
-            if i != j:
-                _mix_tile(base[cols, rows], upper, toeplitz[cols, rows], hankel[cols, rows])
-    return base
-
-
-def _random_bandlimited(grid: FrequencyGrid, spec: KernelFamilySpec,
-                        toeplitz: np.ndarray, hankel: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed)
-    phases = np.exp(
-        2j * math.pi * np.outer(grid.nodes / grid.omega_max, np.arange(_RANDOM_MODES)))
-    coeff = rng.standard_normal((_RANDOM_MODES, _RANDOM_MODES)) \
-        + 1j * rng.standard_normal((_RANDOM_MODES, _RANDOM_MODES))
-    coeff = 0.5 * (coeff + coeff.conj().T)
-    base = phases @ coeff @ phases.conj().T
-    base /= _RANDOM_MODES
-    return _hermitian_mix(base, toeplitz, hankel)
-
-
 def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     """Sample a closed-form kernel family on the grid.
 
@@ -377,11 +394,16 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     when the s-envelope leaks more than 1e-6 of its mass outside the window.
 
     On the midpoint grid nu = h (k - l) and s = h (k + l + 1) / 2 for nodes
-    k, l, so each factor is tabulated once on 2n - 1 points and spread over
-    the n x n grid as a Toeplitz (nu) and a Hankel (s) view of that table.
-    The real families are float64; random_bandlimited, complex, takes the
-    Hermitian part 0.5 (B + B^H) of its mode mixture B times both views in
-    place, tile pair by tile pair.
+    k, l, so each factor is tabulated once on 2n - 1 points. The kernel keeps
+    these tables (and random_bandlimited its n x 6 mode factors), no n x n
+    array, and makes each row block on demand as a Toeplitz (nu) view times
+    a Hankel (s) view of them. The real families are float64;
+    random_bandlimited, complex, takes the Hermitian part 0.5 (B + B^H) of
+    its mode mixture B times both views, tile by tile.
+
+    The envelope is at most 1, so |K| <= max |band|, times sum |coeff| for
+    the mixture. Only when that bound is not finite are the rows scanned
+    here, and a sample that is not finite raises ValueError.
 
     With a bitwise symmetric band table the kernel carries the residual 0.0
     unscanned: entries (k, l) and (l, k) are then products of the same IEEE
@@ -390,7 +412,7 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     _warn_on_envelope_leak(grid, spec)
     n = grid.n_points
     h = grid.spacing
-    # a huge amplitude overflows to inf or nan here; RegularKernel rejects those
+    # a huge amplitude overflows to inf or nan here; the bound below catches those
     with np.errstate(over="ignore", invalid="ignore"):
         steps = np.arange(2 * n - 1, dtype=np.float64)
         nu = h * (steps - (n - 1))
@@ -407,16 +429,23 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
         else:  # pragma: no cover - rejected at spec construction
             raise UnsupportedFamily(spec.family)
         band *= spec.amplitude
-        # toeplitz[k, l] = band[k - l + n - 1]; hankel[k, l] = envelope[k + l]
-        toeplitz = sliding_window_view(band, n)[:, ::-1]
-        hankel = sliding_window_view(envelope, n)
+        bound = float(np.max(np.abs(band)))
+        modes = ()
         if spec.family == "random_bandlimited":
-            values = _random_bandlimited(grid, spec, toeplitz, hankel)
-        else:
-            values = np.multiply(toeplitz, hankel)
-    kernel = RegularKernel(grid, values, _adopt=True)
+            rng = np.random.default_rng(spec.seed)
+            phases = np.exp(2j * math.pi * np.outer(grid.nodes / grid.omega_max,
+                                                    np.arange(_RANDOM_MODES)))
+            coeff = rng.standard_normal((_RANDOM_MODES, _RANDOM_MODES)) \
+                + 1j * rng.standard_normal((_RANDOM_MODES, _RANDOM_MODES))
+            coeff = 0.5 * (coeff + coeff.conj().T)
+            modes = (phases @ coeff, phases.conj().T)
+            bound *= float(np.sum(np.abs(coeff)))
+        kernel = RegularKernel(grid, _Tables(band, envelope, *modes))
+        if not math.isfinite(bound):
+            for block in _stored_rows(kernel):
+                _finite(block)
     if np.array_equal(band, band[::-1]):
-        kernel._record_residual(0.0)
+        kernel.hermitian_residual = 0.0
     return kernel
 
 
@@ -435,17 +464,42 @@ def kernel_compose(k1: RegularKernel, k2: RegularKernel) -> RegularKernel:
     return RegularKernel(grid, grid.spacing * (k1.values @ k2.values), _adopt=True)
 
 
-def _sum_of_squares(block: np.ndarray) -> float:
-    """sum |K|^2 over a block of K, from the re, im parts of a complex block."""
-    parts = block.reshape(-1).view(np.float64)
-    return float(parts @ parts)
+_BIG = 2.0**600  # parts divided by it square to a finite sum in any n x n kernel
+
+
+class _SumOfSquares:
+    """sum |K|^2 over blocks of K, held as scale^2 * total: scale is 1 until the plain sum
+    overflows, then _BIG, by which each block is divided before it is squared (Blue,
+    ACM TOMS 4, 1978; Anderson, ACM TOMS 44, 2017)."""
+
+    def __init__(self):
+        self.total, self.scale = 0.0, 1.0
+
+    def add(self, block: np.ndarray) -> None:
+        parts = block.reshape(-1).view(np.float64)  # re, im parts of a complex block
+        if self.scale == 1.0:
+            with np.errstate(over="ignore"):
+                total = self.total + float(parts @ parts)
+            if math.isfinite(total):
+                self.total = total
+                return
+            self.total, self.scale = self.total / _BIG / _BIG, _BIG
+        parts = parts / _BIG
+        self.total += float(parts @ parts)
+
+    def norm(self, spacing: float) -> float:
+        """spacing * sqrt(sum |K|^2), the Hilbert-Schmidt norm: inf only if it overflows."""
+        return spacing * math.sqrt(self.total) * self.scale
 
 
 def hs_norm(kernel: RegularKernel) -> float:
     """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2), summed by row blocks; 0 iff K = 0."""
     if not kernel.present:
         return 0.0
-    return kernel.grid.spacing * math.sqrt(sum(map(_sum_of_squares, _stored_rows(kernel))))
+    squares = _SumOfSquares()
+    for block in _stored_rows(kernel):
+        squares.add(block)
+    return squares.norm(kernel.grid.spacing)
 
 
 def _hermitian_residual(values: np.ndarray) -> float:
@@ -465,7 +519,7 @@ def check_hermitian(kernel: RegularKernel, tol: Optional[float] = None) -> bool:
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     residual = _hermitian_residual(kernel.values)
-    kernel._record_residual(residual)
+    kernel.hermitian_residual = residual
     return residual <= tol
 
 

@@ -553,3 +553,60 @@ class TestStreamedIncompatibility:
         assert err.startswith("error: cannot evaluate the scenario: ")
         assert err.count("\n") == 1 and "finite" in err
         assert not (tmp_path / "r.json").exists() and not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("operand,value,message", [
+    ("O1", {"diag": {"family": "gaussian", "mu": 10.0, "Sigma": 1e-320}},
+     "O1 diag samples to zero on the grid"),
+    ("O2", {"kernel": {"family": "gaussian_band", "sigma": 1.5, "mu": 1e200, "Sigma": 2.0}},
+     "O2 kernel samples to zero on the grid"),
+], ids=["diag-narrower-than-the-spacing", "kernel-envelope-outside-the-window"])
+def test_operand_that_samples_to_zero_exits_2_naming_it(tmp_path, capsys, operand, value,
+                                                        message):
+    from sidlattice import SupportOverflowWarning
+
+    doc = _base_config()
+    doc["observables"][operand] = value
+    cfg = _write(tmp_path / "cfg.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportOverflowWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                     "--series", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("diag", [{"family": "zero"}, {"family": "constant", "amplitude": 0.0}])
+def test_diag_zero_by_family_or_amplitude_still_commutes(tmp_path, diag):
+    doc = _base_config()
+    doc["observables"]["O2"] = {"diag": diag}  # against O1's linear diagonal: D = 0
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 5
+
+
+def test_hs_norm_past_the_square_overflow_is_finite(tmp_path):
+    doc = _base_config(n_points=300)
+    doc["observables"]["O1"]["diag"]["amplitude"] = 1e150
+    doc["observables"]["O2"]["kernel"]["amplitude"] = 1e10
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert 1e150 < report["hs_norm_initial"] < math.inf
+    assert report["hs_norm_final"] == pytest.approx(report["hs_norm_initial"], rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["emerge", "simulate"])
+def test_subnormal_spacing_exits_2_with_one_line(tmp_path, capsys, command):
+    doc = _base_config(n_points=256)
+    doc["grid"]["omega_max"] = 1e-320  # a nonzero spacing whose 2*pi/spacing overflows
+    cfg = _write(tmp_path / "cfg.json", doc)
+    outputs = {"emerge": ["--report", str(tmp_path / "r.json"),
+                          "--series", str(tmp_path / "s.csv")],
+               "simulate": ["--out", str(tmp_path / "s.csv")]}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", cfg, *outputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid grid: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -327,6 +328,41 @@ class TestPeakMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= bound, name
+
+
+    def test_emerge_builds_and_holds_no_n_by_n_kernel(self, tmp_path):
+        """The emerge-n2048 benchmark scenario, its kernels built inside the traced window.
+
+        The state kernel alone, stored, would be one whole n x n complex
+        array; the bound is 0.6 of one.
+        """
+        n = 2048
+        doc = {
+            "grid": {"omega_max": 20.0, "n_points": n},
+            "state": {
+                "diag": {"family": "gaussian", "mu": 10.0, "Sigma": 3.0},
+                "kernel": {"family": "random_bandlimited", "sigma": math.sqrt(2.0),
+                           "mu": 10.0, "Sigma": 2.0, "seed": 1}},
+            "observables": {
+                "O1": {"diag": {"family": "linear"}},
+                "O2": {"kernel": {"family": "gaussian_band", "sigma": math.sqrt(2.0),
+                                  "mu": 10.0, "Sigma": 2.0}}},
+            "time": {"t_max": 10.0, "n_samples": 201},
+            "thresholds": {"epsilon": 1e-6},
+            "partition": {"n_bins": 4},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            s = cli.load_scenario(str(cfg), need_partition=True, outputs={})
+            report = run_emergence(s.rho, s.o1, s.o2, s.partition, s.t_max, s.n_samples,
+                                   s.epsilon, s.decoherence_ratio, s.sustain)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verdict is Verdict.BOOLEANIZED
+        assert peak <= 0.6 * n * n * 16
 
 
 def _operands(grid, o1_kernel, o1_family="lorentz_band"):

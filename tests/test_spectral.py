@@ -430,25 +430,7 @@ def _whole_array_mix(base, toeplitz, hankel):
     return mix
 
 
-_ACROSS_TILE_EDGES = st.one_of(st.sampled_from([1, 2, 255, 256, 257, 513]),
-                               st.integers(1, 600))
-_EITHER_SIGN = st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05)
-
-
 class TestTiledRandomBandlimited:
-    @settings(max_examples=30, deadline=None)
-    @given(n=_ACROSS_TILE_EDGES, amplitude=_EITHER_SIGN,
-           seed=st.integers(0, 2**32 - 1))
-    def test_tiled_mix_is_the_whole_array_expression_bit_for_bit(
-            self, n, amplitude, seed):
-        rng = np.random.default_rng(seed)
-        base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        toeplitz, hankel = _random_bandlimited_tables(n, amplitude)
-        expected = _whole_array_mix(base, toeplitz, hankel)
-        got = spectral._hermitian_mix(base.copy(), toeplitz, hankel)
-        assert np.array_equal(got.view(np.uint8), expected.view(np.uint8))
-        assert spectral._hermitian_residual(got) == 0.0
-
     @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
     @pytest.mark.parametrize("amplitude", [1.0, -0.7])
     def test_build_is_the_whole_array_formula_bit_for_bit(self, n, amplitude):
@@ -612,3 +594,70 @@ class TestHermitianResidualRecord:
         assert k.hermitian_residual is None
         VanHoveObservable.kernel_only(k)
         assert calls == [k] and k.hermitian_residual == 0.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+_FAMILY_WIDTHS = {"gaussian_band": {"sigma": 1.5}, "lorentz_band": {"gamma": 0.7},
+                  "rect_band": {"sigma": 1.5}, "random_bandlimited": {"sigma": 1.5, "seed": 11}}
+
+
+class TestTabulatedKernelRows:
+    @pytest.mark.parametrize("family", sorted(_FAMILY_WIDTHS))
+    @pytest.mark.parametrize("n", [2, 7, 255, 256, 257, 513])
+    def test_rows_are_the_densified_values_bit_for_bit(self, family, n):
+        grid = make_grid(20.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportOverflowWarning)
+            kernel = build_kernel(grid, KernelFamilySpec(
+                family, amplitude=-0.7, mu=10.0, Sigma=2.0, **_FAMILY_WIDTHS[family]))
+        blocks = list(spectral._row_blocks(n))
+        fresh = [kernel.rows(b) for b in blocks]
+        written = [kernel.rows(b, out=np.zeros((b.stop - b.start, n), complex))
+                   for b in blocks]
+        made = []
+        rows = RegularKernel.rows
+        with patch.object(RegularKernel, "rows",
+                          lambda self, *args: made.append(args) or rows(self, *args)):
+            values = kernel.values
+            assert kernel.values is values
+        assert len(made) == len(blocks)  # built once, row block by row block
+        assert not values.flags.writeable and values.dtype == kernel.dtype
+        for block, got, into in zip(blocks, fresh, written):
+            assert np.array_equal(_bits(got), _bits(values[block]))
+            assert np.array_equal(_bits(into), _bits(values[block].astype(complex)))
+
+    def test_zero_test_reads_up_to_the_first_nonzero_block_once(self):
+        grid = make_grid(20.0, 600)
+        with pytest.warns(SupportOverflowWarning):
+            outside = build_kernel(grid, _quiet_gaussian(mu=1e200))
+        assert outside.is_zero
+        kernel = build_kernel(grid, _quiet_gaussian())
+        read = []
+        rows = RegularKernel.rows
+        with patch.object(RegularKernel, "rows",
+                          lambda self, *args: read.append(args) or rows(self, *args)):
+            assert not kernel.is_zero and not kernel.is_zero
+        assert read == [(slice(0, 256),)]
+        assert RegularKernel.absent(grid).is_zero and RegularKernel.zeros(grid).is_zero
+
+
+class TestHsNormPastTheSquareOverflow:
+    def test_block_past_the_overflow_is_rescaled(self):
+        g = make_grid(10.0, 300)  # a plain first row block, then one whose squares overflow
+        values = np.ones((300, 300))
+        values[256:] = 1e200
+        expected = g.spacing * 1e200 * math.sqrt(44 * 300)
+        assert hs_norm(RegularKernel(g, values)) == pytest.approx(expected, rel=1e-14)
+        assert hs_norm(RegularKernel(g, -1j * values)) == pytest.approx(expected, rel=1e-14)
+
+    def test_ordinary_norm_is_the_plain_sum(self):
+        g = make_grid(20.0, 300)
+        kernel = build_kernel(g, _quiet_gaussian())
+        plain = 0.0
+        for block in spectral._row_blocks(300):
+            parts = kernel.values[block].ravel()
+            plain += float(parts @ parts)
+        assert hs_norm(kernel) == g.spacing * math.sqrt(plain)
