@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,9 +28,9 @@ from .engine import (
     ExpectationSeries,
     analytic_decay,
     combined_decay_rate,
-    incompatibility_rows,
+    expectation_series,
+    incompatibility_observable,
     require_window,
-    series_from_rows,
 )
 from .errors import ConfigError, SidLatticeError, UnsupportedFamily, WindowExceeded
 from .lattice import (
@@ -62,6 +63,8 @@ EXIT_LAWS = 4
 EXIT_DEGENERATE = 5
 
 DIAG_FAMILIES = ("linear", "constant", "gaussian", "zero")
+# oracle family -> (analytic decay kind, width parameter)
+_ORACLE_FORMS = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lorentz", "gamma")}
 # Cap on time.n_samples, checked before any kernel is built (a guard, not an option)
 MAX_SAMPLES = 1_000_000
 
@@ -234,8 +237,6 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
                          _cfg_get(grid_doc, "n_points", int, "grid"))
     except (SidLatticeError, ValueError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
-    if not math.isfinite(grid.recurrence_time):  # a subnormal spacing; the library takes it
-        raise ConfigError(f"invalid grid: spacing {grid.spacing} makes 2*pi/spacing overflow")
 
     partition = None
     if need_partition:
@@ -316,8 +317,8 @@ def run_simulate(config_path: str, out_path: Optional[str]) -> int:
     scenario = load_scenario(config_path, need_partition=False,
                              outputs={"series": out_path})
     with _evaluating():
-        series = series_from_rows(scenario.rho, incompatibility_rows(scenario.o1, scenario.o2),
-                                  scenario.t_max, scenario.n_samples)
+        incompat = incompatibility_observable(scenario.o1, scenario.o2)
+        series = expectation_series(scenario.rho, incompat, scenario.t_max, scenario.n_samples)
     _write_series_csv(scenario.outputs["series"], series)
     return EXIT_OK
 
@@ -454,37 +455,21 @@ def run_oracle(family: str, params_json: str, t_list: str) -> int:
     if not np.all(np.isfinite(times)):
         raise ConfigError("--t times must be finite")
 
-    if family == "gaussian_band":
-        kind = "gaussian"
-        if "sigma_c" in params:
-            rate = float(params["sigma_c"])
-        else:
-            try:
-                spec1 = KernelFamilySpec(family, sigma=float(params["sigma1"]),
-                                         mu=0.0, Sigma=1.0)
-                spec2 = KernelFamilySpec(family, sigma=float(params["sigma2"]),
-                                         mu=0.0, Sigma=1.0)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(
-                    "gaussian_band oracle needs sigma_c or sigma1+sigma2") from exc
-            kind, rate = combined_decay_rate(spec1, spec2)
-    elif family == "lorentz_band":
-        kind = "lorentz"
-        if "gamma_c" in params:
-            rate = float(params["gamma_c"])
-        else:
-            try:
-                spec1 = KernelFamilySpec(family, gamma=float(params["gamma1"]),
-                                         mu=0.0, Sigma=1.0)
-                spec2 = KernelFamilySpec(family, gamma=float(params["gamma2"]),
-                                         mu=0.0, Sigma=1.0)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(
-                    "lorentz_band oracle needs gamma_c or gamma1+gamma2") from exc
-            kind, rate = combined_decay_rate(spec1, spec2)
-    else:
+    if family not in _ORACLE_FORMS:
         raise ConfigError(
             f"oracle family must be gaussian_band or lorentz_band, got {family!r}")
+    kind, width = _ORACLE_FORMS[family]
+    if f"{width}_c" in params:
+        rate = float(params[f"{width}_c"])
+    else:
+        try:
+            specs = [KernelFamilySpec(family, mu=0.0, Sigma=1.0,
+                                      **{width: float(params[f"{width}{i}"])})
+                     for i in (1, 2)]
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(
+                f"{family} oracle needs {width}_c or {width}1+{width}2") from exc
+        kind, rate = combined_decay_rate(*specs)
     if not (math.isfinite(rate) and rate > 0):
         raise ConfigError(f"decay rate must be positive, got {rate}")
 
@@ -526,6 +511,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    if args.command == "simulate":
+        return run_simulate(args.config, args.out)
+    if args.command == "lattice":
+        return run_lattice(args.input, args.state, args.report, args.max_elements)
+    if args.command == "emerge":
+        return run_emerge(args.config, args.report, args.series)
+    if args.command == "oracle":
+        return run_oracle(args.family, args.params, args.t)
+    raise ConfigError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -534,23 +531,22 @@ def main(argv=None) -> int:
         # read once here, before any validation, so the message names it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        if args.command == "simulate":
-            return run_simulate(args.config, args.out)
-        if args.command == "lattice":
-            return run_lattice(args.input, args.state, args.report, args.max_elements)
-        if args.command == "emerge":
-            return run_emerge(args.config, args.report, args.series)
-        if args.command == "oracle":
-            return run_oracle(args.family, args.params, args.t)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except WindowExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except SidLatticeError as exc:
-        # ConfigError and any other domain precondition failure
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # a run that fails prints its error line alone; one that succeeds, each warning
+    # (an envelope leak) as one line after its work
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _run(args)
+        except WindowExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_WINDOW
+        except SidLatticeError as exc:
+            # ConfigError and any other domain precondition failure
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    if code == EXIT_OK:
+        for caught_warning in caught:
+            print(f"warning: {caught_warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .engine import (
     DEFAULT_THRESHOLD_RATIO,
     ExpectationSeries,
     decoherence_time,
-    incompatibility_rows,
+    incompatibility_observable,
     phased_values,
     series_from_rows,
 )
@@ -241,8 +241,8 @@ def run_emergence(rho: VanHoveState,
                   max_elements: int = DEFAULT_MAX_ELEMENTS) -> EmergenceReport:
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
-    Each row block of D (see incompatibility_rows) goes once into the series
-    and into hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
+    Each row block of D (see incompatibility_observable) goes once into the
+    series and into hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
 
     DEGENERATE means the premise failed: the observables already commute
     (the incompatibility kernel vanishes relative to the operand scale), so
@@ -253,16 +253,17 @@ def run_emergence(rho: VanHoveState,
     grid = _require_same_grid(rho.grid, o1.grid, o2.grid)
     initial, final = _SumOfSquares(), _SumOfSquares()  # |D|^2 at t = 0 and at t_max
 
-    def tallied(d_rows):
+    def tallied(d):
         phases = np.exp(1j * t_max * grid.nodes)
         for rows in _row_blocks(grid.n_points):
-            block = next(d_rows)
+            block = d.rows(rows)
             initial.add(block)
             final.add(phased_values(block, phases, rows))
             yield block
             del block  # so that the next block is not made beside this one
 
-    series = series_from_rows(rho, tallied(incompatibility_rows(o1, o2)), t_max, n_samples)
+    series = series_from_rows(rho, tallied(incompatibility_observable(o1, o2).kernel),
+                              t_max, n_samples)
     hs_initial, hs_final = initial.norm(grid.spacing), final.norm(grid.spacing)
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)

@@ -33,6 +33,7 @@ from .spectral import (
     VanHoveObservable,
     VanHoveState,
     _ROW_BLOCK,
+    _Rows,
     _finite,
     _require_same_grid,
     _row_blocks,
@@ -118,8 +119,8 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
     return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved, _adopt=True))
 
 
-def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable):
-    """d_block(rows, dest=None): complex rows of D = -i [O1, O2], fresh or in a zeroed dest.
+def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
+    """D = -i [O1, O2] as a made kernel: complex row blocks, each checked finite as made.
 
     [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1;
     a cross term is skipped when its kernel is zero (``is_zero``: absent, or
@@ -128,6 +129,11 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable):
     one n x n array the blocks need. It is formed here, by row blocks of K1
     against K2 made dense for it alone. A real block of [O1, O2] goes,
     negated, into D's imaginary part alone.
+
+    When both operand kernels are exactly Hermitian (recorded residual 0.0,
+    or absent), so is D, which records 0.0 with no scan: IEEE rounding is
+    sign-symmetric, so the cross terms (d(w) - d(w')) K and the mixing term
+    M - M^H come out exactly anti-Hermitian.
     """
     grid = _require_same_grid(o1.grid, o2.grid)
     n = grid.n_points
@@ -141,7 +147,7 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable):
         for rows in _row_blocks(n):
             np.matmul(k1.rows(rows), right, out=m[rows])
 
-    def d_block(rows, dest=None):
+    def make(rows, out=None):
         block = np.subtract.outer(d1[rows], d1) * k2.rows(rows) if cross1 else None
         if cross2:
             term = np.subtract.outer(d2[rows], d2) * k1.rows(rows)
@@ -151,55 +157,29 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable):
             mixing *= grid.spacing
             block = mixing if block is None else block + mixing
         if block is not None and np.iscomplexobj(block):
-            return np.multiply(block, -1j, out=block if dest is None else dest)
-        d = np.zeros((rows.stop - rows.start, n), np.complex128) if dest is None else dest
+            return _finite(np.multiply(block, -1j, out=block if out is None else out))
+        d = np.zeros((rows.stop - rows.start, n), np.complex128) if out is None else out
+        if out is not None:
+            d.fill(0.0)  # a real block writes D's imaginary part alone
         if block is not None:  # else no term at all: D = 0
             np.negative(block, out=d.imag)
-        return d
+        return _finite(d)
 
-    return d_block
-
-
-def _incompatibility_values(o1: VanHoveObservable, o2: VanHoveObservable) -> np.ndarray:
-    """Fresh, writable complex samples of D = -i [O1, O2], written block by block."""
-    d_block = _incompatibility_blocks(o1, o2)
-    out = np.zeros((o1.grid.n_points,) * 2, dtype=np.complex128)
-    for rows in _row_blocks(o1.grid.n_points):
-        d_block(rows, out[rows])
-    return out
+    kernel = RegularKernel(grid, _Rows(make, np.dtype(np.complex128)))
+    if k1.hermitian_residual == 0.0 and k2.hermitian_residual == 0.0:
+        kernel.hermitian_residual = 0.0
+    return kernel
 
 
 def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
     """Regular kernel of [O1, O2] = i D; anti-Hermitian, singular part identically zero."""
-    return RegularKernel(o1.grid, 1j * _incompatibility_values(o1, o2), _adopt=True)
+    return RegularKernel(o1.grid, 1j * _incompatibility_blocks(o1, o2).values, _adopt=True)
 
 
 def incompatibility_observable(o1: VanHoveObservable,
                                o2: VanHoveObservable) -> IncompatibilityObservable:
-    """Hermitian D = -i [O1, O2], written one row block at a time.
-
-    When both operand kernels are exactly Hermitian (recorded residual 0.0,
-    or absent), so is D, with no scan: IEEE rounding is sign-symmetric, so
-    the cross terms (d(w) - d(w')) K and the mixing term M - M^H come out
-    exactly anti-Hermitian. Any other D is scanned at 1e-10.
-    """
-    kernel = RegularKernel(o1.grid, _incompatibility_values(o1, o2), _adopt=True)
-    if o1.kernel.hermitian_residual == 0.0 and o2.kernel.hermitian_residual == 0.0:
-        kernel.hermitian_residual = 0.0
-    return IncompatibilityObservable(kernel)
-
-
-def incompatibility_rows(o1: VanHoveObservable, o2: VanHoveObservable):
-    """Iterator of D's row blocks in _row_blocks order, each to be read once.
-
-    Made as read, with no n x n D, from operands exactly Hermitian by the rule of
-    incompatibility_observable; else the rows of its checked D. Either way a
-    block that is not finite raises ValueError, as RegularKernel does.
-    """
-    if o1.kernel.hermitian_residual == 0.0 and o2.kernel.hermitian_residual == 0.0:
-        d_block = _incompatibility_blocks(o1, o2)
-        return (_finite(d_block(rows)) for rows in _row_blocks(o1.grid.n_points))
-    return _stored_rows(incompatibility_observable(o1, o2).kernel)
+    """Hermitian D = -i [O1, O2], made by row blocks; stored only if it must be scanned."""
+    return IncompatibilityObservable(_incompatibility_blocks(o1, o2))
 
 
 def _skewed_profile(n: int, fill) -> np.ndarray:
@@ -299,7 +279,7 @@ def series_from_rows(rho: VanHoveState, d_rows, t_max: float,
 
 def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
                        t_max: float, n_samples: int) -> ExpectationSeries:
-    """Uniformly sampled expectation of incompat: series_from_rows over its stored kernel."""
+    """Uniformly sampled expectation of incompat: series_from_rows over its kernel's rows."""
     _require_same_grid(rho.grid, incompat.grid)
     return series_from_rows(rho, _stored_rows(incompat.kernel), t_max, n_samples)
 

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -81,6 +81,8 @@ class FrequencyGrid:
             raise TooFewPoints(f"need at least 2 points, got {self.n_points}")
         if self.spacing == 0.0:
             raise NonPositiveRange(f"spacing {self.omega_max} / {self.n_points} underflows to 0")
+        if not math.isfinite(self.recurrence_time):
+            raise NonPositiveRange(f"spacing {self.spacing} makes 2*pi/spacing overflow")
 
     @property
     def spacing(self) -> float:
@@ -124,14 +126,11 @@ class DiagonalPart:
         return cls(grid, np.zeros(grid.n_points))
 
 
-class _Tables(NamedTuple):
-    """K[k, l] = band[k - l + n - 1] * envelope[k + l], times the Hermitian part of
-    random_bandlimited's mode mixture B = mixed @ phases_h / 6 (mixed = phases @ coeff)."""
+class _Rows(NamedTuple):
+    """Rows made on demand: make(block, out=None) is K[block], fresh or written into out."""
 
-    band: np.ndarray
-    envelope: np.ndarray
-    mixed: Optional[np.ndarray] = None
-    phases_h: Optional[np.ndarray] = None
+    make: Callable
+    dtype: np.dtype
 
 
 class RegularKernel:
@@ -139,14 +138,15 @@ class RegularKernel:
 
     Each kernel is read by row blocks through ``rows``. ``values=None`` is
     the absent kernel K = 0 (``absent``): a read-only float zero-stride view
-    that is never scanned. ``build_kernel`` passes ``_Tables``: that kernel
-    holds no n x n array and makes rows on demand; ``values`` is built once,
-    when first asked. Other samples, float64 if real and complex128 if
-    complex, are copied unless ``_adopt`` is true, which the library passes
-    for arrays it has just built: those are frozen in place. Shape and
-    finiteness are checked either way, so an explicit zero array (``zeros``)
-    is a present kernel like any other. ``hermitian_residual`` is
-    max |K - K^H| once known.
+    that is never scanned. A made kernel (``_Rows``: every built kernel, and
+    D = -i [O1, O2]) holds no n x n array and makes rows on demand;
+    ``values`` is built once, when first asked, and from then on serves the
+    rows while the maker is dropped. Other samples, float64 if real and
+    complex128 if complex, are copied unless ``_adopt`` is true, which the
+    library passes for arrays it has just built: those are frozen in place.
+    Shape and finiteness are checked either way, so an explicit zero array
+    (``zeros``) is a present kernel like any other. ``hermitian_residual``
+    is max |K - K^H| once known.
     """
 
     def __init__(self, grid: FrequencyGrid, values, _adopt: bool = False):
@@ -154,14 +154,13 @@ class RegularKernel:
         self.grid = grid
         self.present = values is not None
         self.hermitian_residual: Optional[float] = None if self.present else 0.0
-        self._tables = values if isinstance(values, _Tables) else None
+        self._maker = values if isinstance(values, _Rows) else None
         if values is None:
             self.values = np.broadcast_to(np.float64(0.0), (n, n))
-        elif self._tables is None:
+        elif self._maker is None:
             dtype = np.complex128 if np.iscomplexobj(values) else np.float64
             self.values = _frozen_array(values, dtype, (n, n), copy=not _adopt)
-        self.dtype = self.values.dtype if self._tables is None else np.dtype(
-            np.float64 if self._tables.mixed is None else np.complex128)
+        self.dtype = self.values.dtype if self._maker is None else self._maker.dtype
 
     @classmethod
     def absent(cls, grid: FrequencyGrid) -> "RegularKernel":
@@ -174,9 +173,10 @@ class RegularKernel:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The n x n samples of a tabulated kernel, made by row blocks and kept read-only."""
+        """The n x n samples of a made kernel, made by row blocks and kept read-only."""
         values = self.dense()
         values.setflags(write=False)
+        self._maker = None  # the rows are read from values from now on
         return values
 
     @cached_property
@@ -196,40 +196,9 @@ class RegularKernel:
         """K[block] for a slice of _row_blocks: into out if given, else fresh or a read-only
         view. For random_bandlimited other slices may differ from values[block] in the last bits.
         """
-        if self._tables is None:
+        if self._maker is None:
             return self.values[block] if out is None else np.positive(self.values[block], out=out)
-        band, envelope, mixed, phases_h = self._tables
-        n = self.grid.n_points
-        toeplitz = sliding_window_view(band, n)[block, ::-1]
-        hankel = sliding_window_view(envelope, n)[block]
-        if mixed is None:
-            return np.multiply(toeplitz, hankel, out=out)
-        out = np.empty(toeplitz.shape, np.complex128) if out is None else out
-        for cols in _row_blocks(n):
-            # 0.5 (B + B^H) * toeplitz * hankel, in this order, in a contiguous tile
-            # (numpy buffers a ufunc that writes into a strided out)
-            tile, mirror = _mixture_tile(mixed, phases_h, block, cols), \
-                _mixture_tile(mixed, phases_h, cols, block)
-            np.add(tile, np.conjugate(mirror, out=mirror).T, out=tile)
-            tile *= 0.5
-            tile *= toeplitz[:, cols]
-            tile *= hankel[:, cols]
-            out[:, cols] = tile
-            del tile, mirror  # else they are alive while the next pair is made
-        return out
-
-
-def _mixture_tile(mixed: np.ndarray, phases_h: np.ndarray, rows: slice,
-                  cols: slice) -> np.ndarray:
-    """B[rows, cols] for slices of _row_blocks, bit for bit the whole product's entries.
-
-    A slab one row or column wide (a last block) is widened by the one before
-    and trimmed: numpy would take a matrix-vector product, which rounds differently.
-    """
-    r, c = int(rows.stop - rows.start == 1), int(cols.stop - cols.start == 1)
-    tile = (mixed[rows.start - r:rows.stop] @ phases_h[:, cols.start - c:cols.stop])[r:, c:]
-    tile /= _RANDOM_MODES
-    return tile
+        return self._maker.make(block, out)
 
 
 def _require_same_grid(*grids: FrequencyGrid) -> FrequencyGrid:
@@ -383,6 +352,45 @@ def _warn_on_envelope_leak(grid: FrequencyGrid, spec: KernelFamilySpec) -> None:
         )
 
 
+def _tabulated(n: int, band, envelope, mixed=None, phases_h=None) -> _Rows:
+    """Rows of K[k, l] = band[k - l + n - 1] * envelope[k + l], times the Hermitian part of
+    random_bandlimited's mode mixture B = mixed @ phases_h / 6 (mixed = phases @ coeff)."""
+
+    def make(block, out=None):
+        toeplitz = sliding_window_view(band, n)[block, ::-1]
+        hankel = sliding_window_view(envelope, n)[block]
+        if mixed is None:
+            return np.multiply(toeplitz, hankel, out=out)
+        out = np.empty(toeplitz.shape, np.complex128) if out is None else out
+        for cols in _row_blocks(n):
+            # 0.5 (B + B^H) * toeplitz * hankel, in this order, in a contiguous tile
+            # (numpy buffers a ufunc that writes into a strided out)
+            tile, mirror = _mixture_tile(mixed, phases_h, block, cols), \
+                _mixture_tile(mixed, phases_h, cols, block)
+            np.add(tile, np.conjugate(mirror, out=mirror).T, out=tile)
+            tile *= 0.5
+            tile *= toeplitz[:, cols]
+            tile *= hankel[:, cols]
+            out[:, cols] = tile
+            del tile, mirror  # else they are alive while the next pair is made
+        return out
+
+    return _Rows(make, np.dtype(np.float64 if mixed is None else np.complex128))
+
+
+def _mixture_tile(mixed: np.ndarray, phases_h: np.ndarray, rows: slice,
+                  cols: slice) -> np.ndarray:
+    """B[rows, cols] for slices of _row_blocks, bit for bit the whole product's entries.
+
+    A slab one row or column wide (a last block) is widened by the one before
+    and trimmed: numpy would take a matrix-vector product, which rounds differently.
+    """
+    r, c = int(rows.stop - rows.start == 1), int(cols.stop - cols.start == 1)
+    tile = (mixed[rows.start - r:rows.stop] @ phases_h[:, cols.start - c:cols.stop])[r:, c:]
+    tile /= _RANDOM_MODES
+    return tile
+
+
 def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     """Sample a closed-form kernel family on the grid.
 
@@ -440,7 +448,7 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
             coeff = 0.5 * (coeff + coeff.conj().T)
             modes = (phases @ coeff, phases.conj().T)
             bound *= float(np.sum(np.abs(coeff)))
-        kernel = RegularKernel(grid, _Tables(band, envelope, *modes))
+        kernel = RegularKernel(grid, _tabulated(n, band, envelope, *modes))
         if not math.isfinite(bound):
             for block in _stored_rows(kernel):
                 _finite(block)

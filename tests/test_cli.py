@@ -518,17 +518,31 @@ class TestStreamedIncompatibility:
         def stored_or_scanned(*args):
             raise AssertionError("the CLI path stored or scanned an n x n array")
 
+        made_d = []  # every D the run makes, however cli and emergence name its maker
+        make_d, dense = engine._incompatibility_blocks, spectral.RegularKernel.dense
+
+        def recorded(*args):
+            made_d.append(make_d(*args))
+            return made_d[-1]
+
+        def dense_unless_d(kernel, *args):  # .values makes D dense through dense()
+            if any(kernel is d for d in made_d):
+                stored_or_scanned()
+            return dense(kernel, *args)
+
+        monkeypatch.setattr(engine, "_incompatibility_blocks", recorded)
+        monkeypatch.setattr(spectral.RegularKernel, "dense", dense_unless_d)
+        monkeypatch.setattr(spectral, "check_hermitian", stored_or_scanned)
         doc = _base_config(n_points=300, t_max=10.0, n_samples=101)  # two row blocks
         if o1_kernel:
             doc["observables"]["O1"]["kernel"] = {
                 "family": "lorentz_band", "amplitude": 0.5, "gamma": 1.0,
                 "mu": 10.0, "Sigma": 2.0}
         cfg = _write(tmp_path / "cfg.json", doc)
-        monkeypatch.setattr(engine, "incompatibility_observable", stored_or_scanned)
-        monkeypatch.setattr(spectral, "check_hermitian", stored_or_scanned)
         assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
                      "--series", str(tmp_path / "s.csv")]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(made_d) == 2 and not any("values" in vars(d) for d in made_d)
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ["emerge", "simulate"])
@@ -574,6 +588,24 @@ def test_operand_that_samples_to_zero_exits_2_naming_it(tmp_path, capsys, operan
         assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
                      "--series", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["emerge", "simulate"])
+def test_envelope_leak_is_one_warning_line_and_only_on_success(tmp_path, capsys, command):
+    outputs = {"emerge": ["--report", str(tmp_path / "r.json"),
+                          "--series", str(tmp_path / "s.csv")],
+               "simulate": ["--out", str(tmp_path / "s.csv")]}[command]
+    doc = _base_config()
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        doc["observables"]["O2"]["kernel"]["mu"] = 1e200  # samples to zero: exit 2
+        assert main([command, "--config", _write(tmp_path / "a.json", doc), *outputs]) == 2
+        assert capsys.readouterr().err == "error: O2 kernel samples to zero on the grid\n"
+        doc["observables"]["O2"]["kernel"]["mu"] = 19.0  # near the edge of [0, 20]
+        assert main([command, "--config", _write(tmp_path / "b.json", doc), *outputs]) == 0
+        err = capsys.readouterr().err
+    assert err.startswith("warning: gaussian_band envelope leaks ") and err.count("\n") == 1
+    assert escaped == []
 
 
 @pytest.mark.parametrize("diag", [{"family": "zero"}, {"family": "constant", "amplitude": 0.0}])

@@ -204,7 +204,7 @@ class TestRunEmergence:
         def no_kernel_work(*args):
             raise AssertionError("kernel work ran before the cap check")
 
-        monkeypatch.setattr(emergence, "incompatibility_rows", no_kernel_work)
+        monkeypatch.setattr(emergence, "incompatibility_observable", no_kernel_work)
         with pytest.raises(LatticeTooLarge):
             run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 9),
                           10.0, 101, epsilon=1e-6)
@@ -384,13 +384,14 @@ class TestStreamedIncompatibility:
         report = run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
                                10.0, 101, epsilon=1e-6)
         incompat = incompatibility_observable(o1, o2)
+        assert incompat.kernel.values.shape == (300, 300)  # stored: rows now read from it
         stored = expectation_series(rho, incompat, 10.0, 101)
         assert report.series.values.tobytes() == stored.values.tobytes()
         assert report.hs_norm_initial == hs_norm(incompat.kernel)
         assert report.hs_norm_final == hs_norm(
             evolve(incompat.to_observable(), 10.0).kernel)
-        simulated = engine.series_from_rows(
-            rho, engine.incompatibility_rows(o1, o2), 10.0, 101)
+        simulated = engine.expectation_series(
+            rho, engine.incompatibility_observable(o1, o2), 10.0, 101)
         assert simulated.values.tobytes() == stored.values.tobytes()
 
     def test_absent_state_kernel_still_sums_the_norms(self):
@@ -419,7 +420,7 @@ class TestStreamedIncompatibility:
             run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 2), 10.0, 21,
                           epsilon=1e-6)
         with pytest.raises(ValueError, match="1e-10"):
-            engine.series_from_rows(rho, engine.incompatibility_rows(o1, o2), 10.0, 21)
+            engine.expectation_series(rho, engine.incompatibility_observable(o1, o2), 10.0, 21)
         scenario = cli.Scenario(
             grid=grid, rho=rho, o1=o1, o2=o2, t_max=10.0, n_samples=21,
             decoherence_ratio=0.5, epsilon=None, sustain=10, partition=None,
@@ -450,7 +451,7 @@ class TestStreamedIncompatibility:
                 run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 21,
                               epsilon=1e-6)
             with pytest.raises(ValueError, match="samples must be finite"):
-                engine.series_from_rows(rho, engine.incompatibility_rows(o1, o2), 10.0, 21)
+                engine.expectation_series(rho, engine.incompatibility_observable(o1, o2), 10.0, 21)
 
     def test_norms_that_overflow_fail_the_constancy_check(self):
         times = np.linspace(0.0, 1.0, 3)

@@ -636,6 +636,43 @@ class TestIncompatibilityCheckedOnce:
             incompatibility_observable(o1, o2)
 
 
+    def test_d_once_stored_serves_the_rows_and_drops_the_maker(self):
+        grid = make_grid(20.0, 300)  # more than one row block
+        incompat = incompatibility_observable(*linear_vs_gaussian_pair(grid))
+        kernel = incompat.kernel
+        assert kernel._maker is not None and "values" not in vars(kernel)
+        blocks = list(spectral._row_blocks(300))
+        made = [kernel.rows(block) for block in blocks]
+        # a real block of [O1, O2] goes to D.imag alone; a given out is zeroed first
+        stale = np.full((256, 300), 7.0 + 7.0j)
+        assert np.array_equal(kernel.rows(blocks[0], out=stale), made[0])
+        values = kernel.values
+        assert kernel._maker is None
+        for block, rows in zip(blocks, made):
+            assert np.shares_memory(kernel.rows(block), values)
+            assert np.array_equal(rows, values[block])
+
+    def test_inexact_operand_d_is_made_once_per_row_block(self, monkeypatch):
+        grid = make_grid(20.0, 300)
+        values = build_kernel(grid, KernelFamilySpec(
+            "gaussian_band", sigma=1.5, mu=10.0, Sigma=2.0)).values.copy()
+        values[0, 15] += 1e-12  # D's residual 15 * spacing * 1e-12 passes its 1e-10 check
+        o2 = VanHoveObservable.kernel_only(RegularKernel(grid, values))
+        o1 = VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes))
+        made = []
+
+        def counted(make, dtype):
+            return spectral._Rows(lambda block, out=None: made.append(block.start)
+                                  or make(block, out), dtype)
+
+        monkeypatch.setattr(engine, "_Rows", counted)
+        incompat = incompatibility_observable(o1, o2)
+        assert 0.0 < incompat.kernel.hermitian_residual <= 1e-10  # scanned: made dense
+        expectation_series(_random_state(grid, 3), incompat, 5.0, 17)
+        hs_norm(incompat.kernel)
+        assert made == [0, 256]
+
+
 class TestConstantDiagonalSkip:
     def test_skipped_cross_term_gives_the_forced_d(self, monkeypatch):
         grid = make_grid(20.0, 300)  # more than one row block
@@ -652,11 +689,11 @@ class TestConstantDiagonalSkip:
              _random_observable(grid, 4)),
             (VanHoveObservable(constant, lorentz), VanHoveObservable(constant, gaussian)),
         ]
-        skipped = [engine._incompatibility_values(a, b) for a, b in pairs]
+        skipped = [engine.incompatibility_observable(a, b).kernel.values for a, b in pairs]
         # a nonzero spread for every diagonal forces every cross term
         monkeypatch.setattr(engine.np, "ptp", lambda diag: 1.0)
         for (a, b), d in zip(pairs, skipped):
-            forced = engine._incompatibility_values(a, b)
+            forced = engine.incompatibility_observable(a, b).kernel.values
             # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
             assert np.array_equal(_bits(d + 0.0), _bits(forced + 0.0))
 

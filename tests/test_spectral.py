@@ -71,7 +71,9 @@ class TestGrid:
         # 1e-320 / 4096 rounds to 0.0: no recurrence time, no nodes to tell apart
         with pytest.raises(NonPositiveRange, match="underflows"):
             make_grid(1e-320, 4096)
-        assert make_grid(1e-320, 2).spacing > 0.0
+        # a subnormal spacing whose recurrence time 2*pi/spacing overflows to inf
+        with pytest.raises(NonPositiveRange, match="overflow"):
+            make_grid(1e-320, 2)
 
     def test_grid_value_equality(self):
         assert make_grid(10.0, 4) == FrequencyGrid(10.0, 4)
@@ -628,6 +630,19 @@ class TestTabulatedKernelRows:
         for block, got, into in zip(blocks, fresh, written):
             assert np.array_equal(_bits(got), _bits(values[block]))
             assert np.array_equal(_bits(into), _bits(values[block].astype(complex)))
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_WIDTHS))
+    def test_values_once_built_serve_the_rows_and_drop_the_maker(self, family):
+        grid = make_grid(20.0, 300)  # more than one row block
+        kernel = build_kernel(grid, KernelFamilySpec(
+            family, mu=10.0, Sigma=2.0, **_FAMILY_WIDTHS[family]))
+        assert kernel._maker is not None and "values" not in vars(kernel)
+        values = kernel.values
+        assert kernel._maker is None
+        for block in spectral._row_blocks(300):
+            assert np.shares_memory(kernel.rows(block), values)
+            into = np.empty((block.stop - block.start, 300), complex)
+            assert np.array_equal(kernel.rows(block, out=into), values[block])
 
     def test_zero_test_reads_up_to_the_first_nonzero_block_once(self):
         grid = make_grid(20.0, 600)
