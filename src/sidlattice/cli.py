@@ -67,6 +67,8 @@ DIAG_FAMILIES = ("linear", "constant", "gaussian", "zero")
 _ORACLE_FORMS = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lorentz", "gamma")}
 # Cap on time.n_samples, checked before any kernel is built (a guard, not an option)
 MAX_SAMPLES = 1_000_000
+# Grid cap unless both observables carry a kernel (M = K1 K2 is n x n): none is stored
+MAX_MADE_GRID_POINTS = 16384
 
 
 def _fmt(x: float) -> str:
@@ -232,9 +234,13 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
     """
     doc = _load_json(path, "config")
     grid_doc = _cfg_get(doc, "grid", dict, "config")
+    obs = doc.get("observables")
+    two_kernels = isinstance(obs, dict) and all(
+        isinstance(obs.get(name), dict) and "kernel" in obs[name] for name in ("O1", "O2"))
     try:
         grid = make_grid(_cfg_get(grid_doc, "omega_max", float, "grid"),
-                         _cfg_get(grid_doc, "n_points", int, "grid"))
+                         _cfg_get(grid_doc, "n_points", int, "grid"),
+                         MAX_GRID_POINTS if two_kernels else MAX_MADE_GRID_POINTS)
     except (SidLatticeError, ValueError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 

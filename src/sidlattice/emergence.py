@@ -24,7 +24,7 @@ from .engine import (
     decoherence_time,
     incompatibility_observable,
     phased_values,
-    series_from_rows,
+    series_from_tiles,
 )
 from .errors import GridMismatch, LatticeTooLarge
 from .lattice import (
@@ -36,7 +36,7 @@ from .lattice import (
     ortho,
 )
 from .spectral import FrequencyGrid, VanHoveObservable, VanHoveState, _require_same_grid
-from .spectral import _row_blocks, _SumOfSquares, hs_norm
+from .spectral import RegularKernel, _TILE, _tiles, _SumOfSquares, hs_norm
 
 HS_CONSTANCY_TOL = 1e-10
 DEGENERACY_RTOL = 1e-10
@@ -221,12 +221,16 @@ class EmergenceReport:
         }
 
 
-def _degeneracy_scale(o1: VanHoveObservable, o2: VanHoveObservable) -> float:
-    k1 = hs_norm(o1.kernel)
-    k2 = hs_norm(o2.kernel)
-    d1 = float(np.ptp(o1.diag.values)) if o1.diag.values.size else 0.0
-    d2 = float(np.ptp(o2.diag.values)) if o2.diag.values.size else 0.0
+def _degeneracy_scale(o1: VanHoveObservable, o2: VanHoveObservable, norm) -> float:
+    k1, k2 = norm(o1.kernel), norm(o2.kernel)
+    d1, d2 = float(np.ptp(o1.diag.values)), float(np.ptp(o2.diag.values))
     return k1 * k2 + d1 * k2 + d2 * k1
+
+
+def _hs_bound(kernel: RegularKernel) -> float:
+    """hs_norm(kernel) or more: 2 n spacing max |K| (2 covers rounding) from a maker's tables."""
+    bound = kernel._maker.bound if kernel._maker else None
+    return hs_norm(kernel) if bound is None else 2.0 * kernel.grid.omega_max * bound
 
 
 def run_emergence(rho: VanHoveState,
@@ -241,7 +245,7 @@ def run_emergence(rho: VanHoveState,
                   max_elements: int = DEFAULT_MAX_ELEMENTS) -> EmergenceReport:
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
-    Each row block of D (see incompatibility_observable) goes once into the
+    Each tile of D (see incompatibility_observable) goes once into the
     series and into hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
 
     DEGENERATE means the premise failed: the observables already commute
@@ -253,22 +257,24 @@ def run_emergence(rho: VanHoveState,
     grid = _require_same_grid(rho.grid, o1.grid, o2.grid)
     initial, final = _SumOfSquares(), _SumOfSquares()  # |D|^2 at t = 0 and at t_max
 
-    def tallied(d):
+    def tallied(d):  # each tile of D made into one buffer, phased there once read
         phases = np.exp(1j * t_max * grid.nodes)
-        for rows in _row_blocks(grid.n_points):
-            block = d.rows(rows)
-            initial.add(block)
-            final.add(phased_values(block, phases, rows))
-            yield block
-            del block  # so that the next block is not made beside this one
+        buf = np.empty((_TILE, _TILE), np.complex128)
+        for rows, cols in _tiles(grid.n_points):
+            tile = d.tile(rows, cols, buf[:rows.stop - rows.start, :cols.stop - cols.start])
+            initial.add(tile)
+            yield tile
+            final.add(phased_values(tile, phases, rows, cols, out=tile))
 
-    series = series_from_rows(rho, tallied(incompatibility_observable(o1, o2).kernel),
-                              t_max, n_samples)
+    series = series_from_tiles(rho, tallied(incompatibility_observable(o1, o2).kernel),
+                               t_max, n_samples)
     hs_initial, hs_final = initial.norm(grid.spacing), final.norm(grid.spacing)
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)
 
-    if hs_initial <= DEGENERACY_RTOL * _degeneracy_scale(o1, o2):
+    # the exact scale only when the bound does not decide it, so no operand is made again
+    if all(hs_initial <= DEGENERACY_RTOL * _degeneracy_scale(o1, o2, norm)
+           for norm in (_hs_bound, hs_norm)):
         verdict = Verdict.DEGENERATE
     elif t_dec is not None and t_eff is not None and pointer.is_boolean:
         verdict = Verdict.BOOLEANIZED

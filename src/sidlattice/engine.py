@@ -32,12 +32,13 @@ from .spectral import (
     RegularKernel,
     VanHoveObservable,
     VanHoveState,
-    _ROW_BLOCK,
-    _Rows,
+    _TILE,
+    _Tiles,
     _finite,
+    _kernel_tiles,
     _require_same_grid,
     _row_blocks,
-    _stored_rows,
+    _tiles,
     hermitian_within,
 )
 
@@ -102,10 +103,11 @@ class ExpectationSeries:
         return float(abs(self.values[0]))
 
 
-def phased_values(values: np.ndarray, phases: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Fresh K[rows] exp(i (w - w') t) from the rows K[rows] and phases = exp(i w t)."""
-    out = values * phases[rows, None]
-    out *= np.conjugate(phases)[None, :]
+def phased_values(values: np.ndarray, phases: np.ndarray,
+                  rows=slice(None), cols=slice(None), out=None) -> np.ndarray:
+    """K[rows, cols] exp(i (w - w') t) from K[rows, cols], phases = exp(i w t): fresh or in out."""
+    out = np.multiply(values, phases[rows, None], out=out)
+    out *= np.conjugate(phases[cols])[None, :]
     return out
 
 
@@ -120,14 +122,14 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
 
 
 def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
-    """D = -i [O1, O2] as a made kernel: complex row blocks, each checked finite as made.
+    """D = -i [O1, O2] as a made kernel: complex tiles, each checked finite as made.
 
     [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1;
     a cross term is skipped when its kernel is zero (``is_zero``: absent, or
     read once) or its diagonal constant. For Hermitian kernels
     K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
-    one n x n array the blocks need. It is formed here, by row blocks of K1
-    against K2 made dense for it alone. A real block of [O1, O2] goes,
+    one n x n array the tiles need. It is formed here, by 256-row slabs of K1
+    against K2 made dense for it alone. A real tile of [O1, O2] goes,
     negated, into D's imaginary part alone.
 
     When both operand kernels are exactly Hermitian (recorded residual 0.0,
@@ -143,29 +145,32 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     m = None
     if not (k1.is_zero or k2.is_zero):
         right = k2.dense(np.result_type(k1.dtype, k2.dtype))
-        m = np.empty((n, n), right.dtype)
+        m, slab = np.empty((n, n), right.dtype), np.empty((_TILE, n), k1.dtype)
         for rows in _row_blocks(n):
-            np.matmul(k1.rows(rows), right, out=m[rows])
+            left = slab[:rows.stop - rows.start]  # K1[rows], made tile by tile
+            for cols in _row_blocks(n):
+                k1.tile(rows, cols, left[:, cols])
+            np.matmul(left, right, out=m[rows])
 
-    def make(rows, out=None):
-        block = np.subtract.outer(d1[rows], d1) * k2.rows(rows) if cross1 else None
+    def make(rows, cols, out=None):
+        tile = np.subtract.outer(d1[rows], d1[cols]) * k2.tile(rows, cols) if cross1 else None
         if cross2:
-            term = np.subtract.outer(d2[rows], d2) * k1.rows(rows)
-            block = np.negative(term, out=term) if block is None else block - term
+            term = np.subtract.outer(d2[rows], d2[cols]) * k1.tile(rows, cols)
+            tile = np.negative(term, out=term) if tile is None else tile - term
         if m is not None:
-            mixing = m[rows] - m[:, rows].T.conj()
+            mixing = m[rows, cols] - m[cols, rows].T.conj()
             mixing *= grid.spacing
-            block = mixing if block is None else block + mixing
-        if block is not None and np.iscomplexobj(block):
-            return _finite(np.multiply(block, -1j, out=block if out is None else out))
-        d = np.zeros((rows.stop - rows.start, n), np.complex128) if out is None else out
+            tile = mixing if tile is None else tile + mixing
+        if tile is not None and np.iscomplexobj(tile):
+            return _finite(np.multiply(tile, -1j, out=tile if out is None else out))
+        d = np.zeros((len(d1[rows]), len(d1[cols])), complex) if out is None else out
         if out is not None:
-            d.fill(0.0)  # a real block writes D's imaginary part alone
-        if block is not None:  # else no term at all: D = 0
-            np.negative(block, out=d.imag)
+            d.fill(0.0)  # a real tile writes D's imaginary part alone
+        if tile is not None:  # else no term at all: D = 0
+            np.negative(tile, out=d.imag)
         return _finite(d)
 
-    kernel = RegularKernel(grid, _Rows(make, np.dtype(np.complex128)))
+    kernel = RegularKernel(grid, _Tiles(make, np.dtype(np.complex128)))
     if k1.hermitian_residual == 0.0 and k2.hermitian_residual == 0.0:
         kernel.hermitian_residual = 0.0
     return kernel
@@ -178,42 +183,41 @@ def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKe
 
 def incompatibility_observable(o1: VanHoveObservable,
                                o2: VanHoveObservable) -> IncompatibilityObservable:
-    """Hermitian D = -i [O1, O2], made by row blocks; stored only if it must be scanned."""
+    """Hermitian D = -i [O1, O2], made by tiles; stored only if it must be scanned."""
     return IncompatibilityObservable(_incompatibility_blocks(o1, o2))
 
 
 def _skewed_profile(n: int, fill) -> np.ndarray:
-    """profile[m + n - 1] = sum over k - l = m of the n x n array fill writes by row blocks.
+    """profile[m + n - 1] = sum over k - l = m of the n x n array fill writes by tiles.
 
-    fill(rows, view[:b]) writes b rows into a zeroed (h, n + h - 1) buffer, entry
-    [i, l] at column h - 1 - i + l: one column per anti-diagonal, corners left zero.
+    fill(rows, cols, view[:a, :w]) writes an a x w tile into an (h, 2h - 1) buffer,
+    h = _TILE, entry [i, l] at column h - 1 - i + l: one column per anti-diagonal.
     """
-    h = _ROW_BLOCK
-    buf = np.zeros((h, n + h - 1), dtype=np.complex128)
-    view = as_strided(buf.reshape(-1)[h - 1:], (h, n), ((n + h - 2) * 16, 16))
+    h = _TILE
+    buf = np.zeros((h, 2 * h - 1), dtype=np.complex128)
+    view = as_strided(buf.reshape(-1)[h - 1:], (h, h), ((2 * h - 2) * 16, 16))
     profile = np.zeros(2 * n - 1, dtype=np.complex128)
-    for rows in _row_blocks(n):
-        b = rows.stop - rows.start
-        fill(rows, view[:b])
-        profile[rows.start:rows.start + n + b - 1] += buf[:b, h - b:].sum(axis=0)[::-1]
+    for rows, cols in _tiles(n):
+        a, w = rows.stop - rows.start, cols.stop - cols.start
+        view[:a, w:] = 0.0  # a wider tile before a narrower one wrote its right corner
+        fill(rows, cols, view[:a, :w])
+        start = rows.start - cols.stop + n  # column h + w - 2: offset rows.start - cols.stop + 1
+        profile[start:start + a + w - 1] += buf[:a, h - a:h + w - 1].sum(axis=0)[::-1]
     return profile
-
-
-def _nu_profile(values: np.ndarray) -> np.ndarray:
-    return _skewed_profile(values.shape[0], lambda rows, view: np.copyto(view, values[rows]))
 
 
 def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
                   times: np.ndarray) -> np.ndarray:
     """For each time t, the sum over offsets m of profile[m] exp(i m spacing t).
 
-    The phases are formed one block of times at a time, so the peak does not
-    grow with the number of samples.
+    The phases are formed for as many times at once as fit in one tile's
+    bytes, so the peak grows neither with the number of samples nor past a tile.
     """
     n = grid.n_points
     nu = grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
+    step = max(1, _TILE * _TILE // (2 * n - 1))
     values = np.empty(len(times), dtype=np.complex128)
-    for rows in _row_blocks(len(times)):
+    for rows in (slice(i, i + step) for i in range(0, len(times), step)):
         phases = np.multiply.outer(times[rows], 1j * nu)
         values[rows] = np.exp(phases, out=phases) @ profile
         del phases  # else the next block is formed while this one is alive
@@ -229,18 +233,18 @@ def require_window(grid: FrequencyGrid, t_max: float) -> None:
             f"2*pi/spacing = {grid.recurrence_time}, window limit {half}")
 
 
-def _kernel_profile(rho: VanHoveState, d_rows) -> np.ndarray:
-    """spacing^2 nu-profile of conj(rho) o D, reading all of D's row blocks (None: absent D)."""
+def _kernel_profile(rho: VanHoveState, d_tiles) -> np.ndarray:
+    """spacing^2 nu-profile of conj(rho) o D; runs D's tile iterator (None: absent) to its end."""
     n = rho.grid.n_points
-    if d_rows is None or not rho.kernel.present:
-        deque(d_rows or (), maxlen=0)
-        return np.zeros(2 * n - 1, dtype=np.complex128)
 
-    def fill(rows, view):  # in the complex view, so real and complex operands mix
-        np.conjugate(rho.kernel.rows(rows, out=view), out=view)
-        view *= next(d_rows)
+    def fill(rows, cols, view):  # in the complex view, so real and complex operands mix
+        np.conjugate(rho.kernel.tile(rows, cols, out=view), out=view)
+        view *= next(d_tiles)
 
-    return rho.grid.spacing**2 * _skewed_profile(n, fill)
+    profile = rho.grid.spacing**2 * _skewed_profile(n, fill) \
+        if d_tiles is not None and rho.kernel.present else np.zeros(2 * n - 1, np.complex128)
+    deque(d_tiles or (), maxlen=0)
+    return profile
 
 
 def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
@@ -255,14 +259,14 @@ def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     diag_term = grid.spacing * float(np.dot(rho.diag.values, obs.diag.values))
-    profile = _kernel_profile(rho, _stored_rows(obs.kernel))
+    profile = _kernel_profile(rho, _kernel_tiles(obs.kernel))
     kernel_term = _phase_series(grid, profile, np.array([t], dtype=np.float64))[0]
     return diag_term + complex(kernel_term)
 
 
-def series_from_rows(rho: VanHoveState, d_rows, t_max: float,
-                     n_samples: int) -> ExpectationSeries:
-    """Uniformly sampled expectation of D, from its row blocks (see _kernel_profile).
+def series_from_tiles(rho: VanHoveState, d_tiles, t_max: float,
+                      n_samples: int) -> ExpectationSeries:
+    """Uniformly sampled expectation of D, from its tiles (see _kernel_profile).
 
     Raises WindowExceeded past half the recurrence time 2*pi/spacing.
     """
@@ -273,15 +277,15 @@ def series_from_rows(rho: VanHoveState, d_rows, t_max: float,
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     require_window(grid, t_max)
     times = np.linspace(0.0, t_max, int(n_samples))
-    values = _phase_series(grid, _kernel_profile(rho, d_rows), times)
+    values = _phase_series(grid, _kernel_profile(rho, d_tiles), times)
     return ExpectationSeries(times, values, grid.recurrence_time)
 
 
 def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
                        t_max: float, n_samples: int) -> ExpectationSeries:
-    """Uniformly sampled expectation of incompat: series_from_rows over its kernel's rows."""
+    """Uniformly sampled expectation of incompat: series_from_tiles over its kernel's tiles."""
     _require_same_grid(rho.grid, incompat.grid)
-    return series_from_rows(rho, _stored_rows(incompat.kernel), t_max, n_samples)
+    return series_from_tiles(rho, _kernel_tiles(incompat.kernel), t_max, n_samples)
 
 
 def decoherence_time(series: ExpectationSeries,
@@ -338,7 +342,8 @@ def analytic_decay(kind: str, rate: float, times) -> np.ndarray:
     """
     times = np.asarray(times, dtype=np.float64)
     if kind == "gaussian":
-        return np.exp(-0.5 * (rate * times) ** 2)
+        with np.errstate(over="ignore"):  # (rate t)^2 = inf gives exp(-inf) = 0
+            return np.exp(-0.5 * (rate * times) ** 2)
     if kind == "lorentz":
         return np.exp(-rate * np.abs(times))
     raise UnsupportedFamily(f"unknown analytic decay kind {kind!r}")

@@ -34,21 +34,24 @@ STATE_NORM_TOL = 1e-10
 
 KERNEL_FAMILIES = ("gaussian_band", "lorentz_band", "rect_band", "random_bandlimited")
 _RANDOM_MODES = 6
-# Rows per block of the Hermitian residual and of every other pass over an
-# n x n kernel (D, nu-profile, HS norm): bounds temporaries at 256 x n entries.
-# The random_bandlimited mixture is made in square tiles of the same edge.
-_RESIDUAL_BLOCK = _ROW_BLOCK = 256
+# Edge of the square tiles by which every pass reads an n x n kernel (D, nu-profile, HS norm,
+# finiteness, residual), and of the random_bandlimited mixture's matrix-product tiles.
+_TILE = 256
 
 
 def _row_blocks(n: int):
-    """Slices of _ROW_BLOCK consecutive rows covering 0 .. n - 1, in order."""
-    return (slice(i, min(i + _ROW_BLOCK, n)) for i in range(0, n, _ROW_BLOCK))
+    """Slices of _TILE consecutive indices covering 0 .. n - 1, in order."""
+    return (slice(i, min(i + _TILE, n)) for i in range(0, n, _TILE))
 
 
-def _stored_rows(kernel: RegularKernel):
-    """Iterator of a kernel's row blocks in _row_blocks order, made as read; None if absent."""
-    return (kernel.rows(rows) for rows in _row_blocks(kernel.grid.n_points)) \
-        if kernel.present else None
+def _tiles(n: int):
+    """The (I, J) slice pairs of the tiles of an n x n array, row of tiles by row."""
+    return ((rows, cols) for rows in _row_blocks(n) for cols in _row_blocks(n))
+
+
+def _kernel_tiles(kernel: RegularKernel):
+    """Iterator of a kernel's tiles in _tiles order, made as read; None if absent."""
+    return (kernel.tile(*ij) for ij in _tiles(kernel.grid.n_points)) if kernel.present else None
 
 
 def _frozen_array(values, dtype, shape=None, copy=True) -> np.ndarray:
@@ -60,9 +63,9 @@ def _frozen_array(values, dtype, shape=None, copy=True) -> np.ndarray:
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
-    """values, once every sample is found finite by row blocks; else ValueError."""
-    parts = values.view(np.float64) if values.dtype == np.complex128 else values
-    if not all(np.isfinite(parts[rows]).all() for rows in _row_blocks(len(parts))):
+    """values, once every sample is found finite (a 2-d array tile by tile); else ValueError."""
+    tiles = _tiles(max(values.shape)) if values.ndim == 2 else [()]
+    if not all(np.isfinite(values[ij]).all() for ij in tiles):
         raise ValueError("samples must be finite")
     return values
 
@@ -105,7 +108,7 @@ def make_grid(omega_max: float, n_points: int,
               max_points: int = MAX_GRID_POINTS) -> FrequencyGrid:
     """Build a midpoint frequency grid, capped at desk scale by default."""
     if n_points > max_points:
-        raise ValueError(f"n_points={n_points} exceeds the dense-storage cap {max_points}")
+        raise ValueError(f"n_points={n_points} exceeds the grid cap {max_points}")
     return FrequencyGrid(float(omega_max), int(n_points))
 
 
@@ -126,22 +129,23 @@ class DiagonalPart:
         return cls(grid, np.zeros(grid.n_points))
 
 
-class _Rows(NamedTuple):
-    """Rows made on demand: make(block, out=None) is K[block], fresh or written into out."""
+class _Tiles(NamedTuple):
+    """Tiles made on demand: make(I, J, out=None) is K[I, J], fresh or in out; bound >= max |K|."""
 
     make: Callable
     dtype: np.dtype
+    bound: Optional[float] = None
 
 
 class RegularKernel:
     """Real or complex samples K(omega_k, omega_l) of a regular two-frequency kernel.
 
-    Each kernel is read by row blocks through ``rows``. ``values=None`` is
+    Each kernel is read by square tiles through ``tile``. ``values=None`` is
     the absent kernel K = 0 (``absent``): a read-only float zero-stride view
-    that is never scanned. A made kernel (``_Rows``: every built kernel, and
-    D = -i [O1, O2]) holds no n x n array and makes rows on demand;
+    that is never scanned. A made kernel (``_Tiles``: every built kernel, and
+    D = -i [O1, O2]) holds no n x n array and makes tiles on demand;
     ``values`` is built once, when first asked, and from then on serves the
-    rows while the maker is dropped. Other samples, float64 if real and
+    tiles while the maker is dropped. Other samples, float64 if real and
     complex128 if complex, are copied unless ``_adopt`` is true, which the
     library passes for arrays it has just built: those are frozen in place.
     Shape and finiteness are checked either way, so an explicit zero array
@@ -154,7 +158,7 @@ class RegularKernel:
         self.grid = grid
         self.present = values is not None
         self.hermitian_residual: Optional[float] = None if self.present else 0.0
-        self._maker = values if isinstance(values, _Rows) else None
+        self._maker = values if isinstance(values, _Tiles) else None
         if values is None:
             self.values = np.broadcast_to(np.float64(0.0), (n, n))
         elif self._maker is None:
@@ -173,32 +177,32 @@ class RegularKernel:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The n x n samples of a made kernel, made by row blocks and kept read-only."""
+        """The n x n samples of a made kernel, made by tiles and kept read-only."""
         values = self.dense()
         values.setflags(write=False)
-        self._maker = None  # the rows are read from values from now on
+        self._maker = None  # the tiles are read from values from now on
         return values
 
     @cached_property
     def is_zero(self) -> bool:
-        """True iff every sample is 0: absent, or read up to the first row block that is not."""
-        return not (self.present and any(map(np.any, _stored_rows(self))))
+        """True iff every sample is 0: absent, or read up to the first tile that is not."""
+        return not (self.present and any(map(np.any, _kernel_tiles(self))))
 
     def dense(self, dtype=None) -> np.ndarray:
-        """A fresh n x n array of the samples as dtype, written by row blocks."""
+        """A fresh n x n array of the samples as dtype, written tile by tile."""
         n = self.grid.n_points
         out = np.empty((n, n), self.dtype if dtype is None else dtype)
-        for rows in _row_blocks(n):
-            self.rows(rows, out[rows])
+        for ij in _tiles(n):
+            self.tile(*ij, out[ij])
         return out
 
-    def rows(self, block: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """K[block] for a slice of _row_blocks: into out if given, else fresh or a read-only
-        view. For random_bandlimited other slices may differ from values[block] in the last bits.
-        """
+    def tile(self, rows: slice, cols: slice, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """K[rows, cols] for slices of _row_blocks, into out or fresh (or a read-only view);
+        random_bandlimited tiles of other slices may differ in the last bits."""
         if self._maker is None:
-            return self.values[block] if out is None else np.positive(self.values[block], out=out)
-        return self._maker.make(block, out)
+            view = self.values[rows, cols]
+            return view if out is None else np.positive(view, out=out)
+        return self._maker.make(rows, cols, out)
 
 
 def _require_same_grid(*grids: FrequencyGrid) -> FrequencyGrid:
@@ -352,41 +356,37 @@ def _warn_on_envelope_leak(grid: FrequencyGrid, spec: KernelFamilySpec) -> None:
         )
 
 
-def _tabulated(n: int, band, envelope, mixed=None, phases_h=None) -> _Rows:
-    """Rows of K[k, l] = band[k - l + n - 1] * envelope[k + l], times the Hermitian part of
+def _tabulated(n: int, band, envelope, bound, mixed=None, phases_h=None) -> _Tiles:
+    """Tiles of K[k, l] = band[k - l + n - 1] * envelope[k + l], times the Hermitian part of
     random_bandlimited's mode mixture B = mixed @ phases_h / 6 (mixed = phases @ coeff)."""
+    scratch = None if mixed is None else np.empty((2, _TILE, _TILE), np.complex128)
+    nu_factor, s_factor = sliding_window_view(band, n)[:, ::-1], sliding_window_view(envelope, n)
 
-    def make(block, out=None):
-        toeplitz = sliding_window_view(band, n)[block, ::-1]
-        hankel = sliding_window_view(envelope, n)[block]
+    def make(rows, cols, out=None):
+        toeplitz, hankel = nu_factor[rows, cols], s_factor[rows, cols]
         if mixed is None:
             return np.multiply(toeplitz, hankel, out=out)
-        out = np.empty(toeplitz.shape, np.complex128) if out is None else out
-        for cols in _row_blocks(n):
-            # 0.5 (B + B^H) * toeplitz * hankel, in this order, in a contiguous tile
-            # (numpy buffers a ufunc that writes into a strided out)
-            tile, mirror = _mixture_tile(mixed, phases_h, block, cols), \
-                _mixture_tile(mixed, phases_h, cols, block)
-            np.add(tile, np.conjugate(mirror, out=mirror).T, out=tile)
-            tile *= 0.5
-            tile *= toeplitz[:, cols]
-            tile *= hankel[:, cols]
-            out[:, cols] = tile
-            del tile, mirror  # else they are alive while the next pair is made
-        return out
+        # 0.5 (B + B^H) * toeplitz * hankel, in this order, in the maker's own two buffers
+        tile, mirror = _mixture_tile(mixed, phases_h, rows, cols, scratch[0]), \
+            _mixture_tile(mixed, phases_h, cols, rows, scratch[1])
+        np.add(tile, np.conjugate(mirror, out=mirror).T, out=tile)
+        tile *= 0.5
+        tile *= toeplitz
+        return np.multiply(tile, hankel, out=out)
 
-    return _Rows(make, np.dtype(np.float64 if mixed is None else np.complex128))
+    return _Tiles(make, np.dtype(np.float64 if mixed is None else np.complex128), bound)
 
 
 def _mixture_tile(mixed: np.ndarray, phases_h: np.ndarray, rows: slice,
-                  cols: slice) -> np.ndarray:
-    """B[rows, cols] for slices of _row_blocks, bit for bit the whole product's entries.
+                  cols: slice, out: np.ndarray) -> np.ndarray:
+    """B[rows, cols] for slices of _row_blocks, made in out: the whole product's bits.
 
     A slab one row or column wide (a last block) is widened by the one before
     and trimmed: numpy would take a matrix-vector product, which rounds differently.
     """
     r, c = int(rows.stop - rows.start == 1), int(cols.stop - cols.start == 1)
-    tile = (mixed[rows.start - r:rows.stop] @ phases_h[:, cols.start - c:cols.stop])[r:, c:]
+    left, right = mixed[rows.start - r:rows.stop], phases_h[:, cols.start - c:cols.stop]
+    tile = np.matmul(left, right, out=out[:len(left), :right.shape[1]])[r:, c:]
     tile /= _RANDOM_MODES
     return tile
 
@@ -404,14 +404,14 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     On the midpoint grid nu = h (k - l) and s = h (k + l + 1) / 2 for nodes
     k, l, so each factor is tabulated once on 2n - 1 points. The kernel keeps
     these tables (and random_bandlimited its n x 6 mode factors), no n x n
-    array, and makes each row block on demand as a Toeplitz (nu) view times
-    a Hankel (s) view of them. The real families are float64;
+    array, and makes each tile on demand as a Toeplitz (nu) view times a
+    Hankel (s) view of them. The real families are float64;
     random_bandlimited, complex, takes the Hermitian part 0.5 (B + B^H) of
-    its mode mixture B times both views, tile by tile.
+    its mode mixture B, from a tile and its mirror, times both views.
 
     The envelope is at most 1, so |K| <= max |band|, times sum |coeff| for
-    the mixture. Only when that bound is not finite are the rows scanned
-    here, and a sample that is not finite raises ValueError.
+    the mixture; the maker keeps that bound. Only when it is not finite are
+    the tiles scanned here, and a sample that is not finite raises ValueError.
 
     With a bitwise symmetric band table the kernel carries the residual 0.0
     unscanned: entries (k, l) and (l, k) are then products of the same IEEE
@@ -448,10 +448,10 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
             coeff = 0.5 * (coeff + coeff.conj().T)
             modes = (phases @ coeff, phases.conj().T)
             bound *= float(np.sum(np.abs(coeff)))
-        kernel = RegularKernel(grid, _tabulated(n, band, envelope, *modes))
+        kernel = RegularKernel(grid, _tabulated(n, band, envelope, bound, *modes))
         if not math.isfinite(bound):
-            for block in _stored_rows(kernel):
-                _finite(block)
+            for tile in _kernel_tiles(kernel):
+                _finite(tile)
     if np.array_equal(band, band[::-1]):
         kernel.hermitian_residual = 0.0
     return kernel
@@ -501,24 +501,20 @@ class _SumOfSquares:
 
 
 def hs_norm(kernel: RegularKernel) -> float:
-    """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2), summed by row blocks; 0 iff K = 0."""
+    """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2), summed by tiles; 0 iff K = 0."""
     if not kernel.present:
         return 0.0
     squares = _SumOfSquares()
-    for block in _stored_rows(kernel):
-        squares.add(block)
+    for tile in _kernel_tiles(kernel):
+        squares.add(tile)
     return squares.norm(kernel.grid.spacing)
 
 
 def _hermitian_residual(values: np.ndarray) -> float:
-    # Row block [i, i+B) right of column i against the conjugate transpose
-    # of the matching column block covers every pair once; the value equals
-    # the dense max |v - v^H| exactly, since |a - conj(b)| == |b - conj(a)|.
-    n = values.shape[0]
-    block_max = [np.max(np.abs(values[i:i + _RESIDUAL_BLOCK, i:]
-                               - values[i:, i:i + _RESIDUAL_BLOCK].conj().T))
-                 for i in range(0, n, _RESIDUAL_BLOCK)]
-    return float(np.max(block_max))
+    # Each tile on or right of the diagonal against its mirror's conjugate transpose covers
+    # every pair once: exactly the dense max |v - v^H|, since |a - conj(b)| == |b - conj(a)|.
+    return float(np.max([np.max(np.abs(values[rows, cols] - values[cols, rows].conj().T))
+                         for rows, cols in _tiles(values.shape[0]) if cols.start >= rows.start]))
 
 
 def check_hermitian(kernel: RegularKernel, tol: Optional[float] = None) -> bool:

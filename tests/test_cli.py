@@ -294,6 +294,13 @@ class TestOracle:
         assert main(["oracle", "--family", "rect_band",
                      "--params", '{"sigma_c": 1.0}', "--t", "1"]) == 2
 
+    def test_rate_that_overflows_its_square_prints_no_warning(self, capsys):
+        assert main(["oracle", "--family", "gaussian_band",
+                     "--params", '{"sigma_c": 1e300}', "--t", "0,1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "t,re,im,abs\n0,1,0,1\n1,0,0,0\n"
+        assert captured.err == ""
+
     @pytest.mark.parametrize("params,times", [
         ('{"sigma_c": "x"}', "1"),
         ('{"sigma_c": [1]}', "1"),
@@ -502,6 +509,37 @@ def test_boundary_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mut
         assert built == []
 
 
+def _counted_builds(monkeypatch):
+    built = []
+    build = cli.build_kernel
+    monkeypatch.setattr(cli, "build_kernel", lambda *args: built.append(args) or build(*args))
+    return built
+
+
+def test_two_kernels_past_the_dense_cap_exit_2_before_any_kernel(tmp_path, capsys, monkeypatch):
+    built = _counted_builds(monkeypatch)
+    doc = _base_config(n_points=cli.MAX_GRID_POINTS + 1)
+    doc["observables"]["O1"]["kernel"] = {"family": "lorentz_band", "gamma": 1.0,
+                                          "mu": 10.0, "Sigma": 2.0}
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid grid: n_points=4097 exceeds the grid cap 4096\n")
+    assert built == []
+
+
+def test_one_operand_kernel_past_the_dense_cap_loads(tmp_path, monkeypatch):
+    built = _counted_builds(monkeypatch)
+    cfg = _write(tmp_path / "cfg.json", _base_config(n_points=cli.MAX_GRID_POINTS + 1))
+    scenario = cli.load_scenario(cfg, need_partition=True, outputs={})
+    assert scenario.grid.n_points == 4097 and len(built) == 2  # the state's and O2's
+    too_fine = _write(tmp_path / "fine.json",
+                      _base_config(n_points=cli.MAX_MADE_GRID_POINTS + 1))
+    with pytest.raises(cli.ConfigError, match="exceeds the grid cap 16384"):
+        cli.load_scenario(too_fine, need_partition=True, outputs={})
+
+
 def test_max_samples_itself_is_accepted_by_the_loader(tmp_path):
     doc = _base_config()
     doc["time"]["n_samples"] = cli.MAX_SAMPLES
@@ -533,7 +571,7 @@ class TestStreamedIncompatibility:
         monkeypatch.setattr(engine, "_incompatibility_blocks", recorded)
         monkeypatch.setattr(spectral.RegularKernel, "dense", dense_unless_d)
         monkeypatch.setattr(spectral, "check_hermitian", stored_or_scanned)
-        doc = _base_config(n_points=300, t_max=10.0, n_samples=101)  # two row blocks
+        doc = _base_config(n_points=300, t_max=10.0, n_samples=101)  # two tiles a side
         if o1_kernel:
             doc["observables"]["O1"]["kernel"] = {
                 "family": "lorentz_band", "amplitude": 0.5, "gamma": 1.0,
@@ -553,7 +591,7 @@ class TestStreamedIncompatibility:
     ], ids=["diag-times-kernel", "kernel-times-kernel"])
     def test_d_that_overflows_exits_2_with_one_line(self, tmp_path, capsys, command,
                                                     o1, o2_amplitude):
-        doc = _base_config(n_points=300)  # more than one row block
+        doc = _base_config(n_points=300)  # more than one tile a side
         doc["observables"]["O1"] = o1
         doc["observables"]["O2"]["kernel"]["amplitude"] = o2_amplitude
         cfg = _write(tmp_path / "cfg.json", doc)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from sidlattice import (
     pointer_lattice,
     run_emergence,
 )
-from sidlattice import cli, emergence, engine
+from sidlattice import cli, emergence, engine, spectral
 from sidlattice.errors import ConfigError
 
 
@@ -298,12 +299,12 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("o1_kernel", [False, True], ids=["diag-only-O1", "kernel-O1"])
     def test_emerge_and_simulate_hold_no_n_by_n_d(self, tmp_path, monkeypatch, o1_kernel):
-        """D is made and used one 256-row block at a time.
+        """D is made and used one 256 x 256 tile at a time.
 
-        At n = 2048 a block is an eighth of an n x n complex array, and a
-        stored D would be a whole one. rho and the operands are built before
-        tracing starts, so the live traced arrays are the blocks and, for two
-        real kernels, the real product M = K1 K2.
+        At n = 2048 a tile is a 64th of an n x n complex array, and a stored
+        D would be a whole one. rho and the operands are built before tracing
+        starts, so the live traced arrays are the tiles and, for two real
+        kernels, the real product M = K1 K2 and a dense K2 while it is formed.
         """
         n = 2048
         grid = make_grid(20.0, n)
@@ -365,6 +366,73 @@ class TestPeakMemory:
         assert peak <= 0.6 * n * n * 16
 
 
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json"
+
+
+def _shipped_scenario(tmp_path, n):
+    """configs/gaussian_emerge.json at n grid points, loaded (kernels built, none made)."""
+    doc = json.loads(SHIPPED_CONFIG.read_text())
+    doc["grid"]["n_points"] = n
+    cfg = tmp_path / f"cfg{n}.json"
+    cfg.write_text(json.dumps(doc))
+    return cli.load_scenario(str(cfg), need_partition=True, outputs={})
+
+
+def _emerge(s):
+    return run_emergence(s.rho, s.o1, s.o2, s.partition, s.t_max, s.n_samples,
+                         s.epsilon, s.decoherence_ratio, s.sustain)
+
+
+class TestTiledWorkingSet:
+    def test_emerge_peak_does_not_grow_with_n(self, tmp_path):
+        """Every pass reads 256 x 256 tiles, so the traced peak is a few tiles' bytes.
+
+        By 256-row blocks it was 13.8 MB at n = 1024 and 26.5 MB at n = 2048.
+        """
+        peaks = {}
+        for n in (1024, 2048):
+            scenario = _shipped_scenario(tmp_path, n)
+            tracemalloc.start()
+            try:
+                report = _emerge(scenario)
+                _, peaks[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.verdict is Verdict.BOOLEANIZED
+        assert peaks[2048] < 10e6
+        assert peaks[2048] - peaks[1024] <= 2e6
+
+    @pytest.mark.parametrize("n", [256, 600])  # as shipped, and four tiles
+    def test_no_operand_tile_is_made_after_the_pass(self, tmp_path, n):
+        """The DEGENERATE threshold is settled by a bound from the kernels' tables."""
+        scenario = _shipped_scenario(tmp_path, n)
+        made = []
+        for name in ("o1", "o2"):
+            kernel = getattr(scenario, name).kernel
+            if kernel.present:
+                make = kernel._maker.make
+                kernel._maker = kernel._maker._replace(
+                    make=lambda rows, cols, out=None, make=make, name=name:
+                    made.append((name, rows.start, cols.start)) or make(rows, cols, out))
+        report = _emerge(scenario)
+        assert report.verdict is Verdict.BOOLEANIZED
+        tiles = [("o2", rows.start, cols.start) for rows, cols in spectral._tiles(n)]
+        assert made == tiles  # once each, by D's pass, and never again
+
+    def test_exact_scale_decides_when_the_bound_does_not(self, monkeypatch):
+        grid = make_grid(20.0, 64)
+        rho = _complex_state(grid)
+        o1, o2 = linear_vs_gaussian_pair(grid)
+        calls = []
+        monkeypatch.setattr(emergence, "hs_norm",
+                            lambda k: calls.append(k) or hs_norm(k))
+        monkeypatch.setattr(emergence, "DEGENERACY_RTOL", 1e300)
+        report = run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
+                               10.0, 101, epsilon=1e-6)
+        assert report.verdict is Verdict.DEGENERATE
+        assert o2.kernel in calls
+
+
 def _operands(grid, o1_kernel, o1_family="lorentz_band"):
     o1, o2 = linear_vs_gaussian_pair(grid)
     if o1_kernel:
@@ -378,13 +446,13 @@ class TestStreamedIncompatibility:
     @pytest.mark.parametrize("o1_kernel,o1_family", [
         (False, None), (True, "lorentz_band"), (True, "random_bandlimited")])
     def test_matches_the_stored_d_bit_for_bit(self, o1_kernel, o1_family):
-        grid = make_grid(20.0, 300)  # more than one row block
+        grid = make_grid(20.0, 300)  # more than one tile a side
         rho = _complex_state(grid)
         o1, o2 = _operands(grid, o1_kernel, o1_family)
         report = run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
                                10.0, 101, epsilon=1e-6)
         incompat = incompatibility_observable(o1, o2)
-        assert incompat.kernel.values.shape == (300, 300)  # stored: rows now read from it
+        assert incompat.kernel.values.shape == (300, 300)  # stored: tiles now read from it
         stored = expectation_series(rho, incompat, 10.0, 101)
         assert report.series.values.tobytes() == stored.values.tobytes()
         assert report.hs_norm_initial == hs_norm(incompat.kernel)

@@ -242,6 +242,11 @@ class TestExpectation:
             expectation(rho, obs, 0.0)
 
 
+def _nu_profile(values):
+    """The anti-diagonal sums of an n x n array, by the tile pass of the expectation."""
+    return engine._skewed_profile(len(values), lambda i, j, view: np.copyto(view, values[i, j]))
+
+
 class TestAntiDiagonalRegrouping:
     @pytest.fixture
     def kernel(self):
@@ -249,7 +254,7 @@ class TestAntiDiagonalRegrouping:
         return rng.standard_normal((37, 37)) + 1j * rng.standard_normal((37, 37))
 
     def test_nu_profile_matches_direct_sum(self, kernel):
-        profile = engine._nu_profile(kernel)
+        profile = _nu_profile(kernel)
         n = kernel.shape[0]
         assert profile.shape == (2 * n - 1,)
         for m in (-(n - 1), -3, 0, 5, n - 1):
@@ -260,7 +265,7 @@ class TestAntiDiagonalRegrouping:
     def test_phase_series_matches_direct(self, kernel):
         grid = make_grid(0.25 * 37, 37)
         assert grid.spacing == 0.25
-        profile = engine._nu_profile(kernel)
+        profile = _nu_profile(kernel)
         nu = 0.25 * np.arange(-36, 37, dtype=np.float64)
         times = np.array([0.0, 0.7, 2.1])
         got = engine._phase_series(grid, profile, times)
@@ -363,10 +368,25 @@ class TestExpectationSeries:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6
-        profile = engine._kernel_profile(rho, engine._stored_rows(incompat.kernel))
-        for k in (0, 255, 256, 2000):  # either side of a block edge
+        profile = engine._kernel_profile(rho, engine._kernel_tiles(incompat.kernel))
+        for k in (0, 255, 256, 2000):  # either side of a block edge (32 times a block)
             alone = engine._phase_series(grid, profile, series.times[k:k + 1])[0]
             assert abs(series.values[k] - alone) <= 1e-12 * series.initial_magnitude
+
+    def test_peak_is_the_same_for_201_and_2001_samples(self):
+        # the phases take as many times at once as fit in one tile's bytes (32 at
+        # n = 1024): by 256 times, 201 samples traced 7.8 MB and 2001 8.8 MB
+        grid, rho, incompat = gaussian_scenario(n_points=1024)
+        peaks = {}
+        for n_samples in (201, 2001):
+            tracemalloc.start()
+            try:
+                expectation_series(rho, incompat, 10.0, n_samples)
+                _, peaks[n_samples] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # only the times and values themselves may grow: 1800 samples, 0.1 MB with copies
+        assert peaks[2001] - peaks[201] <= 0.2e6
 
     def test_validation(self):
         grid = make_grid(20.0, 32)
@@ -505,8 +525,8 @@ class TestCommutatorShortcuts:
             assert np.array_equal(d, -1j * commutator_kernel(a, b).values)
             rho = _random_state(grid, 6)
             assert np.array_equal(
-                engine._kernel_profile(rho, engine._stored_rows(incompat.kernel)),
-                grid.spacing**2 * engine._nu_profile(np.conjugate(rho.kernel.values) * d))
+                engine._kernel_profile(rho, engine._kernel_tiles(incompat.kernel)),
+                grid.spacing**2 * _nu_profile(np.conjugate(rho.kernel.values) * d))
             assert np.array_equal(
                 engine.phased_values(d, phases),
                 d * phases[:, None] * np.conjugate(phases)[None, :])
@@ -636,23 +656,23 @@ class TestIncompatibilityCheckedOnce:
             incompatibility_observable(o1, o2)
 
 
-    def test_d_once_stored_serves_the_rows_and_drops_the_maker(self):
-        grid = make_grid(20.0, 300)  # more than one row block
+    def test_d_once_stored_serves_the_tiles_and_drops_the_maker(self):
+        grid = make_grid(20.0, 300)  # more than one tile a side
         incompat = incompatibility_observable(*linear_vs_gaussian_pair(grid))
         kernel = incompat.kernel
         assert kernel._maker is not None and "values" not in vars(kernel)
-        blocks = list(spectral._row_blocks(300))
-        made = [kernel.rows(block) for block in blocks]
-        # a real block of [O1, O2] goes to D.imag alone; a given out is zeroed first
-        stale = np.full((256, 300), 7.0 + 7.0j)
-        assert np.array_equal(kernel.rows(blocks[0], out=stale), made[0])
+        tiles = list(spectral._tiles(300))
+        made = [kernel.tile(*ij) for ij in tiles]
+        # a real tile of [O1, O2] goes to D.imag alone; a given out is zeroed first
+        stale = np.full((256, 256), 7.0 + 7.0j)
+        assert np.array_equal(kernel.tile(*tiles[0], out=stale), made[0])
         values = kernel.values
         assert kernel._maker is None
-        for block, rows in zip(blocks, made):
-            assert np.shares_memory(kernel.rows(block), values)
-            assert np.array_equal(rows, values[block])
+        for ij, tile in zip(tiles, made):
+            assert np.shares_memory(kernel.tile(*ij), values)
+            assert np.array_equal(tile, values[ij])
 
-    def test_inexact_operand_d_is_made_once_per_row_block(self, monkeypatch):
+    def test_inexact_operand_d_is_made_once_per_tile(self, monkeypatch):
         grid = make_grid(20.0, 300)
         values = build_kernel(grid, KernelFamilySpec(
             "gaussian_band", sigma=1.5, mu=10.0, Sigma=2.0)).values.copy()
@@ -662,20 +682,20 @@ class TestIncompatibilityCheckedOnce:
         made = []
 
         def counted(make, dtype):
-            return spectral._Rows(lambda block, out=None: made.append(block.start)
-                                  or make(block, out), dtype)
+            return spectral._Tiles(lambda rows, cols, out=None: made.append(
+                (rows.start, cols.start)) or make(rows, cols, out), dtype)
 
-        monkeypatch.setattr(engine, "_Rows", counted)
+        monkeypatch.setattr(engine, "_Tiles", counted)
         incompat = incompatibility_observable(o1, o2)
         assert 0.0 < incompat.kernel.hermitian_residual <= 1e-10  # scanned: made dense
         expectation_series(_random_state(grid, 3), incompat, 5.0, 17)
         hs_norm(incompat.kernel)
-        assert made == [0, 256]
+        assert made == [(0, 0), (0, 256), (256, 0), (256, 256)]
 
 
 class TestConstantDiagonalSkip:
     def test_skipped_cross_term_gives_the_forced_d(self, monkeypatch):
-        grid = make_grid(20.0, 300)  # more than one row block
+        grid = make_grid(20.0, 300)  # more than one tile a side
         lorentz = build_kernel(grid, KernelFamilySpec(
             "lorentz_band", amplitude=0.5, gamma=1.0, mu=10.0, Sigma=2.0))
         gaussian = build_kernel(grid, KernelFamilySpec(
@@ -721,7 +741,7 @@ class TestFusedProfile:
         assert rho.kernel.values.dtype == (np.complex128 if rho_complex else np.float64)
         assert kernel.values.dtype == (np.complex128 if kernel_complex else np.float64)
 
-        got = engine._kernel_profile(rho, engine._stored_rows(kernel))
+        got = engine._kernel_profile(rho, engine._kernel_tiles(kernel))
         terms = grid.spacing**2 * np.conjugate(rho.kernel.values) * kernel.values
         offsets = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
         direct = np.zeros(2 * n - 1, dtype=np.complex128)
@@ -731,4 +751,26 @@ class TestFusedProfile:
         assert np.all(np.abs(got - direct) <= 1e-12 * scale)
 
         weights = np.conjugate(rho.kernel.values) * kernel.values
-        assert np.array_equal(got, grid.spacing**2 * engine._nu_profile(weights))
+        assert np.array_equal(got, grid.spacing**2 * _nu_profile(weights))
+
+
+class TestTileInvariants:
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 300, 511, 700, 1025])
+    def test_mixture_and_d_are_exactly_hermitian_and_their_tiles(self, n):
+        """A tile and its mirror are products of the same shapes, so the residual is 0.0;
+        dense() writes each tile into place and equals the fresh tiles put together."""
+        grid = make_grid(20.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportOverflowWarning)
+            mixture = build_kernel(grid, KernelFamilySpec(
+                "random_bandlimited", amplitude=0.5, sigma=1.0, mu=10.0, Sigma=2.0, seed=3))
+            _, o2 = linear_vs_gaussian_pair(grid)
+        o1 = VanHoveObservable(DiagonalPart(grid, grid.nodes), mixture)
+        d = incompatibility_observable(o1, o2).kernel
+        for kernel in (mixture, d):
+            dense = kernel.dense()
+            assert spectral._hermitian_residual(dense) == 0.0
+            tiles = np.empty_like(dense)
+            for rows, cols in spectral._tiles(n):
+                tiles[rows, cols] = kernel.tile(rows, cols)
+            assert np.array_equal(_bits(dense), _bits(tiles))

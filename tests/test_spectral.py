@@ -275,7 +275,7 @@ class TestBlockwiseResidual:
         base = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         base = base + base.conj().T
         starts = range(0, n, block)
-        with patch.object(spectral, "_RESIDUAL_BLOCK", block):
+        with patch.object(spectral, "_TILE", block):
             assert spectral._hermitian_residual(base) == 0.0
             for r0 in starts:
                 for c0 in starts:
@@ -293,11 +293,11 @@ class TestBlockwiseResidual:
     def test_equals_dense_property(self, n, block, seed):
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        with patch.object(spectral, "_RESIDUAL_BLOCK", block):
+        with patch.object(spectral, "_TILE", block):
             assert spectral._hermitian_residual(values) == _dense_residual(values)
 
     def test_equals_dense_at_default_block_size(self):
-        n = 2 * spectral._RESIDUAL_BLOCK + 37
+        n = 2 * spectral._TILE + 37
         rng = np.random.default_rng(8)
         values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert spectral._hermitian_residual(values) == _dense_residual(values)
@@ -606,62 +606,62 @@ _FAMILY_WIDTHS = {"gaussian_band": {"sigma": 1.5}, "lorentz_band": {"gamma": 0.7
                   "rect_band": {"sigma": 1.5}, "random_bandlimited": {"sigma": 1.5, "seed": 11}}
 
 
-class TestTabulatedKernelRows:
+class TestTabulatedKernelTiles:
     @pytest.mark.parametrize("family", sorted(_FAMILY_WIDTHS))
     @pytest.mark.parametrize("n", [2, 7, 255, 256, 257, 513])
-    def test_rows_are_the_densified_values_bit_for_bit(self, family, n):
+    def test_tiles_are_the_densified_values_bit_for_bit(self, family, n):
         grid = make_grid(20.0, n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SupportOverflowWarning)
             kernel = build_kernel(grid, KernelFamilySpec(
                 family, amplitude=-0.7, mu=10.0, Sigma=2.0, **_FAMILY_WIDTHS[family]))
-        blocks = list(spectral._row_blocks(n))
-        fresh = [kernel.rows(b) for b in blocks]
-        written = [kernel.rows(b, out=np.zeros((b.stop - b.start, n), complex))
-                   for b in blocks]
+        tiles = list(spectral._tiles(n))
+        fresh = [kernel.tile(*ij) for ij in tiles]
+        written = [kernel.tile(rows, cols, out=np.zeros(
+            (rows.stop - rows.start, cols.stop - cols.start), complex)) for rows, cols in tiles]
         made = []
-        rows = RegularKernel.rows
-        with patch.object(RegularKernel, "rows",
-                          lambda self, *args: made.append(args) or rows(self, *args)):
+        tile = RegularKernel.tile
+        with patch.object(RegularKernel, "tile",
+                          lambda self, *args: made.append(args[:2]) or tile(self, *args)):
             values = kernel.values
             assert kernel.values is values
-        assert len(made) == len(blocks)  # built once, row block by row block
+        assert made == tiles  # built once, tile by tile
         assert not values.flags.writeable and values.dtype == kernel.dtype
-        for block, got, into in zip(blocks, fresh, written):
-            assert np.array_equal(_bits(got), _bits(values[block]))
-            assert np.array_equal(_bits(into), _bits(values[block].astype(complex)))
+        for ij, got, into in zip(tiles, fresh, written):
+            assert np.array_equal(_bits(got), _bits(values[ij]))
+            assert np.array_equal(_bits(into), _bits(values[ij].astype(complex)))
 
     @pytest.mark.parametrize("family", sorted(_FAMILY_WIDTHS))
-    def test_values_once_built_serve_the_rows_and_drop_the_maker(self, family):
-        grid = make_grid(20.0, 300)  # more than one row block
+    def test_values_once_built_serve_the_tiles_and_drop_the_maker(self, family):
+        grid = make_grid(20.0, 300)  # more than one tile a side
         kernel = build_kernel(grid, KernelFamilySpec(
             family, mu=10.0, Sigma=2.0, **_FAMILY_WIDTHS[family]))
         assert kernel._maker is not None and "values" not in vars(kernel)
         values = kernel.values
         assert kernel._maker is None
-        for block in spectral._row_blocks(300):
-            assert np.shares_memory(kernel.rows(block), values)
-            into = np.empty((block.stop - block.start, 300), complex)
-            assert np.array_equal(kernel.rows(block, out=into), values[block])
+        for rows, cols in spectral._tiles(300):
+            assert np.shares_memory(kernel.tile(rows, cols), values)
+            into = np.empty((rows.stop - rows.start, cols.stop - cols.start), complex)
+            assert np.array_equal(kernel.tile(rows, cols, out=into), values[rows, cols])
 
-    def test_zero_test_reads_up_to_the_first_nonzero_block_once(self):
+    def test_zero_test_reads_up_to_the_first_nonzero_tile_once(self):
         grid = make_grid(20.0, 600)
         with pytest.warns(SupportOverflowWarning):
             outside = build_kernel(grid, _quiet_gaussian(mu=1e200))
         assert outside.is_zero
         kernel = build_kernel(grid, _quiet_gaussian())
         read = []
-        rows = RegularKernel.rows
-        with patch.object(RegularKernel, "rows",
-                          lambda self, *args: read.append(args) or rows(self, *args)):
+        tile = RegularKernel.tile
+        with patch.object(RegularKernel, "tile",
+                          lambda self, *args: read.append(args) or tile(self, *args)):
             assert not kernel.is_zero and not kernel.is_zero
-        assert read == [(slice(0, 256),)]
+        assert read == [(slice(0, 256), slice(0, 256))]
         assert RegularKernel.absent(grid).is_zero and RegularKernel.zeros(grid).is_zero
 
 
 class TestHsNormPastTheSquareOverflow:
     def test_block_past_the_overflow_is_rescaled(self):
-        g = make_grid(10.0, 300)  # a plain first row block, then one whose squares overflow
+        g = make_grid(10.0, 300)  # plain first tiles, then ones whose squares overflow
         values = np.ones((300, 300))
         values[256:] = 1e200
         expected = g.spacing * 1e200 * math.sqrt(44 * 300)
@@ -672,7 +672,7 @@ class TestHsNormPastTheSquareOverflow:
         g = make_grid(20.0, 300)
         kernel = build_kernel(g, _quiet_gaussian())
         plain = 0.0
-        for block in spectral._row_blocks(300):
-            parts = kernel.values[block].ravel()
+        for ij in spectral._tiles(300):
+            parts = kernel.values[ij].ravel()
             plain += float(parts @ parts)
         assert hs_norm(kernel) == g.spacing * math.sqrt(plain)
