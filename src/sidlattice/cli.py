@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .emergence import BinPartition, Verdict, require_pointer_cap, run_emergence
+from .emergence import BinPartition, Verdict, require_epsilon, require_pointer_cap, run_emergence
 from .engine import (
     DEFAULT_SUSTAIN,
     DEFAULT_THRESHOLD_RATIO,
@@ -30,6 +30,7 @@ from .engine import (
     combined_decay_rate,
     expectation_series,
     incompatibility_observable,
+    require_thresholds,
     require_window,
 )
 from .errors import ConfigError, SidLatticeError, UnsupportedFamily, WindowExceeded
@@ -108,11 +109,11 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _cfg_get(doc: dict, key: str, kind, what: str, required: bool = True):
+def _cfg_get(doc: dict, key: str, kind, what: str, default=...):  # ...: the key is required
     if key not in doc:
-        if required:
+        if default is ...:
             raise ConfigError(f"missing {what} key {key!r}")
-        return None
+        return default
     value = doc[key]
     if kind is float and _is_number(value):
         return float(value)
@@ -135,8 +136,7 @@ def _build_diag(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Diagonal
         return DiagonalPart.zeros(grid)
     where = f"{what} diag"
     family = doc.get("family")
-    amplitude = _cfg_get(doc, "amplitude", float, where, required=False)
-    amplitude = 1.0 if amplitude is None else amplitude
+    amplitude = _cfg_get(doc, "amplitude", float, where, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # DiagonalPart rejects inf, nan
         if "samples" in doc:
             samples = _cfg_get(doc, "samples", list, where)
@@ -182,10 +182,8 @@ def _build_kernel(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Regula
 
 
 def _build_observable(grid: FrequencyGrid, doc: dict, what: str) -> VanHoveObservable:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be an object with diag/kernel")
-    diag = _build_diag(grid, _cfg_get(doc, "diag", dict, what, required=False), what)
-    kernel = _build_kernel(grid, _cfg_get(doc, "kernel", dict, what, required=False), what)
+    diag = _build_diag(grid, _cfg_get(doc, "diag", dict, what, None), what)
+    kernel = _build_kernel(grid, _cfg_get(doc, "kernel", dict, what, None), what)
     if kernel.present and kernel.is_zero:
         raise ConfigError(f"{what} kernel samples to zero on the grid")
     try:
@@ -210,8 +208,8 @@ class Scenario:
 
 
 def _resolve_outputs(doc: dict, outputs: dict) -> dict:
-    out_doc = _cfg_get(doc, "output", dict, "config", required=False) or {}
-    configured = {key: _cfg_get(out_doc, key, str, "output", required=False)
+    out_doc = _cfg_get(doc, "output", dict, "config", {})
+    configured = {key: _cfg_get(out_doc, key, str, "output", None)
                   for key in ("series", "report")}
     resolved = {}
     for name, cli_path in outputs.items():
@@ -244,62 +242,42 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
     except (SidLatticeError, ValueError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
-    partition = None
-    if need_partition:
-        part_doc = doc.get("partition")
-        if not isinstance(part_doc, dict):
-            raise ConfigError("emerge needs a partition block with n_bins")
-        n_bins = _cfg_get(part_doc, "n_bins", int, "partition",
-                          required=False)
-        if n_bins is None:
-            n_bins = 4
-        if not 1 <= n_bins <= grid.n_points:
-            raise ConfigError(f"n_bins must be in [1, {grid.n_points}], got {n_bins}")
-        partition = BinPartition.equal_bins(grid, n_bins)
-        # before any kernel is built, so an over-fine partition costs nothing
-        require_pointer_cap(partition)
-    resolved = _resolve_outputs(doc, outputs)
-
     time_doc = _cfg_get(doc, "time", dict, "config")
     t_max = _cfg_get(time_doc, "t_max", float, "time")
     n_samples = _cfg_get(time_doc, "n_samples", int, "time")
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ConfigError(f"t_max must be positive, got {t_max}")
-    if not 2 <= n_samples <= MAX_SAMPLES:
+    if n_samples > MAX_SAMPLES:
         raise ConfigError(f"n_samples must be in [2, {MAX_SAMPLES}], got {n_samples}")
-    require_window(grid, t_max)
-
-    thr_doc = _cfg_get(doc, "thresholds", dict, "config", required=False) or {}
-    ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", required=False)
-    ratio = DEFAULT_THRESHOLD_RATIO if ratio is None else ratio
-    sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", required=False)
-    sustain = DEFAULT_SUSTAIN if sustain is None else sustain
-    epsilon = _cfg_get(thr_doc, "epsilon", float, "thresholds", required=False)
-    if epsilon is not None and not epsilon > 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"decoherence_ratio must be in (0, 1), got {ratio}")
-    if sustain < 1:
-        raise ConfigError(f"sustain must be at least 1, got {sustain}")
-
+    thr_doc = _cfg_get(doc, "thresholds", dict, "config", {})
+    ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", DEFAULT_THRESHOLD_RATIO)
+    sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", DEFAULT_SUSTAIN)
+    epsilon = _cfg_get(thr_doc, "epsilon", float, "thresholds", None)
     if need_partition and epsilon is None:
         raise ConfigError("emerge needs thresholds.epsilon")
+    partition = None
+    try:  # the library's own guards, before any kernel is built; WindowExceeded exits 3
+        if need_partition:
+            part = _cfg_get(doc, "partition", dict, "config")
+            partition = BinPartition.equal_bins(
+                grid, _cfg_get(part, "n_bins", int, "partition", 4))
+            require_pointer_cap(partition)  # so an over-fine partition costs nothing
+        require_window(grid, t_max, n_samples)
+        require_thresholds(ratio, sustain)
+        if epsilon is not None:
+            require_epsilon(epsilon)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    resolved = _resolve_outputs(doc, outputs)
 
     state_doc = _cfg_get(doc, "state", dict, "config")
-    diag = _build_diag(
-        grid, _cfg_get(state_doc, "diag", dict, "state", required=False), "state")
-    kernel = _build_kernel(
-        grid, _cfg_get(state_doc, "kernel", dict, "state", required=False), "state")
+    obs_doc = _cfg_get(doc, "observables", dict, "config")
+    o1_doc, o2_doc = (_cfg_get(obs_doc, name, dict, "observables") for name in ("O1", "O2"))
+    diag = _build_diag(grid, _cfg_get(state_doc, "diag", dict, "state", None), "state")
+    kernel = _build_kernel(grid, _cfg_get(state_doc, "kernel", dict, "state", None), "state")
     try:
         rho = VanHoveState.normalized(diag, kernel)
     except ValueError as exc:
         raise ConfigError(f"invalid state: {exc}") from exc
-
-    obs_doc = _cfg_get(doc, "observables", dict, "config")
-    if "O1" not in obs_doc or "O2" not in obs_doc:
-        raise ConfigError("observables block needs O1 and O2")
-    o1 = _build_observable(grid, obs_doc["O1"], "O1")
-    o2 = _build_observable(grid, obs_doc["O2"], "O2")
+    o1, o2 = _build_observable(grid, o1_doc, "O1"), _build_observable(grid, o2_doc, "O2")
 
     return Scenario(
         grid=grid, rho=rho, o1=o1, o2=o2, t_max=t_max, n_samples=n_samples,

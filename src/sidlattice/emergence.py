@@ -75,7 +75,7 @@ class BinPartition:
     @classmethod
     def equal_bins(cls, grid: FrequencyGrid, n_bins: int) -> "BinPartition":
         if not 1 <= n_bins <= grid.n_points:
-            raise ValueError(f"need 1 <= n_bins <= {grid.n_points}, got {n_bins}")
+            raise ValueError(f"n_bins must be in [1, {grid.n_points}], got {n_bins}")
         edges = [round(i * grid.n_points / n_bins) for i in range(n_bins + 1)]
         return cls(grid, tuple(edges))
 
@@ -111,11 +111,16 @@ def angle_sweep(thetas: Iterable[float]) -> list[AngleSweepRow]:
     return rows
 
 
+def require_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless epsilon is positive and finite."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def effective_compatibility(series: ExpectationSeries,
                             epsilon: float) -> Optional[float]:
     """First sampled time after which |<D(t)>| stays at or below epsilon."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    require_epsilon(epsilon)
     mags = np.abs(series.values)
     below = mags <= epsilon
     suffix_ok = np.logical_and.accumulate(below[::-1])[::-1]

@@ -86,10 +86,10 @@ class ExpectationSeries:
         values = np.array(self.values, dtype=np.complex128, copy=True)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be matching 1-d arrays")
-        if times.size < 1 or np.any(np.diff(times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
+        if times.size < 1 or not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
+            raise ValueError("times must be finite and strictly increasing")
         _finite(values)
-        if times[-1] > 0.5 * self.recurrence_time:
+        if not times[-1] <= 0.5 * self.recurrence_time:
             raise WindowExceeded(
                 f"series reaches t={times[-1]}, beyond half the recurrence "
                 f"time {self.recurrence_time}")
@@ -129,8 +129,9 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     read once) or its diagonal constant. For Hermitian kernels
     K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
     one n x n array the tiles need. It is formed here, by 256-row slabs of K1
-    against K2 made dense for it alone. A real tile of [O1, O2] goes,
-    negated, into D's imaginary part alone.
+    against K2 made dense for it alone. Each tile sums -[O1, O2] = i D into D's
+    buffer (its imaginary part alone if every term is real), the negation folded into
+    each subtraction's operand order, exact under round-to-nearest.
 
     When both operand kernels are exactly Hermitian (recorded residual 0.0,
     or absent), so is D, which records 0.0 with no scan: IEEE rounding is
@@ -141,7 +142,6 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     n = grid.n_points
     d1, d2 = o1.diag.values, o2.diag.values
     k1, k2 = o1.kernel, o2.kernel
-    cross1, cross2 = not k2.is_zero and np.ptp(d1) != 0, not k1.is_zero and np.ptp(d2) != 0
     m = None
     if not (k1.is_zero or k2.is_zero):
         right = k2.dense(np.result_type(k1.dtype, k2.dtype))
@@ -152,22 +152,37 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
                 k1.tile(rows, cols, left[:, cols])
             np.matmul(left, right, out=m[rows])
 
+    def cross(kernel, diag, order):  # (d(w) - d(w')) K, or (d(w') - d(w)) K for order -1
+        def write(rows, cols, into, diff):
+            kernel.tile(rows, cols, into)
+            into *= np.subtract(*(diag[rows, None], diag[None, cols])[::order], out=diff)
+        return write
+
+    def mixing(rows, cols, into, diff):  # (M[cols, rows]^H - M[rows, cols]) spacing
+        np.subtract(np.conjugate(m[cols, rows].T, out=into), m[rows, cols], out=into)
+        into *= grid.spacing
+
+    # -[O1, O2] = (d1(w') - d1(w)) K2 + (d2(w) - d2(w')) K1 + M^H - M, summed in this order
+    crosses = [(k, d, order) for k, d, order in ((k2, d1, -1), (k1, d2, 1))
+               if not k.is_zero and np.ptp(d) != 0]
+    terms = [cross(*term) for term in crosses] + [mixing] * (m is not None)
+    dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *[m] * (m is not None))
+    scratch = np.empty((2, _TILE, _TILE), dtype)  # the diagonal difference, a later term
+
     def make(rows, cols, out=None):
-        tile = np.subtract.outer(d1[rows], d1[cols]) * k2.tile(rows, cols) if cross1 else None
-        if cross2:
-            term = np.subtract.outer(d2[rows], d2[cols]) * k1.tile(rows, cols)
-            tile = np.negative(term, out=term) if tile is None else tile - term
-        if m is not None:
-            mixing = m[rows, cols] - m[cols, rows].T.conj()
-            mixing *= grid.spacing
-            tile = mixing if tile is None else tile + mixing
-        if tile is not None and np.iscomplexobj(tile):
-            return _finite(np.multiply(tile, -1j, out=tile if out is None else out))
-        d = np.zeros((len(d1[rows]), len(d1[cols])), complex) if out is None else out
-        if out is not None:
-            d.fill(0.0)  # a real tile writes D's imaginary part alone
-        if tile is not None:  # else no term at all: D = 0
-            np.negative(tile, out=d.imag)
+        d = np.empty((len(d1[rows]), len(d1[cols])), complex) if out is None else out
+        acc = d if dtype.kind == "c" else d.imag  # -[O1, O2] = i D, summed term by term
+        diff, later = scratch[:, :d.shape[0], :d.shape[1]]
+        for k, write in enumerate(terms):
+            write(rows, cols, later if k else acc, diff)
+            if k:
+                acc += later
+        if not terms:  # D = 0
+            d.fill(0.0)
+        elif acc is d:
+            d *= 1j
+        else:
+            d.real = 0.0
         return _finite(d)
 
     kernel = RegularKernel(grid, _Tiles(make, np.dtype(np.complex128)))
@@ -224,10 +239,15 @@ def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
     return values
 
 
-def require_window(grid: FrequencyGrid, t_max: float) -> None:
-    """Raise WindowExceeded when t_max goes past half the recurrence time."""
+def require_window(grid: FrequencyGrid, t_max: float, n_samples: int) -> None:
+    """Raise ValueError unless t_max is positive and finite and n_samples at least 2,
+    and WindowExceeded when t_max goes past half the recurrence time."""
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if not n_samples >= 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     half = 0.5 * grid.recurrence_time
-    if t_max > half:
+    if not t_max <= half:
         raise WindowExceeded(
             f"t_max={t_max} exceeds half the recurrence time: recurrence "
             f"2*pi/spacing = {grid.recurrence_time}, window limit {half}")
@@ -271,11 +291,7 @@ def series_from_tiles(rho: VanHoveState, d_tiles, t_max: float,
     Raises WindowExceeded past half the recurrence time 2*pi/spacing.
     """
     grid = rho.grid
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be positive, got {t_max}")
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-    require_window(grid, t_max)
+    require_window(grid, t_max, n_samples)
     times = np.linspace(0.0, t_max, int(n_samples))
     values = _phase_series(grid, _kernel_profile(rho, d_tiles), times)
     return ExpectationSeries(times, values, grid.recurrence_time)
@@ -288,6 +304,14 @@ def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
     return series_from_tiles(rho, _kernel_tiles(incompat.kernel), t_max, n_samples)
 
 
+def require_thresholds(threshold_ratio: float, sustain: int) -> None:
+    """Raise ValueError unless 0 < threshold_ratio < 1 and sustain is at least 1."""
+    if not 0.0 < threshold_ratio < 1.0:
+        raise ValueError(f"decoherence threshold ratio must be in (0, 1), got {threshold_ratio}")
+    if not sustain >= 1:
+        raise ValueError(f"sustain must be at least 1, got {sustain}")
+
+
 def decoherence_time(series: ExpectationSeries,
                      threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
                      sustain: int = DEFAULT_SUSTAIN) -> Optional[float]:
@@ -297,10 +321,7 @@ def decoherence_time(series: ExpectationSeries,
     never sustained inside the window; a series that starts at exactly zero
     magnitude is degenerate and reports time 0.
     """
-    if not 0.0 < threshold_ratio < 1.0:
-        raise ValueError(f"threshold_ratio must be in (0, 1), got {threshold_ratio}")
-    if sustain < 1:
-        raise ValueError(f"sustain must be at least 1, got {sustain}")
+    require_thresholds(threshold_ratio, sustain)
     if series.initial_magnitude == 0.0:
         return 0.0
     below = np.abs(series.values) <= threshold_ratio * series.initial_magnitude

@@ -322,6 +322,13 @@ def generate_lattice(seeds: Iterable[Subspace],
         ortho=np.array(orthos))
 
 
+def _distributive_sides(lat: PropertyLattice):
+    """Per element a, the (b, c) tables of (a^b)v(a^c) <= a^(bvc) and av(b^c) <= (avb)^(avc)."""
+    m, j = lat.meet, lat.join
+    for a in range(len(lat)):
+        yield (j[np.ix_(m[a], m[a])], m[a, j]), (j[a, m], m[np.ix_(j[a], j[a])])
+
+
 def is_boolean(lat: PropertyLattice) -> bool:
     """Every pair compatible and every triple distributive.
 
@@ -330,21 +337,8 @@ def is_boolean(lat: PropertyLattice) -> bool:
     """
     if not lat.closed:
         raise NotClosed("is_boolean needs a closed lattice")
-    if not compatibility_matrix(lat).all():
-        return False
-    m, j = lat.meet, lat.join
-    n = len(lat)
-    idx = np.arange(n)
-    for a in range(n):
-        lhs1 = m[a, j]
-        rhs1 = j[m[a, idx][:, None], m[a, idx][None, :]]
-        if not np.array_equal(lhs1, rhs1):
-            return False
-        lhs2 = j[a, m]
-        rhs2 = m[j[a, idx][:, None], j[a, idx][None, :]]
-        if not np.array_equal(lhs2, rhs2):
-            return False
-    return True
+    return bool(compatibility_matrix(lat).all()) and all(
+        np.array_equal(low, high) for sides in _distributive_sides(lat) for low, high in sides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,15 +455,11 @@ def check_lattice_laws(lat: PropertyLattice) -> dict:
     record("orthomodular", ~lq | (j[idx[:, None], m[idx[None, :], o[idx][:, None]]]
                                   == idx[None, :]))
 
-    first = np.ones((n, n, n), dtype=bool)
-    second = np.ones((n, n, n), dtype=bool)
-    for a in range(n):
-        lhs1 = j[m[a, idx][:, None], m[a, idx][None, :]]
-        first[a] = lq[lhs1, m[a, j]]
-        rhs2 = m[j[a, idx][:, None], j[a, idx][None, :]]
-        second[a] = lq[j[a, m], rhs2]
-    record("distributive_inclusion_meet", first)
-    record("distributive_inclusion_join", second)
+    inclusions = np.empty((2, n, n, n), dtype=bool)
+    for a, sides in enumerate(_distributive_sides(lat)):
+        inclusions[:, a] = [lq[low, high] for low, high in sides]
+    record("distributive_inclusion_meet", inclusions[0])
+    record("distributive_inclusion_join", inclusions[1])
 
     laws["all_pass"] = all(v["pass"] for k, v in laws.items() if k != "all_pass")
     return laws

@@ -1,5 +1,6 @@
 """Package-wide defaults, overridable through environment variables."""
 
+import math
 import os
 
 ENV_TOL = "SIDLATTICE_TOL"
@@ -16,6 +17,6 @@ def default_tol() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"{ENV_TOL} must parse as a float, got {raw!r}") from exc
-    if value <= 0.0:
-        raise ValueError(f"{ENV_TOL} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{ENV_TOL} must be positive and finite, got {value}")
     return value

@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidlattice import cli
 from sidlattice.cli import main
@@ -382,7 +389,7 @@ def test_lattice_max_elements_below_two_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("raw", ["zero", "-1e-8"])
+@pytest.mark.parametrize("raw", ["zero", "-1e-8", "nan", "inf"])
 def test_bad_tolerance_env_exits_2_naming_it(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv("SIDLATTICE_TOL", raw)
     cfg = _write(tmp_path / "cfg.json", _base_config())
@@ -680,3 +687,89 @@ def test_subnormal_spacing_exits_2_with_one_line(tmp_path, capsys, command):
         assert main([command, "--config", cfg, *outputs]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid grid: ") and err.count("\n") == 1
+
+
+# one rule each, as the library's guards state them; a float field also meets inf and NaN
+_OUT_OF_RANGE = [
+    ("n_bins", ("partition", "n_bins"), [0, -1, 65]),
+    ("t_max", ("time", "t_max"), [0.0, -1.0, math.inf, -math.inf, math.nan]),
+    ("n_samples", ("time", "n_samples"), [1, 0, -3]),
+    ("ratio", ("thresholds", "decoherence_ratio"), [0.0, 1.0, 2.0, math.inf, math.nan]),
+    ("sustain", ("thresholds", "sustain"), [0, -1]),
+    ("epsilon", ("thresholds", "epsilon"), [0.0, -1e-6, math.inf, math.nan]),
+]
+
+
+@pytest.mark.parametrize("field,path,value", [
+    pytest.param(field, path, value, id=f"{field}-{value}")
+    for field, path, values in _OUT_OF_RANGE for value in values])
+def test_out_of_range_field_exits_2_before_any_kernel(tmp_path, capsys, monkeypatch,
+                                                      field, path, value):
+    built = _counted_builds(monkeypatch)
+    doc = _base_config()
+    _set(path, value)(doc)
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert built == []
+
+
+def test_t_max_past_the_window_exits_3_before_any_kernel(tmp_path, capsys, monkeypatch):
+    built = _counted_builds(monkeypatch)
+    cfg = _write(tmp_path / "cfg.json", _base_config(t_max=11.0))  # half the recurrence: 10.05
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_max=11.0 exceeds half the recurrence time")
+    assert err.count("\n") == 1 and built == []
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.pop("observables"),
+    lambda doc: doc["observables"].pop("O2"),
+    _set(("observables", "O1"), "linear"),
+], ids=["no-observables", "no-O2", "O1-not-object"])
+def test_observables_block_is_checked_before_any_kernel(tmp_path, capsys, monkeypatch, mutate):
+    built = _counted_builds(monkeypatch)
+    doc = _base_config()
+    mutate(doc)
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and built == []
+
+
+def _leaves(node, path=()):
+    if not isinstance(node, dict):
+        return [path]
+    return [leaf for key, value in node.items() for leaf in _leaves(value, path + (key,))]
+
+
+_SHIPPED = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json").read_text())
+_SHIPPED["grid"]["n_points"], _SHIPPED["time"]["t_max"] = 32, 4.0
+_LEAF_VALUES = [None, True, False, 0, 1, -1, 1.5, 1e308, -1e308, 1e-320, 2**70, "x",
+                [1.0], {"a": 1}, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=500, deadline=None)
+@given(path=st.sampled_from(_leaves(_SHIPPED)), value=st.sampled_from(_LEAF_VALUES),
+       command=st.sampled_from(["emerge", "simulate"]))
+def test_cli_contract_on_one_mutated_leaf(path, value, command):
+    """Any one leaf of the shipped config replaced: a documented exit, one line if nonzero."""
+    doc = copy.deepcopy(_SHIPPED)
+    _set(path, value)(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp) / "cfg.json", doc)
+        outputs = {"emerge": ["--report", f"{tmp}/r.json", "--series", f"{tmp}/s.csv"],
+                   "simulate": ["--out", f"{tmp}/s.csv"]}[command]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", cfg, *outputs])
+    assert code in (0, 2, 3, 4, 5)
+    if code != 0:
+        assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -435,12 +435,24 @@ class TestDecoherenceTime:
             decoherence_time(series, 1.5, 1)
         with pytest.raises(ValueError):
             decoherence_time(series, 0.5, 0)
+        for ratio, sustain in ((math.nan, 1), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                decoherence_time(series, ratio, sustain)
 
     def test_values_must_be_finite(self):
         times = np.linspace(0.0, 1.0, 4)
         for bad in (math.inf, complex(0.0, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 ExpectationSeries(times, np.array([1.0, bad, 1.0, 1.0], dtype=complex), 10.0)
+
+    @pytest.mark.parametrize("times", [[0.0, math.nan], [math.nan], [0.0, math.inf]])
+    def test_times_must_be_finite(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            ExpectationSeries(times, np.ones(len(times), dtype=complex), 10.0)
+
+    def test_nan_recurrence_time_is_outside_every_window(self):
+        with pytest.raises(WindowExceeded):
+            ExpectationSeries([0.0, 1.0], [1.0, 0.1], math.nan)
 
 
 class TestAnalyticOracle:

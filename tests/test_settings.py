@@ -21,12 +21,10 @@ def test_env_override_changes_behavior(monkeypatch):
     assert check_hermitian(kernel)
 
 
-def test_env_override_validation(monkeypatch):
-    monkeypatch.setenv("SIDLATTICE_TOL", "zero")
-    with pytest.raises(ValueError):
-        default_tol()
-    monkeypatch.setenv("SIDLATTICE_TOL", "-1e-8")
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("raw", ["zero", "-1e-8", "0", "nan", "inf", "-inf"])
+def test_env_override_validation(monkeypatch, raw):
+    monkeypatch.setenv("SIDLATTICE_TOL", raw)
+    with pytest.raises(ValueError, match="SIDLATTICE_TOL"):
         default_tol()
 
 
