@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import warnings
@@ -23,13 +22,14 @@ import numpy as np
 
 from .emergence import BinPartition, Verdict, require_epsilon, require_pointer_cap, run_emergence
 from .engine import (
+    ANALYTIC_FORMS,
     DEFAULT_SUSTAIN,
     DEFAULT_THRESHOLD_RATIO,
     ExpectationSeries,
     analytic_decay,
-    combined_decay_rate,
     expectation_series,
     incompatibility_observable,
+    reduced_width,
     require_thresholds,
     require_window,
 )
@@ -64,8 +64,6 @@ EXIT_LAWS = 4
 EXIT_DEGENERATE = 5
 
 DIAG_FAMILIES = ("linear", "constant", "gaussian", "zero")
-# oracle family -> (analytic decay kind, width parameter)
-_ORACLE_FORMS = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lorentz", "gamma")}
 # Cap on time.n_samples, checked before any kernel is built (a guard, not an option)
 MAX_SAMPLES = 1_000_000
 # Grid cap unless both observables carry a kernel (M = K1 K2 is n x n): none is stored
@@ -307,51 +305,40 @@ def run_simulate(config_path: str, out_path: Optional[str]) -> int:
     return EXIT_OK
 
 
+def _complex_pairs(pairs, n: int, what: str) -> list[complex]:
+    """A list of n [re, im] pairs of JSON numbers as complex values."""
+    if not (isinstance(pairs, list) and len(pairs) == n and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in pairs)):
+        raise ConfigError(f"{what} needs {n} [re, im] pairs of numbers")
+    return [complex(re, im) for re, im in pairs]
+
+
 def _parse_subspaces(doc: dict) -> tuple[int, list[Subspace]]:
-    if "dim" not in doc or "elements" not in doc:
-        raise ConfigError("subspace document needs 'dim' and 'elements'")
-    dim = doc["dim"]
+    dim = doc.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConfigError(f"dim must be a positive integer, got {dim!r}")
     if dim > MAX_GRID_POINTS:
         raise ConfigError(f"dim={dim} exceeds the dense-storage cap {MAX_GRID_POINTS}")
-    elements = doc["elements"]
-    if not isinstance(elements, list):
-        raise ConfigError("'elements' must be a list of subspaces")
     spaces = []
-    for k, vectors in enumerate(elements):
+    for k, vectors in enumerate(_cfg_get(doc, "elements", list, "subspace document")):
         if not isinstance(vectors, list):
             raise ConfigError(f"element {k} must be a list of column vectors")
-        cols = []
-        for vec in vectors:
-            if not isinstance(vec, list) or len(vec) != dim:
-                raise ConfigError(
-                    f"element {k}: each column vector needs {dim} [re, im] pairs")
-            try:
-                col = np.array([complex(re, im) for re, im in vec])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"element {k}: entries must be [re, im] pairs: {exc}") from exc
-            if not np.all(np.isfinite(col)):
-                raise ConfigError(f"element {k}: entries must be finite")
-            cols.append(col)
-        spaces.append(from_vectors(dim, cols))
+        cols = [_complex_pairs(vec, dim, f"element {k}: each column vector") for vec in vectors]
+        try:
+            spaces.append(from_vectors(dim, cols))
+        except ValueError as exc:
+            raise ConfigError(f"element {k}: {exc}") from exc
     return dim, spaces
 
 
 def _parse_state(doc: dict, dim: int) -> DensityState:
-    if "matrix" not in doc:
-        raise ConfigError("state document needs a 'matrix' of [re, im] pairs")
-    rows = doc["matrix"]
-    try:
-        mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"state matrix entries must be [re, im] pairs: {exc}") from exc
-    if mat.shape != (dim, dim):
-        raise ConfigError(f"state matrix must be {dim} x {dim}, got {mat.shape}")
+    rows = _cfg_get(doc, "matrix", list, "state document")
+    if len(rows) != dim:
+        raise ConfigError(f"state matrix must be {dim} x {dim}, got {len(rows)} rows")
+    mat = [_complex_pairs(row, dim, f"state matrix row {i}") for i, row in enumerate(rows)]
     try:
         return DensityState(mat)
-    except (ValueError, SidLatticeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid density state: {exc}") from exc
 
 
@@ -439,22 +426,20 @@ def run_oracle(family: str, params_json: str, t_list: str) -> int:
     if not np.all(np.isfinite(times)):
         raise ConfigError("--t times must be finite")
 
-    if family not in _ORACLE_FORMS:
+    if family not in ANALYTIC_FORMS:
         raise ConfigError(
             f"oracle family must be gaussian_band or lorentz_band, got {family!r}")
-    kind, width = _ORACLE_FORMS[family]
+    kind, width = ANALYTIC_FORMS[family]
     if f"{width}_c" in params:
         rate = float(params[f"{width}_c"])
+    elif f"{width}1" in params and f"{width}2" in params:
+        widths = [float(params[f"{width}{i}"]) for i in (1, 2)]
+        if not all(w > 0 for w in widths):
+            raise ConfigError(f"widths {width}1, {width}2 must be positive, got {widths}")
+        rate = reduced_width(kind, *widths)
     else:
-        try:
-            specs = [KernelFamilySpec(family, mu=0.0, Sigma=1.0,
-                                      **{width: float(params[f"{width}{i}"])})
-                     for i in (1, 2)]
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(
-                f"{family} oracle needs {width}_c or {width}1+{width}2") from exc
-        kind, rate = combined_decay_rate(*specs)
-    if not (math.isfinite(rate) and rate > 0):
+        raise ConfigError(f"{family} oracle needs {width}_c or {width}1+{width}2")
+    if not 0 < rate < np.inf:
         raise ConfigError(f"decay rate must be positive, got {rate}")
 
     values = analytic_decay(kind, rate, times)

@@ -246,8 +246,7 @@ def run_emergence(rho: VanHoveState,
                   n_samples: int,
                   epsilon: float,
                   threshold_ratio: float = DEFAULT_THRESHOLD_RATIO,
-                  sustain: int = DEFAULT_SUSTAIN,
-                  max_elements: int = DEFAULT_MAX_ELEMENTS) -> EmergenceReport:
+                  sustain: int = DEFAULT_SUSTAIN) -> EmergenceReport:
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
     Each tile of D (see incompatibility_observable) goes once into the
@@ -258,7 +257,7 @@ def run_emergence(rho: VanHoveState,
     there is nothing to decohere.
     """
     # first, so that a partition over the element cap fails before kernel work
-    pointer = pointer_lattice([o1, o2], partition, max_elements=max_elements)
+    pointer = pointer_lattice([o1, o2], partition)
     grid = _require_same_grid(rho.grid, o1.grid, o2.grid)
     initial, final = _SumOfSquares(), _SumOfSquares()  # |D|^2 at t = 0 and at t_max
 

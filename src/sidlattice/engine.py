@@ -45,6 +45,8 @@ from .spectral import (
 INCOMPATIBILITY_HERMITIAN_TOL = 1e-10
 DEFAULT_THRESHOLD_RATIO = math.exp(-1.0)
 DEFAULT_SUSTAIN = 10
+# kernel family with a closed-form decay -> (analytic decay kind, width parameter)
+ANALYTIC_FORMS = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lorentz", "gamma")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,14 +347,19 @@ def combined_decay_rate(rho_spec: KernelFamilySpec,
         raise UnsupportedFamily(
             f"analytic decay needs matching families, got {rho_spec.family} "
             f"and {obs_spec.family}")
-    if rho_spec.family == "gaussian_band":
-        sigma_c = math.sqrt(1.0 / (rho_spec.sigma**-2 + obs_spec.sigma**-2))
-        return "gaussian", sigma_c
-    if rho_spec.family == "lorentz_band":
-        gamma_c = rho_spec.gamma * obs_spec.gamma / (rho_spec.gamma + obs_spec.gamma)
-        return "lorentz", gamma_c
-    raise UnsupportedFamily(
-        f"no analytic decay form for family {rho_spec.family!r}")
+    if rho_spec.family not in ANALYTIC_FORMS:
+        raise UnsupportedFamily(f"no analytic decay form for family {rho_spec.family!r}")
+    kind, width = ANALYTIC_FORMS[rho_spec.family]
+    return kind, reduced_width(kind, getattr(rho_spec, width), getattr(obs_spec, width))
+
+
+def reduced_width(kind: str, w1: float, w2: float) -> float:
+    """combined_decay_rate's width for two positive widths of an ANALYTIC_FORMS kind;
+    0, inf or nan where it leaves the float range, for the caller to reject."""
+    w1, w2 = np.float64(w1), np.float64(w2)
+    with np.errstate(all="ignore"):
+        return float(np.sqrt(1.0 / (w1**-2 + w2**-2)) if kind == "gaussian"
+                     else w1 * w2 / (w1 + w2))
 
 
 def analytic_decay(kind: str, rate: float, times) -> np.ndarray:
@@ -366,7 +373,8 @@ def analytic_decay(kind: str, rate: float, times) -> np.ndarray:
         with np.errstate(over="ignore"):  # (rate t)^2 = inf gives exp(-inf) = 0
             return np.exp(-0.5 * (rate * times) ** 2)
     if kind == "lorentz":
-        return np.exp(-rate * np.abs(times))
+        with np.errstate(over="ignore"):  # rate |t| = inf gives exp(-inf) = 0
+            return np.exp(-rate * np.abs(times))
     raise UnsupportedFamily(f"unknown analytic decay kind {kind!r}")
 
 

@@ -71,7 +71,7 @@ class Subspace:
         return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
 
-def from_vectors(ambient_dim: int, vectors: Sequence, rank_tol: float = RANK_TOL) -> Subspace:
+def from_vectors(ambient_dim: int, vectors: Sequence) -> Subspace:
     """Orthonormalized span of possibly dependent vectors in C^d."""
     vectors = list(vectors)
     if not vectors:
@@ -80,10 +80,12 @@ def from_vectors(ambient_dim: int, vectors: Sequence, rank_tol: float = RANK_TOL
     if mat.shape[0] != ambient_dim:
         raise DimensionMismatch(
             f"vectors live in dimension {mat.shape[0]}, expected {ambient_dim}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("entries must be finite")
     u, svals, _ = np.linalg.svd(mat, full_matrices=False)
     if svals.size == 0 or svals[0] <= 0.0:
         return Subspace.zero(ambient_dim)
-    keep = svals > rank_tol * svals[0]
+    keep = svals > RANK_TOL * svals[0]
     return Subspace(ambient_dim, u[:, keep])
 
 
@@ -234,21 +236,16 @@ class PropertyLattice:
 
 def _first_match(elements: Sequence[Subspace], s: Subspace, tol: float) -> Optional[int]:
     """Index of the first element within tol of s (projector distance), or None."""
+    # spectral <= Frobenius <= sqrt(d) spectral: the SVD only for a Frobenius distance
+    # in (tol, tol sqrt(d)], once per element of s's rank
+    gap = tol * math.sqrt(s.ambient_dim)
     for i, e in enumerate(elements):
-        if _fast_distinct(e, s, tol):
+        if e.rank != s.rank:
             continue
-        if projector_distance(e, s) <= tol:
+        fro = float(np.linalg.norm(e.projector - s.projector))
+        if fro <= tol or (fro <= gap and projector_distance(e, s) <= tol):
             return i
     return None
-
-
-def _fast_distinct(a: Subspace, b: Subspace, tol: float) -> bool:
-    """Cheap certificate that two subspaces differ by more than tol."""
-    if a.rank != b.rank:
-        return True
-    fro = float(np.linalg.norm(a.projector - b.projector))
-    # spectral <= frobenius and spectral >= frobenius / sqrt(d)
-    return fro > tol * math.sqrt(a.ambient_dim)
 
 
 def generate_lattice(seeds: Iterable[Subspace],
@@ -354,13 +351,14 @@ class DensityState:
         # the range guards below are false for NaN, so finiteness comes first
         if not np.all(np.isfinite(mat)):
             raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > STATE_TOL:
-            raise ValueError("density matrix is not Hermitian to 1e-10")
-        eigvals = np.linalg.eigvalsh(mat)
-        if eigvals.min() < -STATE_TOL:
-            raise ValueError("density matrix is not positive semidefinite")
-        if abs(np.trace(mat).real - 1.0) > STATE_TOL:
-            raise ValueError("density matrix trace must be 1")
+        with np.errstate(over="ignore"):  # an inf residual or trace fails its check
+            if np.max(np.abs(mat - mat.conj().T)) > STATE_TOL:
+                raise ValueError("density matrix is not Hermitian to 1e-10")
+            eigvals = np.linalg.eigvalsh(mat)
+            if eigvals.min() < -STATE_TOL:
+                raise ValueError("density matrix is not positive semidefinite")
+            if abs(np.trace(mat).real - 1.0) > STATE_TOL:
+                raise ValueError("density matrix trace must be 1")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

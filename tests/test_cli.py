@@ -139,6 +139,36 @@ class TestLattice:
                      "--report", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == "error: element 1: entries must be finite\n"
 
+    def test_bool_subspace_entry_exits_2(self, tmp_path, capsys):
+        doc = _line_doc([1.0, 0.0], [0.0, 1.0])
+        doc["elements"][1][0][1][0] = True
+        inp = _write(tmp_path / "in.json", doc)
+        assert main(["lattice", "--in", inp, "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: element 1: each column vector needs 2 [re, im] pairs of numbers\n")
+
+    def test_bool_state_entry_exits_2(self, tmp_path, capsys):
+        inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [0.0, 1.0]))
+        state = _write(tmp_path / "state.json", {
+            "matrix": [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]})
+        assert main(["lattice", "--in", inp, "--state", state,
+                     "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: state matrix row 0 needs 2 [re, im] pairs of numbers\n")
+
+    @pytest.mark.parametrize("imag", [1e308, -1e308])
+    def test_overflowing_state_residual_exits_2_without_a_runtime_warning(
+            self, tmp_path, capsys, imag):
+        inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [0.0, 1.0]))
+        state = _write(tmp_path / "state.json", {
+            "matrix": [[[0.5, imag], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["lattice", "--in", inp, "--state", state,
+                         "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid density state: density matrix is not Hermitian to 1e-10\n")
+
     def test_nan_state_exits_2(self, tmp_path, capsys):
         inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [0.0, 1.0]))
         state = _write(tmp_path / "state.json", {
@@ -306,6 +336,38 @@ class TestOracle:
                      "--params", '{"sigma_c": 1e300}', "--t", "0,1"]) == 0
         captured = capsys.readouterr()
         assert captured.out == "t,re,im,abs\n0,1,0,1\n1,0,0,0\n"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("gaussian_band", '{"sigma1": 1e-320, "sigma2": 2.0}', "decay rate must be positive"),
+        ("gaussian_band", '{"sigma1": 1e200, "sigma2": 1e200}', "decay rate must be positive"),
+        ("lorentz_band", '{"gamma1": 1e308, "gamma2": 1e308}', "decay rate must be positive"),
+        ("gaussian_band", '{"sigma1": -1.0, "sigma2": 2.0}',
+         "widths sigma1, sigma2 must be positive"),
+        ("lorentz_band", '{"gamma1": 0, "gamma2": 2.0}', "widths gamma1, gamma2 must be positive"),
+        ("lorentz_band", '{"gamma1": 1.0}', "lorentz_band oracle needs gamma_c or gamma1+gamma2"),
+    ])
+    def test_width_pair_out_of_range_exits_2_with_one_line(self, capsys, family, params,
+                                                           message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["oracle", "--family", family, "--params", params, "--t", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    def test_huge_width_beside_a_unit_one_reduces_to_it(self, capsys):
+        assert main(["oracle", "--family", "lorentz_band",
+                     "--params", '{"gamma1": 1e308, "gamma2": 1.0}', "--t", "1"]) == 0
+        captured = capsys.readouterr()
+        assert float(captured.out.split("\n")[1].split(",")[3]) == math.exp(-1.0)
+        assert captured.err == ""
+
+    def test_lorentz_rate_past_the_exponent_range_prints_no_warning(self, capsys):
+        assert main(["oracle", "--family", "lorentz_band",
+                     "--params", '{"gamma_c": 1e308}', "--t", "0,1,2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "t,re,im,abs\n0,1,0,1\n1,0,0,0\n2,0,0,0\n"
         assert captured.err == ""
 
     @pytest.mark.parametrize("params,times", [
@@ -773,3 +835,76 @@ def test_cli_contract_on_one_mutated_leaf(path, value, command):
     assert code in (0, 2, 3, 4, 5)
     if code != 0:
         assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+def _doc_leaves(node, path=()):
+    """Paths of the scalar leaves of a JSON document, through objects and lists."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, value in items for leaf in _doc_leaves(value, path + (key,))]
+    return [path]
+
+
+def _check_contract(argv):
+    """main(argv) under RuntimeWarning-as-error: a documented exit, one line if nonzero."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    if code != 0:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+_SUBSPACES = _line_doc([1.0, 0.0], [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
+_STATE = {"matrix": [[[0.7, 0.0], [0.1, -0.2]], [[0.1, 0.2], [0.3, 0.0]]]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(_doc_leaves(_SUBSPACES)), value=st.sampled_from(_LEAF_VALUES))
+def test_cli_contract_on_one_mutated_subspace_leaf(path, value):
+    """Any one leaf of a subspace document replaced: a documented exit, one line if nonzero."""
+    doc = copy.deepcopy(_SUBSPACES)
+    _set(path, value)(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = _write(Path(tmp) / "in.json", doc)
+        _check_contract(["lattice", "--in", inp, "--report", f"{tmp}/r.json"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(path=st.sampled_from(_doc_leaves(_STATE)), value=st.sampled_from(_LEAF_VALUES))
+def test_cli_contract_on_one_mutated_state_leaf(path, value):
+    """Any one leaf of a state document replaced: a documented exit, one line if nonzero."""
+    doc = copy.deepcopy(_STATE)
+    _set(path, value)(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = _write(Path(tmp) / "in.json", _SUBSPACES)
+        state = _write(Path(tmp) / "state.json", doc)
+        _check_contract(["lattice", "--in", inp, "--state", state,
+                         "--report", f"{tmp}/r.json"])
+
+
+_ORACLE_PARAMS = [("gaussian_band", {"sigma_c": 1.0}),
+                  ("gaussian_band", {"sigma1": 1.5, "sigma2": 2.0}),
+                  ("lorentz_band", {"gamma_c": 0.5}),
+                  ("lorentz_band", {"gamma1": 1.0, "gamma2": 3.0})]
+_WIDTHS = _LEAF_VALUES + [1e-200, 1e-160, 1e150, 1e200]
+_TIME_LISTS = ["0,1,2", "", ",", "0,,1", " 1 , 2 ", "-1", "-1e308,1e308", "1e-320", "1e400",
+               "nan", "0,inf", "-inf", "x", "1,two", "[1]"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(_ORACLE_PARAMS), key=st.integers(0, 1),
+       value=st.sampled_from(_WIDTHS), times=st.sampled_from(_TIME_LISTS),
+       mutate_times=st.booleans())
+def test_cli_contract_on_one_mutated_oracle_argument(base, key, value, times, mutate_times):
+    """One --params value or the --t list replaced: a documented exit, one line if nonzero."""
+    family, params = base[0], dict(base[1])
+    if mutate_times:
+        params_json, t_list = json.dumps(params), times
+    else:
+        params[sorted(params)[key % len(params)]] = value
+        params_json, t_list = json.dumps(params), "0,1,2"
+    # one argument, since argparse reads a separate value that starts with "-" as an option
+    _check_contract(["oracle", "--family", family, "--params", params_json, f"--t={t_list}"])

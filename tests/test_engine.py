@@ -495,6 +495,31 @@ class TestAnalyticOracle:
         truncation = 5.0 * rate / omega_max
         assert abs(value - abs(ft / ft0)) < truncation
 
+    @pytest.mark.parametrize("kind,w1,w2,want", [
+        ("gaussian", 1e-320, 2.0, 0.0),  # 1e-320**-2 overflows
+        ("gaussian", 1e200, 1e200, math.inf),  # 1e200**-2 underflows to 0
+        ("lorentz", 1e308, 1e308, math.nan),  # inf / inf
+        ("lorentz", 1e308, 1.0, 1.0),
+    ])
+    def test_reduced_width_leaves_the_float_range_without_raising(self, kind, w1, w2, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert engine.reduced_width(kind, w1, w2) == pytest.approx(want, nan_ok=True)
+
+    def test_reduced_width_matches_the_python_float_forms_bitwise(self):
+        rng = np.random.default_rng(11)
+        for w1, w2 in 10.0 ** rng.uniform(-150.0, 150.0, (2000, 2)):
+            w1, w2 = float(w1), float(w2)
+            assert engine.reduced_width("gaussian", w1, w2) == math.sqrt(
+                1.0 / (w1**-2 + w2**-2))
+            assert engine.reduced_width("lorentz", w1, w2) == w1 * w2 / (w1 + w2)
+
+    def test_lorentz_decay_past_the_exponent_range_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = engine.analytic_decay("lorentz", 1e308, [0.0, 1.0, 2.0])
+        assert values.tolist() == [1.0, 0.0, 0.0]
+
     def test_family_mismatch_rejected(self):
         g = KernelFamilySpec("gaussian_band", sigma=1.0, mu=10.0, Sigma=2.0)
         l = KernelFamilySpec("lorentz_band", gamma=1.0, mu=10.0, Sigma=2.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, line, random_density, random_subspace
+from sidlattice import lattice
 from sidlattice import (
     DensityState,
     DimensionMismatch,
@@ -88,6 +90,11 @@ class TestFromVectors:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             from_vectors(3, [E0])
+
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_raises_value_error(self, entry):
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            from_vectors(2, [[entry, 1.0]])
 
 
 class TestOrder:
@@ -419,6 +426,15 @@ class TestDensityState:
         with pytest.raises(ValueError):
             DensityState(bad)
 
+    @pytest.mark.parametrize("imag", [1e308, -1e308])
+    def test_overflowing_hermitian_residual_fails_without_a_runtime_warning(self, imag):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 0] += 1j * imag  # the residual 2 * 1e308 overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DensityState(mat)
+
     def test_pure(self):
         rho = DensityState.pure([3.0, 4.0])
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-14)
@@ -538,3 +554,47 @@ class TestRandomAxioms:
                 assert leq(m, a, tol) and leq(m, b, tol)
                 j = join(a, b)
                 assert leq(a, j, tol) and leq(b, j, tol)
+
+
+def _rotated_planes(d, r, angles):
+    """Rank-r span of e_0 ... e_{r-1}, each e_k turned by angles[k] toward e_{r+k}."""
+    basis = np.zeros((d, r), dtype=complex)
+    for k in range(r):
+        basis[k, k], basis[r + k, k] = math.cos(angles[k]), math.sin(angles[k])
+    return Subspace(d, basis)
+
+
+class TestFirstMatch:
+    """One Frobenius distance per same-rank element; the SVD only in (tol, tol sqrt(d)]."""
+
+    TOL = 1e-8
+
+    def _match(self, monkeypatch, angles):
+        calls = []
+        spectral = lattice.projector_distance
+        monkeypatch.setattr(lattice, "projector_distance",
+                            lambda a, b: calls.append(1) or spectral(a, b))
+        d = 4
+        base = _rotated_planes(d, 2, [0.0, 0.0])
+        lat = PropertyLattice(d, (Subspace.zero(d), Subspace.full(d), base), closed=False)
+        return lat.index_of(_rotated_planes(d, 2, angles), self.TOL), len(calls)
+
+    def test_frobenius_within_tol_matches_without_svd(self, monkeypatch):
+        # two planes turned by s: spectral s, Frobenius 2 s
+        assert self._match(monkeypatch, [0.4 * self.TOL] * 2) == (2, 0)
+
+    def test_frobenius_in_the_gap_is_decided_by_the_spectral_norm(self, monkeypatch):
+        assert self._match(monkeypatch, [0.7 * self.TOL] * 2) == (2, 1)  # spectral 0.7 tol
+        assert self._match(monkeypatch, [1.2 * self.TOL, 0.0]) == (None, 1)  # spectral 1.2 tol
+
+    def test_frobenius_past_the_gap_is_skipped_without_svd(self, monkeypatch):
+        assert self._match(monkeypatch, [1.5 * self.TOL] * 2) == (None, 0)  # Frobenius 3 tol
+
+    def test_closure_of_separated_generators_takes_no_svd(self, monkeypatch):
+        calls = []
+        spectral = lattice.projector_distance
+        monkeypatch.setattr(lattice, "projector_distance",
+                            lambda a, b: calls.append(1) or spectral(a, b))
+        lat = generate_lattice([line(1.0, 0.0, 0.0), from_vectors(3, [[1.0, 1.0, 0.0]]),
+                                line(0.0, 0.0, 1.0)])
+        assert lat.closed and len(lat) == 12 and calls == []
