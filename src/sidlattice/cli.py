@@ -66,6 +66,8 @@ EXIT_DEGENERATE = 5
 DIAG_FAMILIES = ("linear", "constant", "gaussian", "zero")
 # Cap on time.n_samples, checked before any kernel is built (a guard, not an option)
 MAX_SAMPLES = 1_000_000
+# Cap on the series' n_samples * (2 n_points - 1) phases: about 10 s at 2e7 phases/s
+MAX_PHASES = 200_000_000
 # Grid cap unless both observables carry a kernel (M = K1 K2 is n x n): none is stored
 MAX_MADE_GRID_POINTS = 16384
 
@@ -168,6 +170,8 @@ def _build_diag(grid: FrequencyGrid, doc: Optional[dict], what: str) -> Diagonal
 def _build_kernel(grid: FrequencyGrid, doc: Optional[dict], what: str) -> RegularKernel:
     if doc is None:
         return RegularKernel.absent(grid)
+    for key in ("amplitude", "sigma", "gamma", "mu", "Sigma"):  # seed: the spec's int rule
+        _cfg_get(doc, key, float, f"{what} kernel", None)
     try:
         spec = KernelFamilySpec.from_json(doc)
     except (UnsupportedFamily, ValueError, TypeError) as exc:
@@ -245,6 +249,10 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
     n_samples = _cfg_get(time_doc, "n_samples", int, "time")
     if n_samples > MAX_SAMPLES:
         raise ConfigError(f"n_samples must be in [2, {MAX_SAMPLES}], got {n_samples}")
+    phases = n_samples * (2 * grid.n_points - 1)
+    if phases > MAX_PHASES:
+        raise ConfigError(f"n_samples={n_samples} at n_points={grid.n_points} makes {phases} "
+                          f"phases, past the phase-series budget {MAX_PHASES}")
     thr_doc = _cfg_get(doc, "thresholds", dict, "config", {})
     ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", DEFAULT_THRESHOLD_RATIO)
     sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", DEFAULT_SUSTAIN)
@@ -331,8 +339,8 @@ def _parse_subspaces(doc: dict) -> tuple[int, list[Subspace]]:
     return dim, spaces
 
 
-def _parse_state(doc: dict, dim: int) -> DensityState:
-    rows = _cfg_get(doc, "matrix", list, "state document")
+def _parse_state(path: str, dim: int) -> DensityState:
+    rows = _cfg_get(_load_json(path, "state document"), "matrix", list, "state document")
     if len(rows) != dim:
         raise ConfigError(f"state matrix must be {dim} x {dim}, got {len(rows)} rows")
     mat = [_complex_pairs(row, dim, f"state matrix row {i}") for i, row in enumerate(rows)]
@@ -349,6 +357,7 @@ def run_lattice(input_path: str, state_path: Optional[str], report_path: str,
     _require_output_dir(report_path)
     doc = _load_json(input_path, "subspace document")
     dim, seeds = _parse_subspaces(doc)
+    state = None if state_path is None else _parse_state(state_path, dim)
     lat = generate_lattice(seeds, max_elements=max_elements, ambient_dim=dim)
 
     report: dict = {
@@ -370,8 +379,7 @@ def run_lattice(input_path: str, state_path: Optional[str], report_path: str,
     report["laws"] = laws
     report["boolean"] = is_boolean(lat)
     report["compatibility_matrix"] = compatibility_matrix(lat).tolist()
-    if state_path is not None:
-        state = _parse_state(_load_json(state_path, "state document"), dim)
+    if state is not None:
         kol = kolmogorov_check(state, lat)
         report["kolmogorov"] = {
             "max_residual": kol.max_residual,

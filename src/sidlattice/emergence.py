@@ -23,8 +23,7 @@ from .engine import (
     ExpectationSeries,
     decoherence_time,
     incompatibility_observable,
-    phased_values,
-    series_from_tiles,
+    series_and_norms,
 )
 from .errors import GridMismatch, LatticeTooLarge
 from .lattice import (
@@ -35,8 +34,7 @@ from .lattice import (
     meet,
     ortho,
 )
-from .spectral import FrequencyGrid, VanHoveObservable, VanHoveState, _require_same_grid
-from .spectral import RegularKernel, _TILE, _tiles, _SumOfSquares, hs_norm
+from .spectral import FrequencyGrid, VanHoveObservable, VanHoveState, _hs_bound, hs_norm
 
 HS_CONSTANCY_TOL = 1e-10
 DEGENERACY_RTOL = 1e-10
@@ -232,12 +230,6 @@ def _degeneracy_scale(o1: VanHoveObservable, o2: VanHoveObservable, norm) -> flo
     return k1 * k2 + d1 * k2 + d2 * k1
 
 
-def _hs_bound(kernel: RegularKernel) -> float:
-    """hs_norm(kernel) or more: 2 n spacing max |K| (2 covers rounding) from a maker's tables."""
-    bound = kernel._maker.bound if kernel._maker else None
-    return hs_norm(kernel) if bound is None else 2.0 * kernel.grid.omega_max * bound
-
-
 def run_emergence(rho: VanHoveState,
                   o1: VanHoveObservable,
                   o2: VanHoveObservable,
@@ -249,8 +241,8 @@ def run_emergence(rho: VanHoveState,
                   sustain: int = DEFAULT_SUSTAIN) -> EmergenceReport:
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
-    Each tile of D (see incompatibility_observable) goes once into the
-    series and into hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
+    Each tile of D (see incompatibility_observable) is made once, for the
+    series and for hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
 
     DEGENERATE means the premise failed: the observables already commute
     (the incompatibility kernel vanishes relative to the operand scale), so
@@ -258,21 +250,8 @@ def run_emergence(rho: VanHoveState,
     """
     # first, so that a partition over the element cap fails before kernel work
     pointer = pointer_lattice([o1, o2], partition)
-    grid = _require_same_grid(rho.grid, o1.grid, o2.grid)
-    initial, final = _SumOfSquares(), _SumOfSquares()  # |D|^2 at t = 0 and at t_max
-
-    def tallied(d):  # each tile of D made into one buffer, phased there once read
-        phases = np.exp(1j * t_max * grid.nodes)
-        buf = np.empty((_TILE, _TILE), np.complex128)
-        for rows, cols in _tiles(grid.n_points):
-            tile = d.tile(rows, cols, buf[:rows.stop - rows.start, :cols.stop - cols.start])
-            initial.add(tile)
-            yield tile
-            final.add(phased_values(tile, phases, rows, cols, out=tile))
-
-    series = series_from_tiles(rho, tallied(incompatibility_observable(o1, o2).kernel),
-                               t_max, n_samples)
-    hs_initial, hs_final = initial.norm(grid.spacing), final.norm(grid.spacing)
+    series, hs_initial, hs_final = series_and_norms(
+        rho, incompatibility_observable(o1, o2), t_max, n_samples)
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)
 

@@ -17,7 +17,6 @@ for strongly cancelling late-time sums.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,10 +31,10 @@ from .spectral import (
     RegularKernel,
     VanHoveObservable,
     VanHoveState,
+    _SumOfSquares,
     _TILE,
     _Tiles,
     _finite,
-    _kernel_tiles,
     _require_same_grid,
     _row_blocks,
     _tiles,
@@ -204,25 +203,6 @@ def incompatibility_observable(o1: VanHoveObservable,
     return IncompatibilityObservable(_incompatibility_blocks(o1, o2))
 
 
-def _skewed_profile(n: int, fill) -> np.ndarray:
-    """profile[m + n - 1] = sum over k - l = m of the n x n array fill writes by tiles.
-
-    fill(rows, cols, view[:a, :w]) writes an a x w tile into an (h, 2h - 1) buffer,
-    h = _TILE, entry [i, l] at column h - 1 - i + l: one column per anti-diagonal.
-    """
-    h = _TILE
-    buf = np.zeros((h, 2 * h - 1), dtype=np.complex128)
-    view = as_strided(buf.reshape(-1)[h - 1:], (h, h), ((2 * h - 2) * 16, 16))
-    profile = np.zeros(2 * n - 1, dtype=np.complex128)
-    for rows, cols in _tiles(n):
-        a, w = rows.stop - rows.start, cols.stop - cols.start
-        view[:a, w:] = 0.0  # a wider tile before a narrower one wrote its right corner
-        fill(rows, cols, view[:a, :w])
-        start = rows.start - cols.stop + n  # column h + w - 2: offset rows.start - cols.stop + 1
-        profile[start:start + a + w - 1] += buf[:a, h - a:h + w - 1].sum(axis=0)[::-1]
-    return profile
-
-
 def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
                   times: np.ndarray) -> np.ndarray:
     """For each time t, the sum over offsets m of profile[m] exp(i m spacing t).
@@ -255,18 +235,38 @@ def require_window(grid: FrequencyGrid, t_max: float, n_samples: int) -> None:
             f"2*pi/spacing = {grid.recurrence_time}, window limit {half}")
 
 
-def _kernel_profile(rho: VanHoveState, d_tiles) -> np.ndarray:
-    """spacing^2 nu-profile of conj(rho) o D; runs D's tile iterator (None: absent) to its end."""
-    n = rho.grid.n_points
+def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
+    """(profile, norms) from one pass over D's tiles, each made once into one buffer.
 
-    def fill(rows, cols, view):  # in the complex view, so real and complex operands mix
-        np.conjugate(rho.kernel.tile(rows, cols, out=view), out=view)
-        view *= next(d_tiles)
-
-    profile = rho.grid.spacing**2 * _skewed_profile(n, fill) \
-        if d_tiles is not None and rho.kernel.present else np.zeros(2 * n - 1, np.complex128)
-    deque(d_tiles or (), maxlen=0)
-    return profile
+    profile is the spacing^2 nu-profile of conj(rho) o D: profile[m + n - 1] sums
+    the terms with k - l = m. Each tile of rho is made straight into a sheared view
+    of an (h, 2h - 1) buffer, h = _TILE, entry [i, l] at column h - 1 - i + l (one
+    column per anti-diagonal), and multiplied there by D's tile. norms is None, or,
+    given a time t, D's HS norms at 0 and at t, each tile phased in place once read.
+    """
+    grid = rho.grid
+    n, h = grid.n_points, _TILE
+    weighted = rho.kernel.present and d.present
+    skew = np.zeros((h, 2 * h - 1), dtype=np.complex128)
+    view = as_strided(skew.reshape(-1)[h - 1:], (h, h), ((2 * h - 2) * 16, 16))
+    buf = np.empty((h, h), dtype=np.complex128)
+    profile = np.zeros(2 * n - 1, dtype=np.complex128)
+    squares = _SumOfSquares(), _SumOfSquares()  # |D|^2 at 0 and at t
+    phases = None if t is None else np.exp(1j * t * grid.nodes)
+    for rows, cols in _tiles(n) if d.present else ():
+        a, w = rows.stop - rows.start, cols.stop - cols.start
+        tile = d.tile(rows, cols, buf[:a, :w])  # made even unweighted: checked finite
+        if weighted:  # in the complex view, so real and complex operands mix
+            view[:a, w:] = 0.0  # a wider tile before a narrower one wrote its right corner
+            np.conjugate(rho.kernel.tile(rows, cols, out=view[:a, :w]), out=view[:a, :w])
+            view[:a, :w] *= tile
+            start = rows.start - cols.stop + n  # column h + w - 2: offset start - n + 1
+            profile[start:start + a + w - 1] += skew[:a, h - a:h + w - 1].sum(axis=0)[::-1]
+        if phases is not None:
+            squares[0].add(tile)
+            squares[1].add(phased_values(tile, phases, rows, cols, out=tile))
+    norms = None if phases is None else tuple(s.norm(grid.spacing) for s in squares)
+    return grid.spacing**2 * profile if weighted else profile, norms
 
 
 def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
@@ -281,29 +281,33 @@ def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     diag_term = grid.spacing * float(np.dot(rho.diag.values, obs.diag.values))
-    profile = _kernel_profile(rho, _kernel_tiles(obs.kernel))
+    profile, _ = _tile_pass(rho, obs.kernel)
     kernel_term = _phase_series(grid, profile, np.array([t], dtype=np.float64))[0]
     return diag_term + complex(kernel_term)
 
 
-def series_from_tiles(rho: VanHoveState, d_tiles, t_max: float,
-                      n_samples: int) -> ExpectationSeries:
-    """Uniformly sampled expectation of D, from its tiles (see _kernel_profile).
+def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
+                       t_max: float, n_samples: int) -> ExpectationSeries:
+    """Uniformly sampled expectation of incompat, from one pass over its kernel's tiles.
 
     Raises WindowExceeded past half the recurrence time 2*pi/spacing.
     """
-    grid = rho.grid
+    grid = _require_same_grid(rho.grid, incompat.grid)
     require_window(grid, t_max, n_samples)
     times = np.linspace(0.0, t_max, int(n_samples))
-    values = _phase_series(grid, _kernel_profile(rho, d_tiles), times)
-    return ExpectationSeries(times, values, grid.recurrence_time)
+    profile, _ = _tile_pass(rho, incompat.kernel)
+    return ExpectationSeries(times, _phase_series(grid, profile, times), grid.recurrence_time)
 
 
-def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
-                       t_max: float, n_samples: int) -> ExpectationSeries:
-    """Uniformly sampled expectation of incompat: series_from_tiles over its kernel's tiles."""
-    _require_same_grid(rho.grid, incompat.grid)
-    return series_from_tiles(rho, _kernel_tiles(incompat.kernel), t_max, n_samples)
+def series_and_norms(rho: VanHoveState, incompat: IncompatibilityObservable,
+                     t_max: float, n_samples: int) -> tuple[ExpectationSeries, float, float]:
+    """expectation_series, with the HS norms of D and of D evolved to t_max from its pass."""
+    grid = _require_same_grid(rho.grid, incompat.grid)
+    require_window(grid, t_max, n_samples)
+    times = np.linspace(0.0, t_max, int(n_samples))
+    profile, norms = _tile_pass(rho, incompat.kernel, t_max)
+    series = ExpectationSeries(times, _phase_series(grid, profile, times), grid.recurrence_time)
+    return (series, *norms)
 
 
 def require_thresholds(threshold_ratio: float, sustain: int) -> None:

@@ -484,7 +484,8 @@ class _SumOfSquares:
         self.total, self.scale = 0.0, 1.0
 
     def add(self, block: np.ndarray) -> None:
-        parts = block.reshape(-1).view(np.float64)  # re, im parts of a complex block
+        parts = block.reshape(-1) if block.dtype.kind == "f" else \
+            np.ascontiguousarray(block).reshape(-1).view(np.float64)  # re, im, contiguous
         if self.scale == 1.0:
             with np.errstate(over="ignore"):
                 total = self.total + float(parts @ parts)
@@ -508,6 +509,12 @@ def hs_norm(kernel: RegularKernel) -> float:
     for tile in _kernel_tiles(kernel):
         squares.add(tile)
     return squares.norm(kernel.grid.spacing)
+
+
+def _hs_bound(kernel: RegularKernel) -> float:
+    """hs_norm(kernel) or more: 2 n spacing max |K| (2 covers rounding) from a maker's tables."""
+    bound = kernel._maker.bound if kernel._maker else None
+    return hs_norm(kernel) if bound is None else 2.0 * kernel.grid.omega_max * bound
 
 
 def _hermitian_residual(values: np.ndarray) -> float:

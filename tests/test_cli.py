@@ -219,6 +219,28 @@ class TestLattice:
         assert report["closed"] is False
 
 
+    @pytest.mark.parametrize("state_doc", [None, {"matrix": [[[1.0, 0.0], [0.0, 0.0]]]}],
+                             ids=["missing", "one-row-for-dim-2"])
+    def test_bad_state_exits_2_before_the_closure(self, tmp_path, capsys, monkeypatch,
+                                                  state_doc):
+        def no_closure(*args, **kwargs):
+            raise AssertionError("the closure ran before the state was read")
+
+        monkeypatch.setattr(cli, "generate_lattice", no_closure)
+        r = 1.0 / math.sqrt(2.0)
+        inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [r, r]))
+        state = tmp_path / "state.json"
+        if state_doc is not None:
+            _write(state, state_doc)
+        # a capped closure (6 elements past 3) exited 4 with the state never read
+        assert main(["lattice", "--in", inp, "--state", str(state), "--max-elements", "3",
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("cannot read state document" if state_doc is None
+                else "state matrix must be 2 x 2, got 1 rows") in err
+
+
 class TestEmerge:
     def test_booleanized_run(self, tmp_path):
         cfg = _write(tmp_path / "cfg.json", _base_config())
@@ -609,6 +631,37 @@ def test_one_operand_kernel_past_the_dense_cap_loads(tmp_path, monkeypatch):
         cli.load_scenario(too_fine, need_partition=True, outputs={})
 
 
+def test_one_phase_past_the_budget_exits_2_before_any_kernel(tmp_path, capsys, monkeypatch):
+    n = 256
+    within = cli.MAX_PHASES // (2 * n - 1)  # 391389 samples at 511 phases each
+    doc = _base_config(n_points=n, n_samples=within)
+    scenario = cli.load_scenario(_write(tmp_path / "in.json", doc), need_partition=False,
+                                 outputs={"series": "s.csv"})
+    assert scenario.n_samples * (2 * n - 1) <= cli.MAX_PHASES
+    built = _counted_builds(monkeypatch)
+    doc["time"]["n_samples"] = within + 1
+    cfg = _write(tmp_path / "past.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: n_samples={within + 1} at n_points={n} makes "
+                   f"{(within + 1) * (2 * n - 1)} phases, past the phase-series budget "
+                   f"{cli.MAX_PHASES}\n")
+    assert built == [] and not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("operand", ["state", "O2"])
+@pytest.mark.parametrize("key", ["amplitude", "sigma", "gamma", "mu", "Sigma"])
+@pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "int-past-float-range"])
+def test_kernel_spec_number_that_is_no_float_exits_2(tmp_path, capsys, operand, key, value):
+    doc = _base_config()
+    spec = (doc["state"] if operand == "state" else doc["observables"]["O2"])["kernel"]
+    spec[key] = value
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                 "--series", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {operand} kernel key {key!r} must be a float\n"
+
+
 def test_max_samples_itself_is_accepted_by_the_loader(tmp_path):
     doc = _base_config()
     doc["time"]["n_samples"] = cli.MAX_SAMPLES
@@ -813,7 +866,7 @@ def _leaves(node, path=()):
 _SHIPPED = json.loads(
     (Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json").read_text())
 _SHIPPED["grid"]["n_points"], _SHIPPED["time"]["t_max"] = 32, 4.0
-_LEAF_VALUES = [None, True, False, 0, 1, -1, 1.5, 1e308, -1e308, 1e-320, 2**70, "x",
+_LEAF_VALUES = [None, True, False, 0, 1, -1, 1.5, 1e308, -1e308, 1e-320, 2**70, 10**400, "x",
                 [1.0], {"a": 1}, math.nan, math.inf, -math.inf]
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import tracemalloc
@@ -196,6 +197,13 @@ class TestRunEmergence:
         report = run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
                                10.0, 101, epsilon=1e-6)
         assert report.verdict is Verdict.DEGENERATE
+
+    def test_state_on_another_grid_is_rejected(self):
+        grid = make_grid(20.0, 64)
+        o1, o2 = linear_vs_gaussian_pair(grid)
+        with pytest.raises(GridMismatch):
+            run_emergence(_complex_state(make_grid(20.0, 32)), o1, o2,
+                          BinPartition.equal_bins(grid, 4), 10.0, 101, epsilon=1e-6)
 
     def test_cap_checked_before_kernel_work(self, monkeypatch):
         grid = make_grid(20.0, 64)
@@ -431,6 +439,34 @@ class TestTiledWorkingSet:
                                10.0, 101, epsilon=1e-6)
         assert report.verdict is Verdict.DEGENERATE
         assert o2.kernel in calls
+
+
+    @pytest.mark.parametrize("n", [257, 513])  # a last tile one column wide
+    def test_emerge_at_a_tile_edge_booleanizes_with_the_hs_norms(self, tmp_path, n):
+        scenario = _shipped_scenario(tmp_path, n)
+        doc = json.loads(SHIPPED_CONFIG.read_text())
+        doc["grid"]["n_points"] = n
+        cfg, report_path = tmp_path / "edge.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["emerge", "--config", str(cfg), "--report", str(report_path),
+                         "--series", str(tmp_path / "s.csv")]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["verdict"] == "BOOLEANIZED"
+        incompat = incompatibility_observable(scenario.o1, scenario.o2)
+        assert report["hs_norm_initial"] == hs_norm(incompat.kernel)
+        assert report["hs_norm_final"] == hs_norm(
+            evolve(incompat.to_observable(), scenario.t_max).kernel)
+
+
+def test_emergence_holds_no_tile_code():
+    """emergence reads D's series and norms from the engine's tile pass alone."""
+    tree = ast.parse(Path(emergence.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    tile_code = {"_TILE", "_tiles", "_SumOfSquares", "_Tiles", "phased_values"}
+    assert not imported & tile_code
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "_maker"
+                   for node in ast.walk(tree))
 
 
 def _operands(grid, o1_kernel, o1_family="lorentz_band"):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -243,8 +243,15 @@ class TestExpectation:
 
 
 def _nu_profile(values):
-    """The anti-diagonal sums of an n x n array, by the tile pass of the expectation."""
-    return engine._skewed_profile(len(values), lambda i, j, view: np.copyto(view, values[i, j]))
+    """The anti-diagonal sums of an n x n array, by the tile pass of the expectation.
+
+    The state kernel is all ones and the spacing 1, so the pass sums the values themselves.
+    """
+    n = len(values)
+    grid = make_grid(float(n), n)
+    ones = VanHoveState.normalized(DiagonalPart(grid, np.ones(n)),
+                                   RegularKernel(grid, np.ones((n, n))))
+    return engine._tile_pass(ones, RegularKernel(grid, values))[0]
 
 
 class TestAntiDiagonalRegrouping:
@@ -368,7 +375,7 @@ class TestExpectationSeries:
         finally:
             tracemalloc.stop()
         assert peak <= 12e6
-        profile = engine._kernel_profile(rho, engine._kernel_tiles(incompat.kernel))
+        profile, _ = engine._tile_pass(rho, incompat.kernel)
         for k in (0, 255, 256, 2000):  # either side of a block edge (32 times a block)
             alone = engine._phase_series(grid, profile, series.times[k:k + 1])[0]
             assert abs(series.values[k] - alone) <= 1e-12 * series.initial_magnitude
@@ -562,7 +569,7 @@ class TestCommutatorShortcuts:
             assert np.array_equal(d, -1j * commutator_kernel(a, b).values)
             rho = _random_state(grid, 6)
             assert np.array_equal(
-                engine._kernel_profile(rho, engine._kernel_tiles(incompat.kernel)),
+                engine._tile_pass(rho, incompat.kernel)[0],
                 grid.spacing**2 * _nu_profile(np.conjugate(rho.kernel.values) * d))
             assert np.array_equal(
                 engine.phased_values(d, phases),
@@ -778,7 +785,7 @@ class TestFusedProfile:
         assert rho.kernel.values.dtype == (np.complex128 if rho_complex else np.float64)
         assert kernel.values.dtype == (np.complex128 if kernel_complex else np.float64)
 
-        got = engine._kernel_profile(rho, engine._kernel_tiles(kernel))
+        got, _ = engine._tile_pass(rho, kernel)
         terms = grid.spacing**2 * np.conjugate(rho.kernel.values) * kernel.values
         offsets = (np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1).ravel()
         direct = np.zeros(2 * n - 1, dtype=np.complex128)
@@ -811,3 +818,91 @@ class TestTileInvariants:
             for rows, cols in spectral._tiles(n):
                 tiles[rows, cols] = kernel.tile(rows, cols)
             assert np.array_equal(_bits(dense), _bits(tiles))
+
+
+_WIDTHS = {"gaussian_band": {"sigma": 1.5}, "lorentz_band": {"gamma": 1.0},
+           "rect_band": {"sigma": 1.5}, "random_bandlimited": {"sigma": 1.5}}
+_FAMILIES = sorted(_WIDTHS)
+# small grids, and the sizes either side of one and two tiles (a one-column last tile at 257, 513)
+_SIZES = st.one_of(st.integers(2, 64), st.sampled_from([255, 256, 257, 511, 512, 513]))
+
+
+def _tile_pass_scenario(n, state_family, o1_family, o2_family, seed):
+    """A state, and D for a linear O1 diagonal (plus a kernel unless o1_family is None)
+    against an O2 kernel, every kernel of a built family."""
+    grid = make_grid(20.0, n)
+
+    def kernel(family, amplitude):
+        spec = KernelFamilySpec(family, amplitude=amplitude, mu=10.0, Sigma=2.0,
+                                seed=seed if family == "random_bandlimited" else None,
+                                **_WIDTHS[family])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SupportOverflowWarning)
+            return build_kernel(grid, spec)
+
+    rho = VanHoveState.normalized(
+        DiagonalPart(grid, np.exp(-0.5 * ((grid.nodes - 10.0) / 3.0) ** 2)),
+        kernel(state_family, 0.5))
+    o1_kernel = RegularKernel.absent(grid) if o1_family is None else kernel(o1_family, 0.4)
+    o1 = VanHoveObservable(DiagonalPart(grid, grid.nodes), o1_kernel)
+    o2 = VanHoveObservable.kernel_only(kernel(o2_family, 1.0))
+    return grid, rho, incompatibility_observable(o1, o2)
+
+
+def _weighted_terms(grid, rho, incompat):
+    """spacing^2 conj(rho) D, the terms of <D(0)>, from the stored arrays."""
+    return grid.spacing**2 * np.conjugate(rho.kernel.values) * incompat.kernel.values
+
+
+_scenarios = dict(n=_SIZES, state_family=st.sampled_from(_FAMILIES),
+                  o1_family=st.sampled_from([None] + _FAMILIES),
+                  o2_family=st.sampled_from(_FAMILIES), seed=st.integers(0, 2**32 - 1),
+                  fraction=st.floats(0.05, 1.0))
+
+
+class TestTilePassProperties:
+    """The physics invariants of the tile pass, over all four kernel families.
+
+    |D(0)| is read as the sum of the absolute terms of <D(0)>, which bounds
+    |<D(t)>| at every t: for a real state, <D(0)> itself is 0 by symmetry.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_scenarios)
+    def test_series_matches_the_dense_sum_and_is_real(self, n, state_family, o1_family,
+                                                       o2_family, seed, fraction):
+        grid, rho, incompat = _tile_pass_scenario(n, state_family, o1_family, o2_family, seed)
+        t_max = fraction * 0.5 * grid.recurrence_time
+        series = expectation_series(rho, incompat, t_max, 5)
+        with_norms, _, _ = engine.series_and_norms(rho, incompat, t_max, 5)
+        assert with_norms.values.tobytes() == series.values.tobytes()
+        terms = _weighted_terms(grid, rho, incompat)
+        scale = np.sum(np.abs(terms))
+        nu = grid.nodes[:, None] - grid.nodes[None, :]
+        for t, value in zip(series.times, series.values):
+            assert abs(value - np.sum(terms * np.exp(1j * nu * t))) <= 1e-12 * scale
+        assert np.all(np.abs(series.values.imag) <= 1e-10 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_scenarios)
+    def test_expectation_recurs_after_the_recurrence_time(self, n, state_family, o1_family,
+                                                          o2_family, seed, fraction):
+        grid, rho, incompat = _tile_pass_scenario(n, state_family, o1_family, o2_family, seed)
+        obs, t = incompat.to_observable(), fraction * 0.5 * grid.recurrence_time
+        scale = np.sum(np.abs(_weighted_terms(grid, rho, incompat)))
+        later = expectation(rho, obs, t + grid.recurrence_time)
+        assert abs(later - expectation(rho, obs, t)) <= 1e-10 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_scenarios)
+    @example(n=257, state_family="random_bandlimited", o1_family=None,
+             o2_family="gaussian_band", seed=7, fraction=0.5)
+    @example(n=513, state_family="gaussian_band", o1_family="lorentz_band",
+             o2_family="random_bandlimited", seed=3, fraction=1.0)
+    def test_pass_norms_are_hs_norms_bit_for_bit(self, n, state_family, o1_family,
+                                                 o2_family, seed, fraction):
+        grid, rho, incompat = _tile_pass_scenario(n, state_family, o1_family, o2_family, seed)
+        t_max = fraction * 0.5 * grid.recurrence_time
+        _, initial, final = engine.series_and_norms(rho, incompat, t_max, 3)  # D made by tiles
+        assert initial == hs_norm(incompat.kernel)
+        assert final == hs_norm(evolve(incompat.to_observable(), t_max).kernel)

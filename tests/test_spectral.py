@@ -238,6 +238,16 @@ class TestHsNorm:
         h_fine = math.sqrt(fine.spacing**2 * float(np.sum(np.abs(kf.values) ** 2)))
         assert abs(h_coarse - h_fine) < 1e-10
 
+    @pytest.mark.parametrize("n", [257, 513])
+    def test_complex_array_with_a_one_column_last_tile(self, n):
+        """A one-column tile of a caller's array is a strided view; it is squared all the same."""
+        rng = np.random.default_rng(n)
+        g = make_grid(20.0, n)
+        a = rng.standard_normal((n, n))
+        for values in (a + 0j, a + 1j * rng.standard_normal((n, n))):
+            dense = g.spacing * math.sqrt(float(np.sum(np.abs(values) ** 2)))
+            assert hs_norm(RegularKernel(g, values)) == pytest.approx(dense, rel=1e-13)
+
     def test_definite(self):
         g = make_grid(20.0, 32)
         k = build_kernel(g, KernelFamilySpec(
