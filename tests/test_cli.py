@@ -216,7 +216,10 @@ class TestLattice:
         assert main(["lattice", "--in", inp, "--report", str(report_path),
                      "--max-elements", "8"]) == 4
         report = json.loads(report_path.read_text())
-        assert report["closed"] is False
+        assert report["closed"] is False and report["n_elements"] == 8
+        assert report["error"] == "closure exceeded max_elements=8"
+        assert capsys.readouterr().err == (
+            "lattice closure exceeded 8 elements; laws not certified\n")
 
 
     @pytest.mark.parametrize("state_doc", [None, {"matrix": [[[1.0, 0.0], [0.0, 0.0]]]}],

@@ -158,7 +158,7 @@ class TestPointerLattice:
 
         lat = generate_lattice([subspace(1 << i) for i in range(n_bins)],
                                ambient_dim=n)
-        assert lat.closed and len(lat) == len(algebra) == 2**n_bins
+        assert len(lat) == len(algebra) == 2**n_bins
         assert check_lattice_laws(lat)["all_pass"]
         assert is_boolean(lat)
 

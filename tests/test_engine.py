@@ -435,6 +435,18 @@ class TestDecoherenceTime:
         assert decoherence_time(series, 0.5, 3) == pytest.approx(times[2])
         assert decoherence_time(series, 0.5, 5) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(later=st.lists(st.booleans(), max_size=38), sustain=st.integers(1, 44))
+    def test_first_sustained_drop_matches_the_scan(self, later, sustain):
+        # sample 0 sets the scale, so it is never below; sustain may pass the length
+        below = np.array([False, *later])
+        values = np.where(below, 0.1, 1.0).astype(complex)
+        series = ExpectationSeries(np.linspace(0.0, 1.0, below.size), values, 10.0)
+        start = next((j for j in range(below.size - sustain + 1)
+                      if below[j:j + sustain].all()), None)
+        assert decoherence_time(series, 0.5, sustain) == (
+            None if start is None else float(series.times[start]))
+
     def test_parameter_validation(self):
         times = np.linspace(0.0, 1.0, 4)
         series = ExpectationSeries(times, np.ones(4, dtype=complex), 10.0)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, line, random_density, random_subspace
@@ -12,7 +12,7 @@ from sidlattice import lattice
 from sidlattice import (
     DensityState,
     DimensionMismatch,
-    NotClosed,
+    LatticeTooLarge,
     PropertyLattice,
     Subspace,
     check_lattice_laws,
@@ -258,7 +258,7 @@ class TestGenerateLattice:
         a = line(1.0, 0.0)
         b = from_vectors(2, [DIAG2])
         lat = generate_lattice([a, b])
-        assert len(lat) == 6 and lat.closed
+        assert len(lat) == 6
         expected = [Subspace.zero(2), Subspace.full(2), a, b, ortho(a), ortho(b)]
         for want in expected:
             assert lat.index_of(want) is not None
@@ -266,7 +266,7 @@ class TestGenerateLattice:
     def test_three_atoms_boolean_algebra(self):
         eye = np.eye(3)
         lat = generate_lattice([line(*eye[i]) for i in range(3)])
-        assert len(lat) == 8 and lat.closed
+        assert len(lat) == 8
         # subset-algebra oracle: every subset of atoms appears
         for subset in itertools.chain.from_iterable(
                 itertools.combinations(range(3), k) for k in range(4)):
@@ -275,17 +275,7 @@ class TestGenerateLattice:
 
     def test_empty_seeds(self):
         lat = generate_lattice([], ambient_dim=2)
-        assert len(lat) == 2 and lat.closed
-
-    def test_cap_returns_partial(self):
-        # a generic line and plane in d=3 close at 12 elements; cap below that
-        rng = np.random.default_rng(31)
-        seeds = [random_subspace(rng, 3, rank=1), random_subspace(rng, 3, rank=2)]
-        full = generate_lattice(seeds)
-        assert full.closed and len(full) == 12
-        lat = generate_lattice(seeds, max_elements=8)
-        assert not lat.closed
-        assert len(lat) <= 8
+        assert len(lat) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -295,23 +285,18 @@ class TestGenerateLattice:
         with pytest.raises(DimensionMismatch):
             generate_lattice([line(1.0, 0.0), line(1.0, 0.0, 0.0)])
 
-    def test_closed_lattice_needs_tables(self):
+    def test_lattice_needs_tables(self):
         ends = (Subspace.zero(2), Subspace.full(2))
         square, row = np.zeros((2, 2), dtype=int), np.array([1, 0])
         with pytest.raises(ValueError):
-            PropertyLattice(2, ends, closed=True)
+            PropertyLattice(2, ends, meet=square, join=square, ortho=None)
         with pytest.raises(ValueError):
-            PropertyLattice(2, ends, closed=True, meet=square, join=square)
+            PropertyLattice(2, ends, meet=square[:1], join=square, ortho=row)
         with pytest.raises(ValueError):
-            PropertyLattice(2, ends, closed=True, meet=square[:1], join=square,
-                            ortho=row)
+            PropertyLattice(2, ends, meet=square, join=square, ortho=square)
         with pytest.raises(ValueError):
-            PropertyLattice(2, ends, closed=True, meet=square, join=square,
-                            ortho=square)
-        with pytest.raises(ValueError):
-            PropertyLattice(2, ends, closed=True, meet=square, join=square,
-                            ortho=np.array([2, 0]))
-        lat = PropertyLattice(2, ends, closed=True, meet=np.array([[0, 0], [0, 1]]),
+            PropertyLattice(2, ends, meet=square, join=square, ortho=np.array([2, 0]))
+        lat = PropertyLattice(2, ends, meet=np.array([[0, 0], [0, 1]]),
                               join=np.array([[0, 1], [1, 1]]), ortho=row)
         assert check_lattice_laws(lat)["all_pass"] and is_boolean(lat)
 
@@ -339,8 +324,10 @@ class TestOperationTables:
     @settings(max_examples=40, deadline=None)
     @given(seeds=generating_sets())
     def test_tables_match_fresh_operations(self, seeds):
-        lat = generate_lattice(seeds, max_elements=32)
-        assume(lat.closed)
+        try:
+            lat = generate_lattice(seeds, max_elements=32)
+        except LatticeTooLarge:
+            reject()
         tol = default_tol()
         for i, a in enumerate(lat.elements):
             assert lat.ortho[i] == lat.index_of(ortho(a))
@@ -348,6 +335,70 @@ class TestOperationTables:
                 assert lat.meet[i, j] == lat.index_of(meet(a, b))
                 assert lat.join[i, j] == lat.index_of(join(a, b))
                 assert leq(a, b, tol) == (lat.meet[i, j] == i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=generating_sets(), data=st.data())
+    def test_cap_raises_iff_below_the_closure_size(self, seeds, data):
+        try:
+            full = generate_lattice(seeds, max_elements=32)
+        except LatticeTooLarge:
+            reject()
+        size = len(full)
+        for k in (size - 1, size, data.draw(st.integers(2, 2 * size), label="k")):
+            if k < size:
+                with pytest.raises(LatticeTooLarge,
+                                   match=f"^closure exceeded max_elements={k}$"):
+                    generate_lattice(seeds, max_elements=k)
+                continue
+            lat = generate_lattice(seeds, max_elements=k)
+            assert len(lat) == size
+            assert all(np.array_equal(a.basis, b.basis)
+                       for a, b in zip(lat.elements, full.elements))
+            for name in ("meet", "join", "ortho"):
+                assert np.array_equal(getattr(lat, name), getattr(full, name))
+
+
+def _embed(spaces, v):
+    """Images of subspaces of C^d under an isometry v of C^d into C^(d+m)."""
+    return [Subspace(v.shape[0], v @ s.basis) for s in spaces]
+
+
+class TestIsometricEmbedding:
+    """Seeds carried into C^(d+m) by an isometry close to the original lattice when
+    they span less than C^d, and to it times {0, (image of C^d)^perp} when they span C^d."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("case", ["two_tilted_lines", "three_atoms", "line_and_plane"])
+    def test_seeds_spanning_c_d_double_the_closure(self, case, m):
+        rng = np.random.default_rng(53)
+        seeds, size = {
+            "two_tilted_lines": ([line(1.0, 0.0), from_vectors(2, [DIAG2])], 6),
+            "three_atoms": ([line(*row) for row in np.eye(3)], 8),
+            "line_and_plane": ([random_subspace(rng, 3, rank=1),
+                                random_subspace(rng, 3, rank=2)], 12),
+        }[case]
+        d = seeds[0].ambient_dim
+        v = haar_unitary(rng, d + m)[:, :d]
+        lat, big = generate_lattice(seeds), generate_lattice(_embed(seeds, v))
+        assert len(lat) == size and len(big) == 2 * size
+        pi = [big.index_of(x) for x in _embed(lat.elements, v)]
+        assert None not in pi and len(set(pi)) == size
+        pi = np.array(pi)
+        assert np.array_equal(big.meet[np.ix_(pi, pi)], pi[lat.meet])
+        assert np.array_equal(big.join[np.ix_(pi, pi)], pi[lat.join])
+        # the complement in C^(d+m), cut back to the image of C^d (element pi[1]),
+        # is the image of the complement in C^d
+        assert np.array_equal(big.meet[big.ortho[pi], pi[1]], pi[lat.ortho])
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_seeds_short_of_c_d_keep_their_tables(self, m):
+        # two tilted lines span a plane of C^3: the closure is the same in C^(3+m)
+        seeds = [line(1.0, 0.0, 0.0), from_vectors(3, [[1.0, 1.0, 0.0]])]
+        v = haar_unitary(np.random.default_rng(59), 3 + m)[:, :3]
+        lat, big = generate_lattice(seeds), generate_lattice(_embed(seeds, v))
+        assert len(lat) == len(big) == 12
+        for name in ("meet", "join", "ortho"):
+            assert np.array_equal(getattr(big, name), getattr(lat, name))
 
 
 class TestIsBoolean:
@@ -362,11 +413,6 @@ class TestIsBoolean:
         eye = np.eye(3)
         lat = generate_lattice([line(*eye[i]) for i in range(3)])
         assert is_boolean(lat)
-
-    def test_requires_closure(self):
-        lat = PropertyLattice(2, (Subspace.zero(2), Subspace.full(2)), closed=False)
-        with pytest.raises(NotClosed):
-            is_boolean(lat)
 
     def test_agrees_with_direct_defects(self):
         eye = np.eye(3)
@@ -465,11 +511,6 @@ class TestKolmogorov:
         rep = kolmogorov_check(DensityState.pure([1.0, 0.0]), lat)
         assert rep.max_residual <= 1e-12
 
-    def test_requires_closure(self):
-        lat = PropertyLattice(2, (Subspace.zero(2), Subspace.full(2)), closed=False)
-        with pytest.raises(NotClosed):
-            kolmogorov_check(DensityState.pure([1.0, 0.0]), lat)
-
     @pytest.mark.parametrize("case", ["atoms", "two_lines", "mo2_bool_bool"])
     def test_tables_match_fresh_operations(self, case):
         rng = np.random.default_rng(47)
@@ -487,7 +528,7 @@ class TestKolmogorov:
             lines = [eye[0], math.cos(0.7) * eye[0] + math.sin(0.7) * eye[1]]
             lines += [eye[k] for k in range(2, 6)]
             lat = generate_lattice([from_vectors(6, [u @ v]) for v in lines])
-            assert lat.closed and len(lat) == 96
+            assert len(lat) == 96
             states = [random_density(rng, 6)]
         tol = default_tol()
         for state in states:
@@ -570,13 +611,12 @@ class TestFirstMatch:
     TOL = 1e-8
 
     def _match(self, monkeypatch, angles):
+        d = 4
+        lat = generate_lattice([_rotated_planes(d, 2, [0.0, 0.0])])  # 0, 1, base, base'
         calls = []
         spectral = lattice.projector_distance
         monkeypatch.setattr(lattice, "projector_distance",
                             lambda a, b: calls.append(1) or spectral(a, b))
-        d = 4
-        base = _rotated_planes(d, 2, [0.0, 0.0])
-        lat = PropertyLattice(d, (Subspace.zero(d), Subspace.full(d), base), closed=False)
         return lat.index_of(_rotated_planes(d, 2, angles), self.TOL), len(calls)
 
     def test_frobenius_within_tol_matches_without_svd(self, monkeypatch):
@@ -597,4 +637,4 @@ class TestFirstMatch:
                             lambda a, b: calls.append(1) or spectral(a, b))
         lat = generate_lattice([line(1.0, 0.0, 0.0), from_vectors(3, [[1.0, 1.0, 0.0]]),
                                 line(0.0, 0.0, 1.0)])
-        assert lat.closed and len(lat) == 12 and calls == []
+        assert len(lat) == 12 and calls == []
