@@ -38,7 +38,6 @@ from .spectral import (
     _require_same_grid,
     _row_blocks,
     _tiles,
-    hermitian_within,
 )
 
 INCOMPATIBILITY_HERMITIAN_TOL = 1e-10
@@ -52,13 +51,13 @@ ANALYTIC_FORMS = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lore
 class IncompatibilityObservable:
     """Hermitian observable -i [O1, O2]; kernel only, the singular part cancels.
 
-    The kernel is checked to 1e-10 unless its residual is already known.
+    The kernel's own ``hermitian_residual`` is checked to 1e-10.
     """
 
     kernel: RegularKernel
 
     def __post_init__(self):
-        if not hermitian_within(self.kernel, INCOMPATIBILITY_HERMITIAN_TOL):
+        if self.kernel.hermitian_residual > INCOMPATIBILITY_HERMITIAN_TOL:
             raise ValueError("incompatibility kernel is not Hermitian at 1e-10")
 
     @property
@@ -130,14 +129,14 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     read once) or its diagonal constant. For Hermitian kernels
     K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
     one n x n array the tiles need. It is formed here, by 256-row slabs of K1
-    against K2 made dense for it alone. Each tile sums -[O1, O2] = i D into D's
+    against K2 made dense for it alone. Each tile sums -[O1, O2] = -i D into D's
     buffer (its imaginary part alone if every term is real), the negation folded into
-    each subtraction's operand order, exact under round-to-nearest.
+    each subtraction's operand order, exact under round-to-nearest; i times that sum is D.
 
-    When both operand kernels are exactly Hermitian (recorded residual 0.0,
-    or absent), so is D, which records 0.0 with no scan: IEEE rounding is
-    sign-symmetric, so the cross terms (d(w) - d(w')) K and the mixing term
-    M - M^H come out exactly anti-Hermitian.
+    When both operand kernels are exactly Hermitian (residual 0.0, or
+    absent), so is D, whose maker is then exact (residual 0.0, no scan):
+    IEEE rounding is sign-symmetric, so the cross terms (d(w) - d(w')) K and
+    the mixing term M - M^H come out exactly anti-Hermitian.
     """
     grid = _require_same_grid(o1.grid, o2.grid)
     n = grid.n_points
@@ -172,7 +171,7 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
 
     def make(rows, cols, out=None):
         d = np.empty((len(d1[rows]), len(d1[cols])), complex) if out is None else out
-        acc = d if dtype.kind == "c" else d.imag  # -[O1, O2] = i D, summed term by term
+        acc = d if dtype.kind == "c" else d.imag  # -[O1, O2] = -i D, summed term by term
         diff, later = scratch[:, :d.shape[0], :d.shape[1]]
         for k, write in enumerate(terms):
             write(rows, cols, later if k else acc, diff)
@@ -186,10 +185,8 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
             d.real = 0.0
         return _finite(d)
 
-    kernel = RegularKernel(grid, _Tiles(make, np.dtype(np.complex128)))
-    if k1.hermitian_residual == 0.0 and k2.hermitian_residual == 0.0:
-        kernel.hermitian_residual = 0.0
-    return kernel
+    exact = k1.hermitian_residual == 0.0 and k2.hermitian_residual == 0.0
+    return RegularKernel(grid, _Tiles(make, np.dtype(np.complex128), exact=exact))
 
 
 def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:

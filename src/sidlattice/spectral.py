@@ -130,11 +130,13 @@ class DiagonalPart:
 
 
 class _Tiles(NamedTuple):
-    """Tiles made on demand: make(I, J, out=None) is K[I, J], fresh or in out; bound >= max |K|."""
+    """Tiles made on demand: make(I, J, out=None) is K[I, J], fresh or in out; bound >= max |K|;
+    exact iff the maker proves K = K^H bit for bit."""
 
     make: Callable
     dtype: np.dtype
     bound: Optional[float] = None
+    exact: bool = False
 
 
 class RegularKernel:
@@ -149,16 +151,18 @@ class RegularKernel:
     complex128 if complex, are copied unless ``_adopt`` is true, which the
     library passes for arrays it has just built: those are frozen in place.
     Shape and finiteness are checked either way, so an explicit zero array
-    (``zeros``) is a present kernel like any other. ``hermitian_residual``
-    is max |K - K^H| once known.
+    (``zeros``) is a present kernel like any other. ``hermitian_residual``,
+    max |K - K^H|, is 0.0 for the absent kernel and an exact maker's
+    (``_Tiles.exact``); any other kernel is scanned once, when first read.
     """
 
     def __init__(self, grid: FrequencyGrid, values, _adopt: bool = False):
         n = grid.n_points
         self.grid = grid
         self.present = values is not None
-        self.hermitian_residual: Optional[float] = None if self.present else 0.0
         self._maker = values if isinstance(values, _Tiles) else None
+        if not self.present or (self._maker and self._maker.exact):
+            self.hermitian_residual = 0.0  # shadows the scan, as values does for a stored array
         if values is None:
             self.values = np.broadcast_to(np.float64(0.0), (n, n))
         elif self._maker is None:
@@ -182,6 +186,11 @@ class RegularKernel:
         values.setflags(write=False)
         self._maker = None  # the tiles are read from values from now on
         return values
+
+    @cached_property
+    def hermitian_residual(self) -> float:
+        """max |K(w, w') - conj(K(w', w))|, scanned by tiles on the first read."""
+        return _hermitian_residual(self.values)
 
     @cached_property
     def is_zero(self) -> bool:
@@ -218,8 +227,8 @@ class VanHoveObservable:
     """Observable with a singular diagonal part plus a regular kernel.
 
     The kernel must be Hermitian within the default tolerance and the
-    diagonal profile real, so the whole operator is self-adjoint. A kernel
-    whose Hermitian residual is already known is not scanned again.
+    diagonal profile real, so the whole operator is self-adjoint; the check
+    reads the kernel's own ``hermitian_residual``.
     """
 
     diag: DiagonalPart
@@ -227,7 +236,7 @@ class VanHoveObservable:
 
     def __post_init__(self):
         _require_same_grid(self.diag.grid, self.kernel.grid)
-        if not hermitian_within(self.kernel, default_tol()):
+        if self.kernel.hermitian_residual > default_tol():
             raise ValueError("observable kernel is not Hermitian within tolerance")
 
     @property
@@ -257,7 +266,7 @@ class VanHoveState:
         total = self.diag.grid.spacing * float(np.sum(self.diag.values))
         if abs(total - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state diagonal quadrature is {total}, expected 1")
-        if not hermitian_within(self.kernel, default_tol()):
+        if self.kernel.hermitian_residual > default_tol():
             raise ValueError("state kernel is not Hermitian within tolerance")
 
     @property
@@ -358,7 +367,8 @@ def _warn_on_envelope_leak(grid: FrequencyGrid, spec: KernelFamilySpec) -> None:
 
 def _tabulated(n: int, band, envelope, bound, mixed=None, phases_h=None) -> _Tiles:
     """Tiles of K[k, l] = band[k - l + n - 1] * envelope[k + l], times the Hermitian part of
-    random_bandlimited's mode mixture B = mixed @ phases_h / 6 (mixed = phases @ coeff)."""
+    random_bandlimited's mode mixture B = mixed @ phases_h / 6 (mixed = phases @ coeff);
+    exact when the band is bitwise symmetric (see build_kernel)."""
     scratch = None if mixed is None else np.empty((2, _TILE, _TILE), np.complex128)
     nu_factor, s_factor = sliding_window_view(band, n)[:, ::-1], sliding_window_view(envelope, n)
 
@@ -374,7 +384,8 @@ def _tabulated(n: int, band, envelope, bound, mixed=None, phases_h=None) -> _Til
         tile *= toeplitz
         return np.multiply(tile, hankel, out=out)
 
-    return _Tiles(make, np.dtype(np.float64 if mixed is None else np.complex128), bound)
+    return _Tiles(make, np.dtype(np.float64 if mixed is None else np.complex128), bound,
+                  np.array_equal(band, band[::-1]))
 
 
 def _mixture_tile(mixed: np.ndarray, phases_h: np.ndarray, rows: slice,
@@ -413,9 +424,10 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     the mixture; the maker keeps that bound. Only when it is not finite are
     the tiles scanned here, and a sample that is not finite raises ValueError.
 
-    With a bitwise symmetric band table the kernel carries the residual 0.0
-    unscanned: entries (k, l) and (l, k) are then products of the same IEEE
-    factors, and the Hermitian part above is sign-symmetric entry by entry.
+    With a bitwise symmetric band table the maker is exact, so the kernel's
+    residual is 0.0 unscanned: entries (k, l) and (l, k) are then products of
+    the same IEEE factors, and the Hermitian part above is sign-symmetric
+    entry by entry.
     """
     _warn_on_envelope_leak(grid, spec)
     n = grid.n_points
@@ -452,8 +464,6 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
         if not math.isfinite(bound):
             for tile in _kernel_tiles(kernel):
                 _finite(tile)
-    if np.array_equal(band, band[::-1]):
-        kernel.hermitian_residual = 0.0
     return kernel
 
 
@@ -484,8 +494,7 @@ class _SumOfSquares:
         self.total, self.scale = 0.0, 1.0
 
     def add(self, block: np.ndarray) -> None:
-        parts = block.reshape(-1) if block.dtype.kind == "f" else \
-            np.ascontiguousarray(block).reshape(-1).view(np.float64)  # re, im, contiguous
+        parts = np.ascontiguousarray(block).reshape(-1).view(np.float64)  # re, im if complex
         if self.scale == 1.0:
             with np.errstate(over="ignore"):
                 total = self.total + float(parts @ parts)
@@ -525,17 +534,8 @@ def _hermitian_residual(values: np.ndarray) -> float:
 
 
 def check_hermitian(kernel: RegularKernel, tol: Optional[float] = None) -> bool:
-    """True iff max |K(w, w') - conj(K(w', w))| <= tol; records the residual."""
+    """True iff max |K(w, w') - conj(K(w', w))| <= tol; reads the kernel's residual."""
     tol = default_tol() if tol is None else tol
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    residual = _hermitian_residual(kernel.values)
-    kernel.hermitian_residual = residual
-    return residual <= tol
-
-
-def hermitian_within(kernel: RegularKernel, tol: float) -> bool:
-    """check_hermitian, decided from the recorded residual when one is known."""
-    if kernel.hermitian_residual is None:
-        return check_hermitian(kernel, tol)
     return kernel.hermitian_residual <= tol

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sidlattice
 from conftest import (
@@ -221,6 +223,51 @@ def test_criterion_5_lattice_law_sweep(acceptance_recorder):
          "500 random subspace samples per dimension 2..8 satisfy every lattice "
          "axiom at tolerance 1e-8 in under 60 s",
          body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 8), ranks=st.lists(st.integers(0, 8), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_criterion_5_lattice_laws_as_a_property(d, ranks, seed):
+    """Criterion 5's laws, drawn so that hypothesis shrinks a failure to its least d and ranks."""
+    rng = np.random.default_rng(seed)
+    a, b, c, s, x, y = (random_subspace(rng, d, rank=min(r, d)) for r in ranks)
+    tol = 1e-8
+
+    # order axioms
+    assert leq(a, a, tol)
+    rotated = a if a.rank == 0 else Subspace(d, a.basis @ haar_unitary(rng, a.rank))
+    assert leq(a, rotated, tol) and leq(rotated, a, tol)
+    assert projector_distance(a, rotated) <= tol
+    chain_mid = join(a, x)
+    chain_top = join(chain_mid, y)
+    assert leq(a, chain_mid, tol) and leq(chain_mid, chain_top, tol)
+    assert leq(a, chain_top, tol)
+
+    # orthocomplement axioms
+    assert projector_distance(ortho(ortho(a)), a) <= tol
+    assert leq(ortho(chain_mid), ortho(a), tol)
+    assert meet(a, ortho(a), tol).rank == 0
+    assert join(a, ortho(a)).rank == d
+
+    # De Morgan
+    assert projector_distance(ortho(join(a, b)), meet(ortho(a), ortho(b), tol)) <= tol
+
+    # orthomodularity on the comparable pair a <= chain_mid
+    assert projector_distance(join(a, meet(chain_mid, ortho(a), tol)), chain_mid) <= tol
+
+    # GLB/LUB characterizations
+    upper1, upper2 = join(s, b), join(s, c)
+    glb = meet(upper1, upper2, tol)
+    assert leq(glb, upper1, tol) and leq(glb, upper2, tol)
+    assert leq(s, glb, tol)
+    lub = join(a, b)
+    assert leq(a, lub, tol) and leq(b, lub, tol)
+    assert leq(lub, join(lub, c), tol)
+
+    # distributive inclusions
+    assert leq(join(meet(a, b, tol), meet(a, c, tol)), meet(a, join(b, c), tol), tol)
+    assert leq(join(a, meet(b, c, tol)), meet(join(a, b), join(a, c), tol), tol)
 
 
 def test_criterion_6_compatibility_iff_commutation(acceptance_recorder):

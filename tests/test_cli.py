@@ -695,7 +695,7 @@ class TestStreamedIncompatibility:
 
         monkeypatch.setattr(engine, "_incompatibility_blocks", recorded)
         monkeypatch.setattr(spectral.RegularKernel, "dense", dense_unless_d)
-        monkeypatch.setattr(spectral, "check_hermitian", stored_or_scanned)
+        monkeypatch.setattr(spectral, "_hermitian_residual", stored_or_scanned)
         doc = _base_config(n_points=300, t_max=10.0, n_samples=101)  # two tiles a side
         if o1_kernel:
             doc["observables"]["O1"]["kernel"] = {

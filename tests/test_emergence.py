@@ -469,6 +469,22 @@ def test_emergence_holds_no_tile_code():
                    for node in ast.walk(tree))
 
 
+def test_only_the_kernel_writes_its_facts():
+    """hermitian_residual and _maker are assigned in RegularKernel's own methods alone."""
+    facts = {"hermitian_residual", "_maker"}
+    writes = []
+    for path in sorted(Path(emergence.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "RegularKernel"
+                 for method in cls.body if isinstance(method, ast.FunctionDef)
+                 for node in ast.walk(method)}
+        writes += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in facts
+                   and not isinstance(node.ctx, ast.Load) and id(node) not in owned]
+    assert writes == []
+
+
 def _operands(grid, o1_kernel, o1_family="lorentz_band"):
     o1, o2 = linear_vs_gaussian_pair(grid)
     if o1_kernel:

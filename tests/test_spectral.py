@@ -538,39 +538,41 @@ class TestAbsentKernel:
 
         g = make_grid(10.0, 16)
         diag = DiagonalPart(g, np.ones(16) / 10.0)
-        monkeypatch.setattr(spectral, "check_hermitian", no_scan)
+        monkeypatch.setattr(spectral, "_hermitian_residual", no_scan)
         monkeypatch.setattr(spectral, "_frozen_array", no_scan)
         obs = VanHoveObservable.diag_only(diag)
         assert not obs.kernel.present
         VanHoveState(diag, RegularKernel.absent(g))
 
     def test_explicit_zeros_are_a_present_kernel_and_scanned(self, monkeypatch):
-        calls = []
-        check = spectral.check_hermitian
-        monkeypatch.setattr(spectral, "check_hermitian",
-                            lambda k, tol=None: calls.append(k) or check(k, tol))
+        calls = _counted_scans(monkeypatch)
         g = make_grid(10.0, 16)
         obs = VanHoveObservable(DiagonalPart.zeros(g), RegularKernel.zeros(g))
         assert obs.kernel.present and obs.kernel.values.strides == (16 * 16, 16)
-        assert calls == [obs.kernel]
+        assert len(calls) == 1 and calls[0] is obs.kernel.values
+
+
+def _counted_scans(monkeypatch):
+    """The list of arrays passed to spectral._hermitian_residual, the one scan, from now on."""
+    calls, scan = [], spectral._hermitian_residual
+    monkeypatch.setattr(spectral, "_hermitian_residual",
+                        lambda values: calls.append(values) or scan(values))
+    return calls
 
 
 class TestHermitianResidualRecord:
-    def test_check_records_and_later_checks_reuse(self, monkeypatch):
+    def test_scanned_once_on_first_read_then_not_again(self, monkeypatch):
+        calls = _counted_scans(monkeypatch)
         g = make_grid(10.0, 8)
         bad = np.zeros((8, 8), dtype=complex)
         bad[0, 7] = 1e-9
         k = RegularKernel(g, bad)
-        assert k.hermitian_residual is None
+        assert calls == []
         VanHoveObservable.kernel_only(k)  # 1e-9 passes the 1e-8 entry check
-        assert k.hermitian_residual == 1e-9
-
-        def no_scan(*args):
-            raise AssertionError("a recorded residual was scanned again")
-
-        monkeypatch.setattr(spectral, "check_hermitian", no_scan)
-        assert spectral.hermitian_within(k, 1e-8)
-        assert not spectral.hermitian_within(k, 1e-10)
+        assert len(calls) == 1 and k.hermitian_residual == 1e-9
+        assert check_hermitian(k, 1e-8) and not check_hermitian(k, 1e-10)
+        VanHoveObservable.kernel_only(k)
+        assert len(calls) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(family=st.sampled_from(["gaussian_band", "lorentz_band", "rect_band",
@@ -590,22 +592,18 @@ class TestHermitianResidualRecord:
             gamma=width if family == "lorentz_band" else None,
             sigma=None if family == "lorentz_band" else width,
             seed=seed if family == "random_bandlimited" else None)
-        with warnings.catch_warnings(), patch.object(spectral, "check_hermitian", no_scan):
+        with warnings.catch_warnings(), patch.object(spectral, "_hermitian_residual", no_scan):
             warnings.simplefilter("ignore", SupportOverflowWarning)
             k = build_kernel(grid, spec)
             VanHoveObservable.kernel_only(k)
         assert k.hermitian_residual == 0.0 == spectral._hermitian_residual(k.values)
 
     def test_a_passed_in_copy_of_a_built_kernel_is_scanned(self, monkeypatch):
-        calls = []
-        check = spectral.check_hermitian
-        monkeypatch.setattr(spectral, "check_hermitian",
-                            lambda k, tol=None: calls.append(k) or check(k, tol))
+        calls = _counted_scans(monkeypatch)
         g = make_grid(20.0, 32)
         k = RegularKernel(g, build_kernel(g, _quiet_gaussian()).values)
-        assert k.hermitian_residual is None
         VanHoveObservable.kernel_only(k)
-        assert calls == [k] and k.hermitian_residual == 0.0
+        assert len(calls) == 1 and calls[0] is k.values and k.hermitian_residual == 0.0
 
 
 def _bits(a):
