@@ -35,6 +35,7 @@ from .engine import (
 )
 from .errors import ConfigError, LatticeTooLarge, SidLatticeError, UnsupportedFamily, WindowExceeded
 from .lattice import (
+    DEFAULT_MAX_ELEMENTS,
     DensityState,
     Subspace,
     check_lattice_laws,
@@ -464,37 +465,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sample <D(t)> and write a CSV series")
     p_sim.add_argument("--config", required=True, help="scenario config JSON")
     p_sim.add_argument("--out", help="CSV output path (falls back to output.series)")
+    p_sim.set_defaults(run=lambda a: run_simulate(a.config, a.out))
 
     p_lat = sub.add_parser("lattice", help="close a subspace set and check lattice laws")
     p_lat.add_argument("--in", dest="input", required=True, help="subspace JSON document")
     p_lat.add_argument("--state", help="optional density state JSON for Kolmogorov residuals")
     p_lat.add_argument("--report", required=True, help="JSON report path")
-    p_lat.add_argument("--max-elements", type=int, default=256,
-                       help="closure cap (default 256)")
+    p_lat.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
+                       help="closure cap (default %(default)s)")
+    p_lat.set_defaults(run=lambda a: run_lattice(a.input, a.state, a.report, a.max_elements))
 
     p_em = sub.add_parser("emerge", help="full emergence run: report JSON plus series CSV")
     p_em.add_argument("--config", required=True, help="scenario config JSON")
     p_em.add_argument("--report", help="report path (falls back to output.report)")
     p_em.add_argument("--series", help="series CSV path (falls back to output.series)")
+    p_em.set_defaults(run=lambda a: run_emerge(a.config, a.report, a.series))
 
     p_or = sub.add_parser("oracle", help="closed-form decay samples for test harnesses")
     p_or.add_argument("--family", required=True, help="gaussian_band or lorentz_band")
     p_or.add_argument("--params", required=True,
                       help='JSON, e.g. {"sigma_c": 1.0} or {"gamma1": ..., "gamma2": ...}')
     p_or.add_argument("--t", required=True, help="comma-separated times")
+    p_or.set_defaults(run=lambda a: run_oracle(a.family, a.params, a.t))
     return parser
-
-
-def _run(args) -> int:
-    if args.command == "simulate":
-        return run_simulate(args.config, args.out)
-    if args.command == "lattice":
-        return run_lattice(args.input, args.state, args.report, args.max_elements)
-    if args.command == "emerge":
-        return run_emerge(args.config, args.report, args.series)
-    if args.command == "oracle":
-        return run_oracle(args.family, args.params, args.t)
-    raise ConfigError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -509,7 +502,7 @@ def main(argv=None) -> int:
     # (an envelope leak) as one line after its work
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = _run(args)
+            code = args.run(args)
         except WindowExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_WINDOW

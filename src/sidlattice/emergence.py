@@ -244,20 +244,21 @@ def run_emergence(rho: VanHoveState,
     Each tile of D (see incompatibility_observable) is made once, for the
     series and for hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
 
-    DEGENERATE means the premise failed: the observables already commute
-    (the incompatibility kernel vanishes relative to the operand scale), so
-    there is nothing to decohere.
+    DEGENERATE means the premise failed: the observables already commute, so there
+    is nothing to decohere. So is an absent D (no tile, zero series and norms), or
+    one whose HS norm vanishes relative to the operand scale.
     """
     # first, so that a partition over the element cap fails before kernel work
     pointer = pointer_lattice([o1, o2], partition)
-    series, hs_initial, hs_final = series_and_norms(
-        rho, incompatibility_observable(o1, o2), t_max, n_samples)
+    incompat = incompatibility_observable(o1, o2)
+    series, hs_initial, hs_final = series_and_norms(rho, incompat, t_max, n_samples)
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)
 
     # the exact scale only when the bound does not decide it, so no operand is made again
-    if all(hs_initial <= DEGENERACY_RTOL * _degeneracy_scale(o1, o2, norm)
-           for norm in (_hs_bound, hs_norm)):
+    if not incompat.kernel.present or all(
+            hs_initial <= DEGENERACY_RTOL * _degeneracy_scale(o1, o2, norm)
+            for norm in (_hs_bound, hs_norm)):
         verdict = Verdict.DEGENERATE
     elif t_dec is not None and t_eff is not None and pointer.is_boolean:
         verdict = Verdict.BOOLEANIZED

@@ -125,9 +125,10 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     """D = -i [O1, O2] as a made kernel: complex tiles, each checked finite as made.
 
     [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1;
-    a cross term is skipped when its kernel is zero (``is_zero``: absent, or
-    read once) or its diagonal constant. For Hermitian kernels
-    K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
+    a cross term is skipped when its diagonal is constant or its kernel zero
+    (``is_zero``: absent, or read up to its first nonzero tile). When no term
+    survives, the pair commutes exactly and D is the absent kernel. For Hermitian
+    kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
     one n x n array the tiles need. It is formed here, by 256-row slabs of K1
     against K2 made dense for it alone. Each tile sums -[O1, O2] = -i D into D's
     buffer (its imaginary part alone if every term is real), the negation folded into
@@ -164,8 +165,10 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
 
     # -[O1, O2] = (d1(w') - d1(w)) K2 + (d2(w) - d2(w')) K1 + M^H - M, summed in this order
     crosses = [(k, d, order) for k, d, order in ((k2, d1, -1), (k1, d2, 1))
-               if not k.is_zero and np.ptp(d) != 0]
+               if np.ptp(d) != 0 and not k.is_zero]
     terms = [cross(*term) for term in crosses] + [mixing] * (m is not None)
+    if not terms:  # D = 0
+        return RegularKernel.absent(grid)
     dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *[m] * (m is not None))
     scratch = np.empty((2, _TILE, _TILE), dtype)  # the diagonal difference, a later term
 
@@ -177,9 +180,7 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
             write(rows, cols, later if k else acc, diff)
             if k:
                 acc += later
-        if not terms:  # D = 0
-            d.fill(0.0)
-        elif acc is d:
+        if acc is d:
             d *= 1j
         else:
             d.real = 0.0
@@ -190,13 +191,15 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
 
 
 def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
-    """Regular kernel of [O1, O2] = i D; anti-Hermitian, singular part identically zero."""
-    return RegularKernel(o1.grid, 1j * _incompatibility_blocks(o1, o2).values, _adopt=True)
+    """Regular kernel of [O1, O2] = i D, stored, or absent with D; singular part zero."""
+    d = _incompatibility_blocks(o1, o2)
+    return RegularKernel(o1.grid, 1j * d.values, _adopt=True) if d.present else d
 
 
 def incompatibility_observable(o1: VanHoveObservable,
                                o2: VanHoveObservable) -> IncompatibilityObservable:
-    """Hermitian D = -i [O1, O2], made by tiles; stored only if it must be scanned."""
+    """Hermitian D = -i [O1, O2], made by tiles; stored only if it must be scanned,
+    and absent, with no tile to make, if no term survives (see _incompatibility_blocks)."""
     return IncompatibilityObservable(_incompatibility_blocks(o1, o2))
 
 

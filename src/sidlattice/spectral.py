@@ -50,13 +50,13 @@ def _tiles(n: int):
 
 
 def _kernel_tiles(kernel: RegularKernel):
-    """Iterator of a kernel's tiles in _tiles order, made as read; None if absent."""
-    return (kernel.tile(*ij) for ij in _tiles(kernel.grid.n_points)) if kernel.present else None
+    """Iterator of a present kernel's tiles in _tiles order, made as read."""
+    return (kernel.tile(*ij) for ij in _tiles(kernel.grid.n_points))
 
 
-def _frozen_array(values, dtype, shape=None, copy=True) -> np.ndarray:
+def _frozen_array(values, dtype, shape, copy=True) -> np.ndarray:
     out = np.array(values, dtype=dtype, copy=True if copy else None, order="C")
-    if shape is not None and out.shape != shape:
+    if out.shape != shape:
         raise LengthMismatch(f"expected shape {shape}, got {out.shape}")
     _finite(out).setflags(write=False)
     return out

@@ -221,6 +221,20 @@ class TestLattice:
         assert capsys.readouterr().err == (
             "lattice closure exceeded 8 elements; laws not certified\n")
 
+    def test_failed_law_suite_exits_4(self, tmp_path, capsys, monkeypatch):
+        """Three real lines 0.006 rad apart in C^2, at tolerance 1e-2: the closure holds
+        six elements and six laws fail."""
+        monkeypatch.setenv("SIDLATTICE_TOL", "1e-2")
+        inp = _write(tmp_path / "in.json", _line_doc(
+            *([math.cos(a), math.sin(a)] for a in (0.0, 0.006, 0.012))))
+        report_path = tmp_path / "rep.json"
+        assert main(["lattice", "--in", inp, "--report", str(report_path)]) == 4
+        assert capsys.readouterr().err == (
+            "lattice law suite failed: ['join_is_lub', 'order_reversal', 'de_morgan', "
+            "'orthomodular', 'distributive_inclusion_meet', 'distributive_inclusion_join']\n")
+        report = json.loads(report_path.read_text())
+        assert report["n_elements"] == 6 and report["closed"] is True
+        assert report["laws"]["all_pass"] is False
 
     @pytest.mark.parametrize("state_doc", [None, {"matrix": [[[1.0, 0.0], [0.0, 0.0]]]}],
                              ids=["missing", "one-row-for-dim-2"])
@@ -266,6 +280,26 @@ class TestEmerge:
                      "--series", str(tmp_path / "s.csv")]) == 5
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["verdict"] == "DEGENERATE"
+
+    def test_constant_diagonal_against_a_huge_kernel_exits_5(self, tmp_path, capsys):
+        """O1 is a multiple of the identity: the pair commutes whatever O2's scale.
+
+        The operand bound overflows here (1e307 times 2 omega_max), so a verdict
+        from D's norm against that scale read 0 <= 1e-10 * nan and said BOOLEANIZED.
+        """
+        doc = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "commuting_pair.json").read_text())
+        doc["observables"] = {
+            "O1": {"diag": {"family": "constant"}},
+            "O2": {"kernel": {"family": "gaussian_band", "amplitude": 1e307,
+                              "sigma": 1.4, "mu": 10.0, "Sigma": 2.0}}}
+        cfg = _write(tmp_path / "cfg.json", doc)
+        assert main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                     "--series", str(tmp_path / "s.csv")]) == 5
+        assert capsys.readouterr().err == "degenerate premise: the observables already commute\n"
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["verdict"] == "DEGENERATE"
+        assert report["hs_norm_initial"] == report["hs_norm_final"] == 0.0
 
     def test_missing_partition_exits_2(self, tmp_path):
         doc = _base_config()

@@ -24,6 +24,7 @@ from sidlattice import (
     angle_sweep,
     build_kernel,
     check_lattice_laws,
+    commutator_kernel,
     effective_compatibility,
     evolve,
     expectation_series,
@@ -274,6 +275,64 @@ class TestRunEmergence:
         import json
 
         json.dumps(doc)  # must be serializable as-is
+
+
+def _commuting_pair(grid, shape):
+    """Three exactly commuting shapes: no term of D survives."""
+    if shape == "two-diagonals":  # configs/commuting_pair.json
+        return (VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes)),
+                VanHoveObservable.diag_only(DiagonalPart(
+                    grid, np.exp(-0.5 * ((grid.nodes - 10.0) / 4.0) ** 2))))
+    if shape == "constant-vs-kernel":
+        return (VanHoveObservable.diag_only(DiagonalPart(grid, np.ones(grid.n_points))),
+                linear_vs_gaussian_pair(grid)[1])
+    o1 = VanHoveObservable(DiagonalPart(grid, np.sin(grid.nodes)), build_kernel(
+        grid, KernelFamilySpec("random_bandlimited", sigma=1.5, mu=10.0, Sigma=2.0, seed=4)))
+    return o1, VanHoveObservable.diag_only(DiagonalPart.zeros(grid))
+
+
+class TestExactlyCommutingPair:
+    """D = 0 is the absent kernel: DEGENERATE without an n x n pass or an operand norm."""
+
+    SHAPES = ["two-diagonals", "constant-vs-kernel", "kernel-vs-kernel-less"]
+
+    @staticmethod
+    def _recorded(o1, o2):
+        made = []
+        for kernel in (o1.kernel, o2.kernel):
+            if kernel.present:
+                make = kernel._maker.make
+                kernel._maker = kernel._maker._replace(
+                    make=lambda rows, cols, out=None, make=make:
+                    made.append((rows.start, cols.start)) or make(rows, cols, out))
+        return made
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_d_and_the_commutator_are_the_absent_kernel(self, shape):
+        grid = make_grid(20.0, 300)  # more than one tile a side
+        o1, o2 = _commuting_pair(grid, shape)
+        made = self._recorded(o1, o2)
+        assert not incompatibility_observable(o1, o2).kernel.present
+        assert not commutator_kernel(o1, o2).present
+        assert not commutator_kernel(o2, o1).present
+        assert made in ([], [(0, 0)])  # at most the first tile, read by is_zero
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_run_is_degenerate_without_an_operand_norm(self, shape, monkeypatch):
+        def no_norm(kernel):
+            raise AssertionError("an operand norm was formed for an absent D")
+
+        monkeypatch.setattr(emergence, "hs_norm", no_norm)
+        monkeypatch.setattr(emergence, "_hs_bound", no_norm)
+        grid = make_grid(20.0, 300)
+        o1, o2 = _commuting_pair(grid, shape)
+        made = self._recorded(o1, o2)
+        report = run_emergence(_complex_state(grid), o1, o2, BinPartition.equal_bins(grid, 4),
+                               10.0, 101, epsilon=1e-6)
+        assert report.verdict is Verdict.DEGENERATE
+        assert report.hs_norm_initial == report.hs_norm_final == 0.0
+        assert not np.any(report.series.values)
+        assert made in ([], [(0, 0)])
 
 
 class TestPeakMemory:

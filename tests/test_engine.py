@@ -665,6 +665,46 @@ class TestCommutatorShortcuts:
         np.testing.assert_array_equal(got, _two_matmul_commutator(o1, o2))
 
 
+_DIAGS = {"zero": lambda g: np.zeros(g.n_points), "constant": lambda g: np.full(g.n_points, 2.5),
+          "linear": lambda g: g.nodes}
+
+
+def _family_observable(grid, diag, kernel, seed):
+    spec = {"gaussian_band": KernelFamilySpec("gaussian_band", sigma=1.5, mu=10.0, Sigma=2.0),
+            "random_bandlimited": KernelFamilySpec(
+                "random_bandlimited", sigma=1.5, mu=10.0, Sigma=2.0, seed=seed)}.get(kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportOverflowWarning)
+        k = RegularKernel.absent(grid) if spec is None else build_kernel(grid, spec)
+    return VanHoveObservable(DiagonalPart(grid, _DIAGS[diag](grid)), k)
+
+
+class TestAbsentCommutator:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           operands=st.tuples(*[st.sampled_from(sorted(_DIAGS)), st.sampled_from(
+               [None, "gaussian_band", "random_bandlimited"])] * 2))
+    def test_d_is_absent_exactly_when_no_term_survives(self, n, seed, operands):
+        grid = make_grid(20.0, n)
+        o1 = _family_observable(grid, *operands[:2], seed)
+        o2 = _family_observable(grid, *operands[2:], seed + 1)
+        k1, k2 = o1.kernel.values, o2.kernel.values
+        spread1, spread2 = (np.ptp(o.diag.values) != 0 for o in (o1, o2))
+        survives = (spread1 and np.any(k2)) or (spread2 and np.any(k1)) \
+            or (np.any(k1) and np.any(k2))
+        got = commutator_kernel(o1, o2)
+        assert incompatibility_observable(o1, o2).kernel.present == bool(survives)
+        assert got.present == bool(survives)
+        oracle = _two_matmul_commutator(o1, o2)
+        if not survives:
+            np.testing.assert_array_equal(got.values, np.zeros((n, n)))
+            np.testing.assert_array_equal(oracle, np.zeros((n, n)))
+        nu1, nu2 = (o.diag.values[:, None] - o.diag.values[None, :] for o in (o1, o2))
+        scale = np.max(np.abs(nu1 * k2)) + np.max(np.abs(nu2 * k1)) \
+            + grid.spacing * np.linalg.norm(k1) * np.linalg.norm(k2)
+        assert np.max(np.abs(got.values - oracle)) <= 1e-12 * scale
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8)
 
