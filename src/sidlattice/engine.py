@@ -89,10 +89,7 @@ class ExpectationSeries:
         if times.size < 1 or not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
             raise ValueError("times must be finite and strictly increasing")
         _finite(values)
-        if not times[-1] <= 0.5 * self.recurrence_time:
-            raise WindowExceeded(
-                f"series reaches t={times[-1]}, beyond half the recurrence "
-                f"time {self.recurrence_time}")
+        _require_half_window(times[-1], self.recurrence_time)
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -203,13 +200,15 @@ def incompatibility_observable(o1: VanHoveObservable,
     return IncompatibilityObservable(_incompatibility_blocks(o1, o2))
 
 
-def _phase_series(grid: FrequencyGrid, profile: np.ndarray,
+def _phase_series(grid: FrequencyGrid, profile: Optional[np.ndarray],
                   times: np.ndarray) -> np.ndarray:
     """For each time t, the sum over offsets m of profile[m] exp(i m spacing t).
 
     The phases are formed for as many times at once as fit in one tile's
     bytes, so the peak grows neither with the number of samples nor past a tile.
     """
+    if profile is None:  # known zero: +0.0 at every time, and no phase formed
+        return np.zeros(len(times), dtype=np.complex128)
     n = grid.n_points
     nu = grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
     step = max(1, _TILE * _TILE // (2 * n - 1))
@@ -228,21 +227,23 @@ def require_window(grid: FrequencyGrid, t_max: float, n_samples: int) -> None:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     if not n_samples >= 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-    half = 0.5 * grid.recurrence_time
-    if not t_max <= half:
-        raise WindowExceeded(
-            f"t_max={t_max} exceeds half the recurrence time: recurrence "
-            f"2*pi/spacing = {grid.recurrence_time}, window limit {half}")
+    _require_half_window(t_max, grid.recurrence_time)
+
+
+def _require_half_window(t_max: float, recurrence_time: float) -> None:
+    if not t_max <= 0.5 * recurrence_time:  # the one window rule; a NaN recurrence admits none
+        raise WindowExceeded(f"t_max={t_max} exceeds half the recurrence time: recurrence 2*pi/"
+                             f"spacing = {recurrence_time}, window limit {0.5 * recurrence_time}")
 
 
 def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
     """(profile, norms) from one pass over D's tiles, each made once into one buffer.
 
-    profile is the spacing^2 nu-profile of conj(rho) o D: profile[m + n - 1] sums
-    the terms with k - l = m. Each tile of rho is made straight into a sheared view
-    of an (h, 2h - 1) buffer, h = _TILE, entry [i, l] at column h - 1 - i + l (one
-    column per anti-diagonal), and multiplied there by D's tile. norms is None, or,
-    given a time t, D's HS norms at 0 and at t, each tile phased in place once read.
+    profile is the spacing^2 nu-profile of conj(rho) o D, profile[m + n - 1] summing the terms
+    with k - l = m, or None (zero) when rho has no kernel or D is absent. Each tile of rho is made
+    straight into a sheared view of an (h, 2h - 1) buffer, h = _TILE, entry [i, l] at column
+    h - 1 - i + l (one column per anti-diagonal), and multiplied there by D's tile. norms is None,
+    or, given a time t, D's HS norms at 0 and at t, each tile phased in place once read.
     """
     grid = rho.grid
     n, h = grid.n_points, _TILE
@@ -250,7 +251,7 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
     skew = np.zeros((h, 2 * h - 1), dtype=np.complex128)
     view = as_strided(skew.reshape(-1)[h - 1:], (h, h), ((2 * h - 2) * 16, 16))
     buf = np.empty((h, h), dtype=np.complex128)
-    profile = np.zeros(2 * n - 1, dtype=np.complex128)
+    profile = np.zeros(2 * n - 1, dtype=np.complex128) if weighted else None
     squares = _SumOfSquares(), _SumOfSquares()  # |D|^2 at 0 and at t
     phases = None if t is None else np.exp(1j * t * grid.nodes)
     for rows, cols in _tiles(n) if d.present else ():
@@ -266,7 +267,7 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
             squares[0].add(tile)
             squares[1].add(phased_values(tile, phases, rows, cols, out=tile))
     norms = None if phases is None else tuple(s.norm(grid.spacing) for s in squares)
-    return grid.spacing**2 * profile if weighted else profile, norms
+    return grid.spacing**2 * profile if weighted else None, norms
 
 
 def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
@@ -281,8 +282,7 @@ def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     diag_term = grid.spacing * float(np.dot(rho.diag.values, obs.diag.values))
-    profile, _ = _tile_pass(rho, obs.kernel)
-    kernel_term = _phase_series(grid, profile, np.array([t], dtype=np.float64))[0]
+    kernel_term = _phase_series(grid, _tile_pass(rho, obs.kernel)[0], np.array([t], float))[0]
     return diag_term + complex(kernel_term)
 
 
@@ -325,7 +325,7 @@ def decoherence_time(series: ExpectationSeries,
 
     The drop must hold for ``sustain`` consecutive samples. Returns None when
     never sustained inside the window; a series that starts at exactly zero
-    magnitude is degenerate and reports time 0.
+    magnitude has nothing to decay and reports time 0 (not a DEGENERATE verdict).
     """
     require_thresholds(threshold_ratio, sustain)
     if series.initial_magnitude == 0.0:

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidlattice import cli
+from sidlattice import cli, hs_norm, incompatibility_observable
 from sidlattice.cli import main
+
+_SHIPPED_PATH = Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json"
 
 
 def _write(path, doc):
@@ -300,6 +302,25 @@ class TestEmerge:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["verdict"] == "DEGENERATE"
         assert report["hs_norm_initial"] == report["hs_norm_final"] == 0.0
+
+    def test_state_without_a_kernel_booleanizes_at_time_zero(self, tmp_path, capsys):
+        """No state kernel weighs D, so the series is zero from t = 0 and both times read
+        0.0. D is still made and read for its HS norms, and the pair does not commute, so
+        the verdict is BOOLEANIZED with exit 0, not DEGENERATE."""
+        doc = json.loads(_SHIPPED_PATH.read_text())
+        doc["grid"]["n_points"] = 300  # more than one tile a side
+        doc["state"].pop("kernel")
+        cfg, report_path = _write(tmp_path / "cfg.json", doc), tmp_path / "r.json"
+        assert main(["emerge", "--config", cfg, "--report", str(report_path),
+                     "--series", str(tmp_path / "s.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(report_path.read_text())
+        assert report["verdict"] == "BOOLEANIZED"
+        assert report["decoherence_time"] == report["effective_compatibility_time"] == 0.0
+        assert not any(v for part in ("re", "im", "abs") for v in report["series"][part])
+        scenario = cli.load_scenario(cfg, need_partition=True, outputs={})
+        d = incompatibility_observable(scenario.o1, scenario.o2).kernel
+        assert report["hs_norm_initial"] == report["hs_norm_final"] == hs_norm(d) > 0.0
 
     def test_missing_partition_exits_2(self, tmp_path):
         doc = _base_config()
@@ -900,8 +921,7 @@ def _leaves(node, path=()):
     return [leaf for key, value in node.items() for leaf in _leaves(value, path + (key,))]
 
 
-_SHIPPED = json.loads(
-    (Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json").read_text())
+_SHIPPED = json.loads(_SHIPPED_PATH.read_text())
 _SHIPPED["grid"]["n_points"], _SHIPPED["time"]["t_max"] = 32, 4.0
 _LEAF_VALUES = [None, True, False, 0, 1, -1, 1.5, 1e308, -1e308, 1e-320, 2**70, 10**400, "x",
                 [1.0], {"a": 1}, math.nan, math.inf, -math.inf]

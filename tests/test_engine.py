@@ -1,6 +1,8 @@
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from conftest import (
     linear_vs_gaussian_pair,
     obs_matrix,
 )
-from sidlattice import engine, spectral
+from sidlattice import cli, engine, spectral
 from sidlattice import (
     DiagonalPart,
     ExpectationSeries,
@@ -978,3 +980,76 @@ class TestTilePassProperties:
         _, initial, final = engine.series_and_norms(rho, incompat, t_max, 3)  # D made by tiles
         assert initial == hs_norm(incompat.kernel)
         assert final == hs_norm(evolve(incompat.to_observable(), t_max).kernel)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestUnweightedPassFormsNoPhase:
+    """A state without a kernel, or an absent D, weighs no offset: the pass returns no
+    profile, and the series is +0.0 at every time with no (2n - 1)-long phase block."""
+
+    N = 300  # more than one tile a side; the phase block's offset axis is 2N - 1 = 599
+
+    @pytest.fixture
+    def exp_shapes(self, monkeypatch):
+        """Shapes of the complex arguments of numpy.exp: the phases (a kernel build's are real)."""
+        shapes, exp = [], np.exp
+
+        def recorded(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                shapes.append(np.shape(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recorded)
+        return shapes
+
+    def _no_offset_axis(self, shapes):
+        return all(2 * self.N - 1 not in shape for shape in shapes)
+
+    def _config(self, tmp_path, name, edit=lambda doc: None):
+        doc = json.loads((CONFIGS / name).read_text())
+        doc["grid"]["n_points"] = self.N
+        edit(doc)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        return str(tmp_path / "cfg.json"), doc["time"]
+
+    @staticmethod
+    def _zero_series_csv(time):
+        """The series file of +0.0 at every time, each value written as 0."""
+        times = np.linspace(0.0, time["t_max"], time["n_samples"])
+        return "t,re,im,abs\n" + "".join(f"{format(t, '.17g')},0,0,0\n" for t in times)
+
+    def test_absent_d_emerge(self, tmp_path, exp_shapes):
+        cfg, time = self._config(tmp_path, "commuting_pair.json")
+        series = tmp_path / "s.csv"
+        assert cli.main(["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                         "--series", str(series)]) == 5
+        assert self._no_offset_axis(exp_shapes)
+        assert series.read_text() == self._zero_series_csv(time)
+
+    def test_simulate_with_a_kernel_less_state(self, tmp_path, exp_shapes):
+        cfg, time = self._config(tmp_path, "gaussian_emerge.json",
+                                 lambda doc: doc["state"].pop("kernel"))
+        series = tmp_path / "s.csv"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(series)]) == 0
+        assert self._no_offset_axis(exp_shapes)
+        assert series.read_text() == self._zero_series_csv(time)
+
+    def test_expectation_of_a_diagonal_only_observable(self, exp_shapes):
+        grid = make_grid(20.0, self.N)
+        rho = _random_state(grid, 5)
+        obs = VanHoveObservable.diag_only(DiagonalPart(grid, np.sin(grid.nodes)))
+        value = expectation(rho, obs, 3.0)
+        assert self._no_offset_axis(exp_shapes)
+        assert value == grid.spacing * float(np.dot(rho.diag.values, obs.diag.values))
+        assert math.copysign(1.0, value.imag) == 1.0
+
+    def test_a_weighted_pass_is_seen_forming_its_phases(self, exp_shapes):
+        """The recorder does see the phase block of a pass with a profile."""
+        grid = make_grid(20.0, self.N)
+        incompat = incompatibility_observable(
+            VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes)),
+            _random_observable(grid, 4))
+        expectation_series(_random_state(grid, 5), incompat, 5.0, 17)
+        assert not self._no_offset_axis(exp_shapes)
