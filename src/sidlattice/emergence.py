@@ -241,8 +241,8 @@ def run_emergence(rho: VanHoveState,
                   sustain: int = DEFAULT_SUSTAIN) -> EmergenceReport:
     """Full pipeline: commutator, decay diagnostics, pointer lattice, verdict.
 
-    Each tile of D (see incompatibility_observable) is made once, for the
-    series and for hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
+    Each tile I <= J of D (see incompatibility_observable) is made once, for
+    the series and for hs_norm_initial and hs_norm_final = spacing * ||D(t_max)||.
 
     DEGENERATE means the premise failed: the observables already commute, so there
     is nothing to decohere. So is an absent D (no tile, zero series and norms), or

@@ -1,17 +1,15 @@
 """Heisenberg-picture evolution, commutator kernels, and expectation decay.
 
-Observables evolve while states stay fixed: evolution multiplies the
-regular kernel by unit-modulus phases exp(i (omega - omega') t) and leaves
-the diagonal profile alone. The commutator of two such observables has no
-singular part; scaled by -i it is the Hermitian incompatibility observable
-whose expectation value decays whenever the paired state/kernel profile is
-integrable in nu = omega - omega'.
+Observables evolve while states stay fixed: evolution multiplies the regular kernel by
+unit-modulus phases exp(i (omega - omega') t) and leaves the diagonal profile alone. The
+commutator of two such observables has no singular part; scaled by -i it is the Hermitian
+incompatibility observable whose expectation value decays whenever the paired state/kernel
+profile is integrable in nu = omega - omega'.
 
-On the uniform grid the phases depend only on the node-index difference,
-so expectation values are evaluated by collapsing the weighted kernel onto
-its anti-diagonals (the nu profile) and summing one oscillatory factor per
-offset. That regrouping is exact and keeps roundoff at the 1e-13 level even
-for strongly cancelling late-time sums.
+On the uniform grid the phases depend only on the node-index difference, so expectation values
+are evaluated by collapsing the weighted kernel (Hermitian, so read by its tiles I <= J) onto its
+anti-diagonals (the nu profile) and summing one oscillatory factor per offset. The regrouping is
+exact and keeps roundoff at the 1e-13 level even for strongly cancelling late-time sums.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .spectral import (
     _finite,
     _require_same_grid,
     _row_blocks,
-    _tiles,
+    _upper_tiles,
 )
 
 INCOMPATIBILITY_HERMITIAN_TOL = 1e-10
@@ -237,13 +235,19 @@ def _require_half_window(t_max: float, recurrence_time: float) -> None:
 
 
 def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
-    """(profile, norms) from one pass over D's tiles, each made once into one buffer.
+    """(profile, norms) from one pass over D's tiles I <= J, each made once into one buffer.
 
     profile is the spacing^2 nu-profile of conj(rho) o D, profile[m + n - 1] summing the terms
     with k - l = m, or None (zero) when rho has no kernel or D is absent. Each tile of rho is made
     straight into a sheared view of an (h, 2h - 1) buffer, h = _TILE, entry [i, l] at column
     h - 1 - i + l (one column per anti-diagonal), and multiplied there by D's tile. norms is None,
     or, given a time t, D's HS norms at 0 and at t, each tile phased in place once read.
+
+    conj(rho) o D is Hermitian with rho and D, so a strict tile (I < J) stands for its mirror: its
+    profile row, strict, is added as read and conjugated and reversed, and its squares count twice.
+    With residuals r_rho and r_D a mirrored term is off by r_rho |D| + r_D |rho| + r_rho r_D at
+    most, so the series leaves the full double sum by spacing^2 (r_rho sum |D| + r_D sum |rho| +
+    n^2 r_rho r_D) at most beyond the regrouping's roundoff, and each norm D's by n spacing r_D.
     """
     grid = rho.grid
     n, h = grid.n_points, _TILE
@@ -251,10 +255,10 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
     skew = np.zeros((h, 2 * h - 1), dtype=np.complex128)
     view = as_strided(skew.reshape(-1)[h - 1:], (h, h), ((2 * h - 2) * 16, 16))
     buf = np.empty((h, h), dtype=np.complex128)
-    profile = np.zeros(2 * n - 1, dtype=np.complex128) if weighted else None
+    profile = np.zeros((2, 2 * n - 1), dtype=np.complex128) if weighted else None  # row times - 1
     squares = _SumOfSquares(), _SumOfSquares()  # |D|^2 at 0 and at t
     phases = None if t is None else np.exp(1j * t * grid.nodes)
-    for rows, cols in _tiles(n) if d.present else ():
+    for rows, cols, times in _upper_tiles(n) if d.present else ():
         a, w = rows.stop - rows.start, cols.stop - cols.start
         tile = d.tile(rows, cols, buf[:a, :w])  # made even unweighted: checked finite
         if weighted:  # in the complex view, so real and complex operands mix
@@ -262,12 +266,13 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
             np.conjugate(rho.kernel.tile(rows, cols, out=view[:a, :w]), out=view[:a, :w])
             view[:a, :w] *= tile
             start = rows.start - cols.stop + n  # column h + w - 2: offset start - n + 1
-            profile[start:start + a + w - 1] += skew[:a, h - a:h + w - 1].sum(axis=0)[::-1]
+            profile[times - 1, start:start + a + w - 1] += skew[:a, h - a:h + w - 1].sum(0)[::-1]
         if phases is not None:
-            squares[0].add(tile)
-            squares[1].add(phased_values(tile, phases, rows, cols, out=tile))
-    norms = None if phases is None else tuple(s.norm(grid.spacing) for s in squares)
-    return grid.spacing**2 * profile if weighted else None, norms
+            squares[0].add(tile, times)
+            squares[1].add(phased_values(tile, phases, rows, cols, out=tile), times)
+    if weighted:  # the diagonal tiles' row, plus the strict row and its mirror
+        profile = grid.spacing**2 * (profile[0] + (profile[1] + np.conjugate(profile[1, ::-1])))
+    return profile, None if phases is None else tuple(s.norm(grid.spacing) for s in squares)
 
 
 def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
@@ -282,13 +287,14 @@ def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     diag_term = grid.spacing * float(np.dot(rho.diag.values, obs.diag.values))
-    kernel_term = _phase_series(grid, _tile_pass(rho, obs.kernel)[0], np.array([t], float))[0]
-    return diag_term + complex(kernel_term)
+    with np.errstate(over="ignore", invalid="ignore"):  # t nu past the float range: nan
+        kernel_term = _phase_series(grid, _tile_pass(rho, obs.kernel)[0], np.array([t], float))
+    return diag_term + complex(_finite(kernel_term)[0])
 
 
 def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
                        t_max: float, n_samples: int) -> ExpectationSeries:
-    """Uniformly sampled expectation of incompat, from one pass over its kernel's tiles.
+    """Uniformly sampled expectation of incompat, from one pass over its kernel's tiles I <= J.
 
     Raises WindowExceeded past half the recurrence time 2*pi/spacing.
     """

@@ -49,9 +49,9 @@ def _tiles(n: int):
     return ((rows, cols) for rows in _row_blocks(n) for cols in _row_blocks(n))
 
 
-def _kernel_tiles(kernel: RegularKernel):
-    """Iterator of a present kernel's tiles in _tiles order, made as read."""
-    return (kernel.tile(*ij) for ij in _tiles(kernel.grid.n_points))
+def _upper_tiles(n: int):
+    """(I, J, times) of the tiles J >= I, in _tiles order; 2 times a strict one, for its mirror."""
+    return ((i, j, 1 + (j.start > i.start)) for i, j in _tiles(n) if j.start >= i.start)
 
 
 def _frozen_array(values, dtype, shape, copy=True) -> np.ndarray:
@@ -142,18 +142,16 @@ class _Tiles(NamedTuple):
 class RegularKernel:
     """Real or complex samples K(omega_k, omega_l) of a regular two-frequency kernel.
 
-    Each kernel is read by square tiles through ``tile``. ``values=None`` is
-    the absent kernel K = 0 (``absent``): a read-only float zero-stride view
-    that is never scanned. A made kernel (``_Tiles``: every built kernel, and
-    D = -i [O1, O2]) holds no n x n array and makes tiles on demand;
-    ``values`` is built once, when first asked, and from then on serves the
-    tiles while the maker is dropped. Other samples, float64 if real and
-    complex128 if complex, are copied unless ``_adopt`` is true, which the
-    library passes for arrays it has just built: those are frozen in place.
-    Shape and finiteness are checked either way, so an explicit zero array
-    (``zeros``) is a present kernel like any other. ``hermitian_residual``,
-    max |K - K^H|, is 0.0 for the absent kernel and an exact maker's
-    (``_Tiles.exact``); any other kernel is scanned once, when first read.
+    Each kernel is read by square tiles through ``tile``. ``values=None`` is the absent kernel
+    K = 0 (``absent``): a read-only float zero-stride view that is never scanned. A made kernel
+    (``_Tiles``: every built kernel, and D = -i [O1, O2]) holds no n x n array and makes tiles on
+    demand; ``values`` is built once, when first asked, and from then on serves the tiles while
+    the maker is dropped. Other samples, float64 if real and complex128 if complex, are copied
+    unless ``_adopt`` is true, which the library passes for arrays it has just built: those are
+    frozen in place. Shape and finiteness are checked either way, so an explicit zero array
+    (``zeros``) is a present kernel like any other. ``hermitian_residual``, max |K - K^H|, is 0.0
+    for the absent kernel and an exact maker's (``_Tiles.exact``); any other kernel is scanned
+    once, when first read. hs_norm reads a kernel of residual 0.0 by its tiles I <= J alone.
     """
 
     def __init__(self, grid: FrequencyGrid, values, _adopt: bool = False):
@@ -195,7 +193,8 @@ class RegularKernel:
     @cached_property
     def is_zero(self) -> bool:
         """True iff every sample is 0: absent, or read up to the first tile that is not."""
-        return not (self.present and any(map(np.any, _kernel_tiles(self))))
+        tiles = (self.tile(*ij) for ij in _tiles(self.grid.n_points))
+        return not (self.present and any(map(np.any, tiles)))
 
     def dense(self, dtype=None) -> np.ndarray:
         """A fresh n x n array of the samples as dtype, written tile by tile."""
@@ -366,9 +365,8 @@ def _warn_on_envelope_leak(grid: FrequencyGrid, spec: KernelFamilySpec) -> None:
 
 
 def _tabulated(n: int, band, envelope, bound, mixed=None, phases_h=None) -> _Tiles:
-    """Tiles of K[k, l] = band[k - l + n - 1] * envelope[k + l], times the Hermitian part of
-    random_bandlimited's mode mixture B = mixed @ phases_h / 6 (mixed = phases @ coeff);
-    exact when the band is bitwise symmetric (see build_kernel)."""
+    """Tiles of K[k, l] = band[k - l + n - 1] * envelope[k + l], times random_bandlimited's mode
+    mixture B = mixed @ phases_h / 6 as build_kernel says; exact for a bitwise symmetric band."""
     scratch = None if mixed is None else np.empty((2, _TILE, _TILE), np.complex128)
     nu_factor, s_factor = sliding_window_view(band, n)[:, ::-1], sliding_window_view(envelope, n)
 
@@ -376,11 +374,15 @@ def _tabulated(n: int, band, envelope, bound, mixed=None, phases_h=None) -> _Til
         toeplitz, hankel = nu_factor[rows, cols], s_factor[rows, cols]
         if mixed is None:
             return np.multiply(toeplitz, hankel, out=out)
-        # 0.5 (B + B^H) * toeplitz * hankel, in this order, in the maker's own two buffers
-        tile, mirror = _mixture_tile(mixed, phases_h, rows, cols, scratch[0]), \
-            _mixture_tile(mixed, phases_h, cols, rows, scratch[1])
-        np.add(tile, np.conjugate(mirror, out=mirror).T, out=tile)
-        tile *= 0.5
+        # H * toeplitz * hankel, in this order, in the maker's own two buffers
+        if cols.start < rows.start:  # a lower tile: its upper mirror's conjugate transpose
+            mirror = _mixture_tile(mixed, phases_h, cols, rows, scratch[1])
+            tile = np.conjugate(mirror.T, out=scratch[0][:mirror.shape[1], :mirror.shape[0]])
+        else:
+            tile = _mixture_tile(mixed, phases_h, rows, cols, scratch[0])
+        if cols == rows:  # a diagonal tile: its own Hermitian part 0.5 (B + B^H)
+            np.add(tile, np.conjugate(tile.T, out=scratch[1][:len(tile), :len(tile)]), out=tile)
+            tile *= 0.5
         tile *= toeplitz
         return np.multiply(tile, hankel, out=out)
 
@@ -417,8 +419,9 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
     these tables (and random_bandlimited its n x 6 mode factors), no n x n
     array, and makes each tile on demand as a Toeplitz (nu) view times a
     Hankel (s) view of them. The real families are float64;
-    random_bandlimited, complex, takes the Hermitian part 0.5 (B + B^H) of
-    its mode mixture B, from a tile and its mirror, times both views.
+    random_bandlimited, complex, takes its mode mixture B, one matrix product
+    a tile, times both views: B right of the diagonal tiles, mirrored (B^H)
+    left of them, and each diagonal tile's own Hermitian part 0.5 (B + B^H).
 
     The envelope is at most 1, so |K| <= max |band|, times sum |coeff| for
     the mixture; the maker keeps that bound. Only when it is not finite are
@@ -426,8 +429,8 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
 
     With a bitwise symmetric band table the maker is exact, so the kernel's
     residual is 0.0 unscanned: entries (k, l) and (l, k) are then products of
-    the same IEEE factors, and the Hermitian part above is sign-symmetric
-    entry by entry.
+    the same IEEE factors, a lower tile conjugates its mirror's B, and a
+    diagonal tile's Hermitian part is sign-symmetric entry by entry.
     """
     _warn_on_envelope_leak(grid, spec)
     n = grid.n_points
@@ -462,8 +465,8 @@ def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
             bound *= float(np.sum(np.abs(coeff)))
         kernel = RegularKernel(grid, _tabulated(n, band, envelope, bound, *modes))
         if not math.isfinite(bound):
-            for tile in _kernel_tiles(kernel):
-                _finite(tile)
+            for ij in _tiles(n):
+                _finite(kernel.tile(*ij))
     return kernel
 
 
@@ -486,24 +489,24 @@ _BIG = 2.0**600  # parts divided by it square to a finite sum in any n x n kerne
 
 
 class _SumOfSquares:
-    """sum |K|^2 over blocks of K, held as scale^2 * total: scale is 1 until the plain sum
-    overflows, then _BIG, by which each block is divided before it is squared (Blue,
-    ACM TOMS 4, 1978; Anderson, ACM TOMS 44, 2017)."""
+    """sum |K|^2 over blocks of K, each counted times times (2 for a tile and its mirror, exact),
+    held as scale^2 * total: scale is 1 until the plain sum overflows, then _BIG, by which each
+    block is divided before it is squared (Blue, ACM TOMS 4, 1978; Anderson, ACM TOMS 44, 2017)."""
 
     def __init__(self):
         self.total, self.scale = 0.0, 1.0
 
-    def add(self, block: np.ndarray) -> None:
+    def add(self, block: np.ndarray, times: int = 1) -> None:
         parts = np.ascontiguousarray(block).reshape(-1).view(np.float64)  # re, im if complex
         if self.scale == 1.0:
             with np.errstate(over="ignore"):
-                total = self.total + float(parts @ parts)
+                total = self.total + times * float(parts @ parts)
             if math.isfinite(total):
                 self.total = total
                 return
             self.total, self.scale = self.total / _BIG / _BIG, _BIG
         parts = parts / _BIG
-        self.total += float(parts @ parts)
+        self.total += times * float(parts @ parts)
 
     def norm(self, spacing: float) -> float:
         """spacing * sqrt(sum |K|^2), the Hilbert-Schmidt norm: inf only if it overflows."""
@@ -511,12 +514,13 @@ class _SumOfSquares:
 
 
 def hs_norm(kernel: RegularKernel) -> float:
-    """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2), summed by tiles; 0 iff K = 0."""
+    """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2), summed by tiles; 0 iff K = 0. An exact
+    kernel (residual 0.0) is read by _upper_tiles, as the tile pass reads D: the same bits."""
     if not kernel.present:
         return 0.0
-    squares = _SumOfSquares()
-    for tile in _kernel_tiles(kernel):
-        squares.add(tile)
+    squares, n, upper = _SumOfSquares(), kernel.grid.n_points, kernel.hermitian_residual == 0.0
+    for rows, cols, times in _upper_tiles(n) if upper else ((*ij, 1) for ij in _tiles(n)):
+        squares.add(kernel.tile(rows, cols), times)
     return squares.norm(kernel.grid.spacing)
 
 
@@ -530,7 +534,7 @@ def _hermitian_residual(values: np.ndarray) -> float:
     # Each tile on or right of the diagonal against its mirror's conjugate transpose covers
     # every pair once: exactly the dense max |v - v^H|, since |a - conj(b)| == |b - conj(a)|.
     return float(np.max([np.max(np.abs(values[rows, cols] - values[cols, rows].conj().T))
-                         for rows, cols in _tiles(values.shape[0]) if cols.start >= rows.start]))
+                         for rows, cols, _ in _upper_tiles(values.shape[0])]))
 
 
 def check_hermitian(kernel: RegularKernel, tol: Optional[float] = None) -> bool:

@@ -96,3 +96,13 @@ def linear_vs_gaussian_pair(grid, sigma=math.sqrt(2.0), mu=10.0, Sigma=2.0):
     spec = KernelFamilySpec("gaussian_band", sigma=sigma, mu=mu, Sigma=Sigma)
     o2 = VanHoveObservable.kernel_only(build_kernel(grid, spec))
     return o1, o2
+
+
+def near_the_evolved_norm(final, evolved):
+    """The tile pass's norm of D(t_max) against hs_norm of evolve(D, t_max).kernel.
+
+    The evolved kernel is a stored array, Hermitian only to rounding, so hs_norm reads it by
+    every tile while the pass reads the tiles I <= J and counts a strict one twice: the same
+    squares up to rounding, grouped otherwise, so the two agree to a few ulps, not bit for bit.
+    """
+    return abs(final - evolved) <= 4 * np.finfo(np.float64).eps * evolved

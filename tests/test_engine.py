@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     brute_expectation,
     gaussian_scenario,
     linear_vs_gaussian_pair,
+    near_the_evolved_norm,
     obs_matrix,
 )
 from sidlattice import cli, engine, spectral
@@ -41,6 +42,7 @@ from sidlattice import (
     incompatibility_observable,
     make_grid,
 )
+from sidlattice.settings import default_tol
 
 
 def _random_observable(grid, seed, with_diag=True):
@@ -262,6 +264,20 @@ class TestExpectation:
         obs = _random_observable(make_grid(20.0, 64), 22)
         with pytest.raises(GridMismatch):
             expectation(rho, obs, 0.0)
+
+    def test_finite_time_whose_phase_overflows_raises_as_evolve_does(self):
+        """t nu past the float range makes a phase nan: ValueError, and no RuntimeWarning."""
+        grid, rho, incompat = gaussian_scenario(omega_max=20.0, n_points=64)
+        obs = incompat.to_observable()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(abs(expectation(rho, obs, 1e300)))
+            with pytest.raises(ValueError, match="samples must be finite"):
+                expectation(rho, obs, 1e307)
+        with pytest.raises(ValueError, match="samples must be finite"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            evolve(obs, 1e307)
 
 
 def _nu_profile(values):
@@ -973,13 +989,47 @@ class TestTilePassProperties:
              o2_family="gaussian_band", seed=7, fraction=0.5)
     @example(n=513, state_family="gaussian_band", o1_family="lorentz_band",
              o2_family="random_bandlimited", seed=3, fraction=1.0)
+    @example(n=511, state_family="gaussian_band", o1_family=None,  # final norm one ulp apart
+             o2_family="gaussian_band", seed=0, fraction=1.0)
     def test_pass_norms_are_hs_norms_bit_for_bit(self, n, state_family, o1_family,
                                                  o2_family, seed, fraction):
         grid, rho, incompat = _tile_pass_scenario(n, state_family, o1_family, o2_family, seed)
         t_max = fraction * 0.5 * grid.recurrence_time
         _, initial, final = engine.series_and_norms(rho, incompat, t_max, 3)  # D made by tiles
-        assert initial == hs_norm(incompat.kernel)
-        assert final == hs_norm(evolve(incompat.to_observable(), t_max).kernel)
+        assert initial == hs_norm(incompat.kernel)  # D is exact: both read the tiles I <= J
+        assert near_the_evolved_norm(
+            final, hs_norm(evolve(incompat.to_observable(), t_max).kernel))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.integers(2, 600), st.sampled_from([257, 300, 513])),
+           state_family=st.sampled_from(_FAMILIES), o1_family=st.sampled_from([None] + _FAMILIES),
+           o2_family=st.sampled_from(_FAMILIES), seed=st.integers(0, 2**32 - 1),
+           fraction=st.floats(0.05, 1.0), low=st.integers(0, 598), gap=st.integers(1, 599),
+           r=st.floats(0.0, 1e-8), angle=st.floats(0.0, 2 * math.pi))
+    @example(n=300, state_family="gaussian_band", o1_family=None, o2_family="gaussian_band",
+             seed=0, fraction=0.5, low=255, gap=1, r=0.99e-8, angle=1.0)  # in tile (0, 256)
+    def test_inexact_state_stays_within_the_stated_bound(self, n, state_family, o1_family,
+                                                         o2_family, seed, fraction, low, gap,
+                                                         r, angle):
+        """A stored state Hermitian only to r <= default_tol(): one upper entry (k, l) moved
+        by r. The pass reads its tiles I <= J alone, so the series may leave the direct double
+        sum by spacing^2 r sum |D| (D is exact), beyond the 1e-12 regrouping term."""
+        grid, rho, incompat = _tile_pass_scenario(n, state_family, o1_family, o2_family, seed)
+        k = low % (n - 1)
+        values = rho.kernel.values.astype(np.complex128)
+        values[k, min(k + gap, n - 1)] += r * np.exp(1j * angle)
+        kernel = RegularKernel(grid, values)
+        assume(kernel.hermitian_residual <= default_tol())  # else the state is refused
+        state = VanHoveState(rho.diag, kernel)
+        t_max = fraction * 0.5 * grid.recurrence_time
+        series = expectation_series(state, incompat, t_max, 5)
+        d = incompat.kernel.values
+        terms = grid.spacing**2 * np.conjugate(values) * d
+        bound = grid.spacing**2 * kernel.hermitian_residual * np.sum(np.abs(d)) \
+            + 1e-12 * np.sum(np.abs(terms))
+        nu = grid.nodes[:, None] - grid.nodes[None, :]
+        for t, value in zip(series.times, series.values):
+            assert abs(value - np.sum(terms * np.exp(1j * nu * t))) <= bound
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

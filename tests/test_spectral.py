@@ -434,9 +434,12 @@ def _random_bandlimited_tables(n, amplitude, sigma=1.5, mu=10.0, Sigma=2.0):
 
 
 def _whole_array_mix(base, toeplitz, hankel):
-    """The random_bandlimited Hermitian part as one whole-array expression."""
-    mix = base + base.conj().T
-    mix *= 0.5
+    """random_bandlimited as one whole-array expression: the mixture B on and right of the
+    diagonal tiles, mirrored (B^H) left of them, and 0.5 (B + B^H) inside each diagonal tile."""
+    block = np.arange(len(base)) // 256
+    mix = np.where(block[:, None] <= block[None, :], base, base.conj().T)
+    diagonal = block[:, None] == block[None, :]
+    mix[diagonal] = ((base + base.conj().T) * 0.5)[diagonal]
     mix *= toeplitz
     mix *= hankel
     return mix
