@@ -65,10 +65,8 @@ EXIT_LAWS = 4
 EXIT_DEGENERATE = 5
 
 DIAG_FAMILIES = ("linear", "constant", "gaussian", "zero")
-# Cap on time.n_samples, checked before any kernel is built (a guard, not an option)
+# Guard on time.n_samples before any kernel is built; with the grid caps it bounds the series
 MAX_SAMPLES = 1_000_000
-# Cap on the series' n_samples * (2 n_points - 1) phases: about 10 s at 2e7 phases/s
-MAX_PHASES = 200_000_000
 # Grid cap unless both observables carry a kernel (M = K1 K2 is n x n): none is stored
 MAX_MADE_GRID_POINTS = 16384
 
@@ -250,10 +248,6 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
     n_samples = _cfg_get(time_doc, "n_samples", int, "time")
     if n_samples > MAX_SAMPLES:
         raise ConfigError(f"n_samples must be in [2, {MAX_SAMPLES}], got {n_samples}")
-    phases = n_samples * (2 * grid.n_points - 1)
-    if phases > MAX_PHASES:
-        raise ConfigError(f"n_samples={n_samples} at n_points={grid.n_points} makes {phases} "
-                          f"phases, past the phase-series budget {MAX_PHASES}")
     thr_doc = _cfg_get(doc, "thresholds", dict, "config", {})
     ratio = _cfg_get(thr_doc, "decoherence_ratio", float, "thresholds", DEFAULT_THRESHOLD_RATIO)
     sustain = _cfg_get(thr_doc, "sustain", int, "thresholds", DEFAULT_SUSTAIN)

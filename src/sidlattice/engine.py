@@ -8,8 +8,8 @@ profile is integrable in nu = omega - omega'.
 
 On the uniform grid the phases depend only on the node-index difference, so expectation values
 are evaluated by collapsing the weighted kernel (Hermitian, so read by its tiles I <= J) onto its
-anti-diagonals (the nu profile) and summing one oscillatory factor per offset. The regrouping is
-exact and keeps roundoff at the 1e-13 level even for strongly cancelling late-time sums.
+anti-diagonals (the nu profile) and summing one factor per offset, a baby-step times a giant-step
+phase. The regrouping is exact and keeps roundoff near 1e-13 even for strongly cancelling sums.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
         raise ValueError(f"time must be finite, got {t}")
     if not obs.kernel.present:
         return obs
-    evolved = phased_values(obs.kernel.values, np.exp(1j * t * obs.grid.nodes))
+    with np.errstate(over="ignore", invalid="ignore"):  # t omega past the float range: nan
+        evolved = phased_values(obs.kernel.values, np.exp(1j * t * obs.grid.nodes))
     return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved, _adopt=True))
 
 
@@ -200,22 +201,27 @@ def incompatibility_observable(o1: VanHoveObservable,
 
 def _phase_series(grid: FrequencyGrid, profile: Optional[np.ndarray],
                   times: np.ndarray) -> np.ndarray:
-    """For each time t, the sum over offsets m of profile[m] exp(i m spacing t).
+    """For each time t, the sum over offsets m of profile[m] exp(i nu_m t), nu_m = m spacing.
 
-    The phases are formed for as many times at once as fit in one tile's
-    bytes, so the peak grows neither with the number of samples nor past a tile.
+    The S times are a linspace, so with K = ceil(sqrt(S)) sample bK + k is at t_bK + (t_k - t_0),
+    a baby-step giant-step split (Shanks 1971; Paterson and Stockmeyer 1973): E[k, m] =
+    exp(i nu_m (t_k - t_0)) and Q[m, b] = profile[m] exp(i nu_m t_bK) make the series E @ Q, read
+    in sample order, from about 2 sqrt(S) (2n - 1) exps; one time is K = 1, the direct sum. The
+    offsets go in chunks whose E and Q fit one tile's bytes, so only the series grows with S.
     """
     if profile is None:  # known zero: +0.0 at every time, and no phase formed
         return np.zeros(len(times), dtype=np.complex128)
-    n = grid.n_points
-    nu = grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
-    step = max(1, _TILE * _TILE // (2 * n - 1))
-    values = np.empty(len(times), dtype=np.complex128)
-    for rows in (slice(i, i + step) for i in range(0, len(times), step)):
-        phases = np.multiply.outer(times[rows], 1j * nu)
-        values[rows] = np.exp(phases, out=phases) @ profile
-        del phases  # else the next block is formed while this one is alive
-    return values
+    n, k = grid.n_points, math.isqrt(len(times) - 1) + 1  # K = ceil(sqrt(S))
+    inu = 1j * grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
+    babies, giants = times[:k] - times[0], times[::k]
+    step = max(1, _TILE * _TILE // (k + len(giants)))
+    series, part = np.zeros((2, k, len(giants)), dtype=np.complex128)
+    for m in (slice(i, i + step) for i in range(0, 2 * n - 1, step)):
+        e, q = np.multiply.outer(babies, inu[m]), np.multiply.outer(inu[m], giants)
+        np.multiply(np.exp(q, out=q), profile[m, None], out=q)
+        series += np.matmul(np.exp(e, out=e), q, out=part)
+        del e, q  # else the next chunk is formed while this one is alive
+    return series.T.reshape(-1)[:len(times)]
 
 
 def require_window(grid: FrequencyGrid, t_max: float, n_samples: int) -> None:

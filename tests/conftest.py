@@ -79,6 +79,14 @@ def brute_expectation(rho, obs, t):
     return diag_term + kernel_term
 
 
+def direct_phase_series(grid, profile, times):
+    """The phase series as written, one exp per time and offset: the oracle of the factored
+    form in engine._phase_series."""
+    n = grid.n_points
+    nu = grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
+    return np.exp(1j * np.multiply.outer(times, nu)) @ profile
+
+
 def gaussian_scenario(omega_max=20.0, n_points=256, sigma=math.sqrt(2.0),
                       mu=10.0, Sigma=2.0):
     """State and incompatibility observable with exact decay exp(-t^2/2)."""

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sidlattice import cli, hs_norm, incompatibility_observable
+from conftest import direct_phase_series
+from sidlattice import cli, engine, hs_norm, incompatibility_observable
 from sidlattice.cli import main
 
 _SHIPPED_PATH = Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json"
@@ -689,22 +690,27 @@ def test_one_operand_kernel_past_the_dense_cap_loads(tmp_path, monkeypatch):
         cli.load_scenario(too_fine, need_partition=True, outputs={})
 
 
-def test_one_phase_past_the_budget_exits_2_before_any_kernel(tmp_path, capsys, monkeypatch):
-    n = 256
-    within = cli.MAX_PHASES // (2 * n - 1)  # 391389 samples at 511 phases each
-    doc = _base_config(n_points=n, n_samples=within)
-    scenario = cli.load_scenario(_write(tmp_path / "in.json", doc), need_partition=False,
-                                 outputs={"series": "s.csv"})
-    assert scenario.n_samples * (2 * n - 1) <= cli.MAX_PHASES
-    built = _counted_builds(monkeypatch)
-    doc["time"]["n_samples"] = within + 1
-    cfg = _write(tmp_path / "past.json", doc)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: n_samples={within + 1} at n_points={n} makes "
-                   f"{(within + 1) * (2 * n - 1)} phases, past the phase-series budget "
-                   f"{cli.MAX_PHASES}\n")
-    assert built == [] and not (tmp_path / "s.csv").exists()
+def test_a_series_one_sample_past_the_old_phase_budget_runs(tmp_path):
+    """A cap of 2e8 phases, n_samples (2 n_points - 1), once bounded the series at one exp each.
+
+    The factored series takes about 2 sqrt(n_samples) exps per offset, so one sample past that
+    budget is an ordinary run, checked against the direct sum at the block edges.
+    """
+    n = 2048
+    n_samples = 200_000_000 // (2 * n - 1) + 1  # 48841 samples at 4095 phases each
+    doc = _base_config(n_points=n, n_samples=n_samples)
+    cfg, out = _write(tmp_path / "cfg.json", doc), tmp_path / "s.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 0], np.linspace(0.0, doc["time"]["t_max"], n_samples))
+    scenario = cli.load_scenario(cfg, need_partition=False, outputs={"series": str(out)})
+    profile, _ = engine._tile_pass(
+        scenario.rho, incompatibility_observable(scenario.o1, scenario.o2).kernel)
+    k = math.isqrt(n_samples - 1) + 1  # 221 baby steps a block
+    at = [0, 1, k - 1, k, n_samples // 2, (n_samples - 1) // k * k - 1,
+          (n_samples - 1) // k * k, n_samples - 1]
+    expected = direct_phase_series(scenario.grid, profile, rows[at, 0])
+    assert np.max(np.abs(rows[at, 1] + 1j * rows[at, 2] - expected)) <= 1e-13 * abs(expected[0])
 
 
 @pytest.mark.parametrize("operand", ["state", "O2"])
