@@ -118,7 +118,7 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
 
 
 def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
-    """D = -i [O1, O2] as a made kernel: complex tiles, each checked finite as made.
+    """D = -i [O1, O2] as a made kernel: complex tiles, checked finite as made unless bounded.
 
     [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1;
     a cross term is skipped when its diagonal is constant or its kernel zero
@@ -134,6 +134,11 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     absent), so is D, whose maker is then exact (residual 0.0, no scan):
     IEEE rounding is sign-symmetric, so the cross terms (d(w) - d(w')) K and
     the mixing term M - M^H come out exactly anti-Hermitian.
+
+    Tiles are checked finite as made only if the maker's bound is not: 2 (ptp(d1) b2 + ptp(d2) b1
+    + 2 max(n, omega_max) b1 b2) over the surviving terms, b >= max |K| an operand maker's bound
+    (inf if stored; a zero K's is unread), covers every intermediate (|M| <= n b1 b2 before the
+    spacing scales it, omega_max b1 b2 after).
     """
     grid = _require_same_grid(o1.grid, o2.grid)
     n = grid.n_points
@@ -148,6 +153,7 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
             for cols in _row_blocks(n):
                 k1.tile(rows, cols, left[:, cols])
             np.matmul(left, right, out=m[rows])
+        flip = np.empty((_TILE, _TILE), m.dtype)  # conj(M[cols, rows]), read by rows
 
     def cross(kernel, diag, order):  # (d(w) - d(w')) K, or (d(w') - d(w)) K for order -1
         def write(rows, cols, into, diff):
@@ -156,7 +162,8 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
         return write
 
     def mixing(rows, cols, into, diff):  # (M[cols, rows]^H - M[rows, cols]) spacing
-        np.subtract(np.conjugate(m[cols, rows].T, out=into), m[rows, cols], out=into)
+        mirror = np.conjugate(m[cols, rows], out=flip[:into.shape[1], :into.shape[0]])
+        np.subtract(mirror.T, m[rows, cols], out=into)
         into *= grid.spacing
 
     # -[O1, O2] = (d1(w') - d1(w)) K2 + (d2(w) - d2(w')) K1 + M^H - M, summed in this order
@@ -165,6 +172,9 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     terms = [cross(*term) for term in crosses] + [mixing] * (m is not None)
     if not terms:  # D = 0
         return RegularKernel.absent(grid)
+    b1, b2 = ((k._maker and k._maker.bound) or math.inf for k in (k1, k2))  # >= max |K|
+    limit = 2.0 * (sum(float(np.ptp(d)) * (b1 if k is k1 else b2) for k, d, _ in crosses)
+                   + (2.0 * max(n, grid.omega_max) * b1 * b2 if m is not None else 0.0))
     dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *[m] * (m is not None))
     scratch = np.empty((2, _TILE, _TILE), dtype)  # the diagonal difference, a later term
 
@@ -180,10 +190,10 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
             d *= 1j
         else:
             d.real = 0.0
-        return _finite(d)
+        return d if math.isfinite(limit) else _finite(d)
 
     exact = k1.hermitian_residual == 0.0 and k2.hermitian_residual == 0.0
-    return RegularKernel(grid, _Tiles(make, np.dtype(np.complex128), exact=exact))
+    return RegularKernel(grid, _Tiles(make, np.dtype(np.complex128), limit, exact))
 
 
 def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
@@ -207,14 +217,14 @@ def _phase_series(grid: FrequencyGrid, profile: Optional[np.ndarray],
     a baby-step giant-step split (Shanks 1971; Paterson and Stockmeyer 1973): E[k, m] =
     exp(i nu_m (t_k - t_0)) and Q[m, b] = profile[m] exp(i nu_m t_bK) make the series E @ Q, read
     in sample order, from about 2 sqrt(S) (2n - 1) exps; one time is K = 1, the direct sum. The
-    offsets go in chunks whose E and Q fit one tile's bytes, so only the series grows with S.
+    offsets go in chunks of at least _TILE, E and Q within one tile's bytes or K x _TILE each.
     """
     if profile is None:  # known zero: +0.0 at every time, and no phase formed
         return np.zeros(len(times), dtype=np.complex128)
     n, k = grid.n_points, math.isqrt(len(times) - 1) + 1  # K = ceil(sqrt(S))
     inu = 1j * grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
     babies, giants = times[:k] - times[0], times[::k]
-    step = max(1, _TILE * _TILE // (k + len(giants)))
+    step = max(_TILE, _TILE * _TILE // (k + len(giants)))
     series, part = np.zeros((2, k, len(giants)), dtype=np.complex128)
     for m in (slice(i, i + step) for i in range(0, 2 * n - 1, step)):
         e, q = np.multiply.outer(babies, inu[m]), np.multiply.outer(inu[m], giants)
@@ -266,7 +276,7 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
     phases = None if t is None else np.exp(1j * t * grid.nodes)
     for rows, cols, times in _upper_tiles(n) if d.present else ():
         a, w = rows.stop - rows.start, cols.stop - cols.start
-        tile = d.tile(rows, cols, buf[:a, :w])  # made even unweighted: checked finite
+        tile = d.tile(rows, cols, buf[:a, :w])  # made even unweighted: checked if unbounded
         if weighted:  # in the complex view, so real and complex operands mix
             view[:a, w:] = 0.0  # a wider tile before a narrower one wrote its right corner
             np.conjugate(rho.kernel.tile(rows, cols, out=view[:a, :w]), out=view[:a, :w])

@@ -396,11 +396,13 @@ def _mixture_tile(mixed: np.ndarray, phases_h: np.ndarray, rows: slice,
 
     A slab one row or column wide (a last block) is widened by the one before
     and trimmed: numpy would take a matrix-vector product, which rounds differently.
+    Its parts times 1 / 6 are numpy's complex / 6 (Smith's rule), bit for bit up to a 0's sign.
     """
     r, c = int(rows.stop - rows.start == 1), int(cols.stop - cols.start == 1)
     left, right = mixed[rows.start - r:rows.stop], phases_h[:, cols.start - c:cols.stop]
     tile = np.matmul(left, right, out=out[:len(left), :right.shape[1]])[r:, c:]
-    tile /= _RANDOM_MODES
+    parts = tile.view(np.float64)  # re, im
+    parts *= 1.0 / _RANDOM_MODES
     return tile
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_phase_series
-from sidlattice import cli, engine, hs_norm, incompatibility_observable
+from sidlattice import ExpectationSeries, cli, engine, hs_norm, incompatibility_observable
 from sidlattice.cli import main
 
 _SHIPPED_PATH = Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json"
@@ -62,6 +62,30 @@ class TestSimulate:
             math.hypot(float(first[1]), float(first[2])), rel=1e-15)
         assert lines[-1] == ""  # trailing newline
         assert len(lines) == 43  # header + 41 rows + empty tail
+
+    @pytest.mark.parametrize("rows", [3, 4095, 4096, 4097, 2 * 4096 + 1])
+    def test_series_csv_is_the_one_join_written_by_blocks(self, tmp_path, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) \
+            + 1j * rng.standard_normal(rows)
+        values[:3] = [-0.0 - 0.0j, 1e-320 + 1e300j, 1e300 - 1e300j]
+        series = ExpectationSeries(np.linspace(0.0, 1.0, rows), values, 10.0)
+        lines = ["t,re,im,abs"] + [  # the writer as one joined list
+            f"{cli._fmt(t)},{cli._fmt(v.real)},{cli._fmt(v.imag)},{cli._fmt(abs(v))}"
+            for t, v in zip(series.times, series.values)]
+        writes = []
+
+        def recorded(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: writes.append(len(text)) or write(text)
+            return fh
+
+        monkeypatch.setattr(cli, "open", recorded, raising=False)
+        cli._write_series_csv(str(tmp_path / "s.csv"), series)
+        assert (tmp_path / "s.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert len(writes) == 1 + -(-rows // cli._CSV_BLOCK_ROWS)  # the header, then the blocks
+        assert max(writes) <= max(len(line) + 1 for line in lines) * cli._CSV_BLOCK_ROWS
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),

@@ -554,16 +554,17 @@ def _operands(grid, o1_kernel, o1_family="lorentz_band"):
 
 
 class TestStreamedIncompatibility:
+    @pytest.mark.parametrize("n", [300, 257, 513])  # one-wide and non-square mirror tiles of M
     @pytest.mark.parametrize("o1_kernel,o1_family", [
         (False, None), (True, "lorentz_band"), (True, "random_bandlimited")])
-    def test_matches_the_stored_d_bit_for_bit(self, o1_kernel, o1_family):
-        grid = make_grid(20.0, 300)  # more than one tile a side
+    def test_matches_the_stored_d_bit_for_bit(self, o1_kernel, o1_family, n):
+        grid = make_grid(20.0, n)  # more than one tile a side
         rho = _complex_state(grid)
         o1, o2 = _operands(grid, o1_kernel, o1_family)
         report = run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4),
                                10.0, 101, epsilon=1e-6)
         incompat = incompatibility_observable(o1, o2)
-        assert incompat.kernel.values.shape == (300, 300)  # stored: tiles now read from it
+        assert incompat.kernel.values.shape == (n, n)  # stored: tiles now read from it
         stored = expectation_series(rho, incompat, 10.0, 101)
         assert report.series.values.tobytes() == stored.values.tobytes()
         assert report.hs_norm_initial == hs_norm(incompat.kernel)
@@ -572,6 +573,50 @@ class TestStreamedIncompatibility:
         simulated = engine.expectation_series(
             rho, engine.incompatibility_observable(o1, o2), 10.0, 101)
         assert simulated.values.tobytes() == stored.values.tobytes()
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The shapes of the 2-d arrays checked finite, wherever the check is called from."""
+        shapes, finite = [], spectral._finite
+
+        def recorded(values):
+            if values.ndim == 2:
+                shapes.append(values.shape)
+            return finite(values)
+
+        monkeypatch.setattr(spectral, "_finite", recorded)
+        monkeypatch.setattr(engine, "_finite", recorded)
+        return shapes
+
+    @pytest.mark.parametrize("o1_kernel", [False, True], ids=["diag-only-O1", "kernel-O1"])
+    def test_a_bounded_made_d_is_never_scanned(self, scans, o1_kernel):
+        grid = make_grid(20.0, 300)
+        rho = _complex_state(grid)
+        o1, o2 = _operands(grid, o1_kernel)
+        incompat = engine.incompatibility_observable(o1, o2)
+        assert math.isfinite(incompat.kernel._maker.bound)
+        run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 101, epsilon=1e-6)
+        engine.expectation_series(rho, incompat, 10.0, 101)  # simulate's path
+        assert scans == []
+
+    def test_an_unbounded_made_d_is_scanned_tile_by_tile(self, scans):
+        grid = make_grid(20.0, 300)
+        rho = _complex_state(grid)
+        o1, o2 = _operands(grid, False)
+        o2 = VanHoveObservable.kernel_only(RegularKernel(grid, o2.kernel.values))  # stored
+        scans.clear()  # the stored operand's own check
+        run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 101, epsilon=1e-6)
+        incompat = engine.incompatibility_observable(o1, o2)
+        assert incompat.kernel._maker.bound == math.inf
+        engine.expectation_series(rho, incompat, 10.0, 101)
+        assert scans == [(256, 256), (256, 44), (44, 44)] * 2  # the tiles I <= J, each pass
+
+    def test_a_stored_d_is_scanned_once(self, scans):
+        grid = make_grid(20.0, 300)
+        made = engine.incompatibility_observable(*_operands(grid, True)).kernel
+        stored = engine.IncompatibilityObservable(RegularKernel(grid, made.dense()))
+        engine.expectation_series(_complex_state(grid), stored, 10.0, 101)
+        assert scans == [(300, 300)]
 
     def test_absent_state_kernel_still_sums_the_norms(self):
         grid = make_grid(20.0, 300)

@@ -816,9 +816,9 @@ class TestIncompatibilityCheckedOnce:
         o1 = VanHoveObservable.diag_only(DiagonalPart(grid, grid.nodes))
         made = []
 
-        def counted(make, dtype, exact):
+        def counted(make, dtype, bound, exact):
             return spectral._Tiles(lambda rows, cols, out=None: made.append(
-                (rows.start, cols.start)) or make(rows, cols, out), dtype, exact=exact)
+                (rows.start, cols.start)) or make(rows, cols, out), dtype, bound, exact)
 
         monkeypatch.setattr(engine, "_Tiles", counted)
         incompat = incompatibility_observable(o1, o2)
@@ -1165,3 +1165,82 @@ class TestFactoredPhaseSeries:
             error = np.hypot(np.asarray(got.real, np.longdouble) - re,
                              np.asarray(got.imag, np.longdouble) - im)
             assert np.max(error) <= bound
+
+
+_BOUND_DIAGS = {"linear": lambda g: g.nodes, "sine": lambda g: np.sin(g.nodes),
+                "gaussian": lambda g: np.exp(-0.5 * ((g.nodes / g.omega_max - 0.5) / 0.2) ** 2),
+                "zero": lambda g: np.zeros(g.n_points)}
+_BOUND_FAMILIES = (None, "gaussian_band", "lorentz_band", "rect_band", "random_bandlimited")
+
+
+def _bounded_operand(grid, diag, diag_exponent, family, amplitude_exponent, width_exponent,
+                     center, spread_exponent, seed):
+    """An operand: a diagonal scaled by 10^diag_exponent and a made kernel (or none) of
+    amplitude 10^amplitude_exponent, band width omega_max 10^width_exponent and envelope
+    center * omega_max, omega_max 10^spread_exponent wide."""
+    w = grid.omega_max
+    with np.errstate(over="ignore"):
+        values = 10.0 ** diag_exponent * _BOUND_DIAGS[diag](grid)
+    assume(np.isfinite(values).all())
+    if family is None:
+        return VanHoveObservable(DiagonalPart(grid, values), RegularKernel.absent(grid))
+    widths = {"gamma" if family == "lorentz_band" else "sigma": w * 10.0 ** width_exponent}
+    if family == "random_bandlimited":
+        widths["seed"] = seed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportOverflowWarning)
+        kernel = build_kernel(grid, KernelFamilySpec(
+            family, amplitude=10.0 ** amplitude_exponent, mu=center * w,
+            Sigma=w * 10.0 ** spread_exponent, **widths))
+    return VanHoveObservable(DiagonalPart(grid, values), kernel)
+
+
+_bound_operand = st.tuples(st.sampled_from(sorted(_BOUND_DIAGS)), st.floats(-300.0, 307.0),
+                           st.sampled_from(_BOUND_FAMILIES), st.floats(-300.0, 300.0),
+                           st.floats(-2.0, 0.5), st.floats(0.2, 0.8), st.floats(-1.5, 0.0))
+
+
+class TestIncompatibilityBound:
+    """D's maker bound (see engine._incompatibility_blocks), read instead of a finiteness scan."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 600), omega_max=st.floats(0.5, 5000.0), seed=st.integers(0, 2**16),
+           op1=_bound_operand, op2=_bound_operand)
+    @example(n=300, omega_max=20.0, seed=3,  # 2 ptp(d1) b2 = 4e306
+             op1=("linear", 305.0, None, 0.0, 0.0, 0.5, -1.0),
+             op2=("zero", 0.0, "gaussian_band", 0.0, -1.0, 0.5, -1.0))
+    @example(n=2, omega_max=9594.0, seed=1,  # spacing 4797: |D| passes 4 n b1 b2
+             op1=("zero", 0.0, "gaussian_band", 150.0, -0.07, 0.53, -0.31),
+             op2=("zero", 0.0, "lorentz_band", 150.0, -0.52, 0.7, -0.65))
+    @example(n=513, omega_max=20.0, seed=5,
+             op1=("sine", 300.0, "lorentz_band", 5.0, -1.3, 0.5, -0.8),
+             op2=("gaussian", 290.0, "random_bandlimited", 1.0, -1.0, 0.4, -0.9))
+    def test_every_tile_is_within_the_bound(self, n, omega_max, seed, op1, op2):
+        """Where the bound is finite no intermediate overflows and max |D tile| <= bound."""
+        grid = make_grid(omega_max, n)
+        o1 = _bounded_operand(grid, *op1, seed)
+        o2 = _bounded_operand(grid, *op2, seed + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = engine._incompatibility_blocks(o1, o2)
+        assume(d.present and math.isfinite(d._maker.bound))
+        with np.errstate(over="raise", invalid="raise"):
+            for ij in spectral._tiles(n):
+                assert np.max(np.abs(d.tile(*ij))) <= d._maker.bound
+
+    def test_d_whose_product_overflows_before_the_spacing_is_rejected(self):
+        """n b1 b2 overflows and omega_max b1 b2 does not: M = K1 K2 itself overflows.
+
+        Checked on D itself: without a state kernel the series never reads D's tiles.
+        """
+        grid = make_grid(1.0, 300)
+        ops = [VanHoveObservable.kernel_only(build_kernel(grid, KernelFamilySpec(
+            "rect_band", amplitude=1e153, sigma=2.0, mu=0.5, Sigma=half)))
+            for half in (0.5, 0.4)]  # K1 = 1e153 everywhere, K2 on 240 or more of each column
+        b1, b2 = (o.kernel._maker.bound for o in ops)
+        assert math.isfinite(grid.omega_max * b1 * b2) and grid.n_points * b1 * b2 == math.inf
+        rho = VanHoveState.normalized(DiagonalPart(grid, np.ones(300)), RegularKernel.absent(grid))
+        with np.errstate(over="ignore", invalid="ignore"):
+            incompat = incompatibility_observable(*ops)
+            assert incompat.kernel._maker.bound == math.inf
+            with pytest.raises(ValueError, match="samples must be finite"):
+                expectation_series(rho, incompat, 1.0, 11)
