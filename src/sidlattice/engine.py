@@ -10,6 +10,7 @@ On the uniform grid the phases depend only on the node-index difference, so expe
 are evaluated by collapsing the weighted kernel (Hermitian, so read by its tiles I <= J) onto its
 anti-diagonals (the nu profile) and summing one factor per offset, a baby-step times a giant-step
 phase. The regrouping is exact and keeps roundoff near 1e-13 even for strongly cancelling sums.
+Kernels are read by L2-sized tiles (spectral._TILE); M = K1 K2 by wider _SLAB-row products.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ DEFAULT_THRESHOLD_RATIO = math.exp(-1.0)
 DEFAULT_SUSTAIN = 10
 # kernel family with a closed-form decay -> (analytic decay kind, width parameter)
 ANALYTIC_FORMS = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lorentz", "gamma")}
+_SLAB = 256  # K1 rows per product of M = K1 K2 (a multiple of _TILE): 128 repack K2 twice as often
+_PHASE_CHUNK = 256  # least offsets per chunk of the phase series: a 1-MB E and Q, and their bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +128,10 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     (``is_zero``: absent, or read up to its first nonzero tile). When no term
     survives, the pair commutes exactly and D is the absent kernel. For Hermitian
     kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
-    one n x n array the tiles need. It is formed here, by 256-row slabs of K1
-    against K2 made dense for it alone. Each tile sums -[O1, O2] = -i D into D's
-    buffer (its imaginary part alone if every term is real), the negation folded into
-    each subtraction's operand order, exact under round-to-nearest; i times that sum is D.
+    one n x n array the tiles need. It is formed here, by _SLAB-row slabs of K1 against K2
+    made dense for it alone. Each tile sums -[O1, O2] = -i D into D's buffer (if every term is
+    real, into a real scratch then written to D.imag once), the negation folded into each
+    subtraction's operand order, exact under round-to-nearest; i times that sum is D.
 
     When both operand kernels are exactly Hermitian (residual 0.0, or
     absent), so is D, whose maker is then exact (residual 0.0, no scan):
@@ -147,12 +150,13 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     m = None
     if not (k1.is_zero or k2.is_zero):
         right = k2.dense(np.result_type(k1.dtype, k2.dtype))
-        m, slab = np.empty((n, n), right.dtype), np.empty((_TILE, n), k1.dtype)
-        for rows in _row_blocks(n):
-            left = slab[:rows.stop - rows.start]  # K1[rows], made tile by tile
+        m, left = np.empty((n, n), right.dtype), np.empty((_SLAB, n), k1.dtype)
+        for rows in _row_blocks(n):  # K1's slab from `top`, made tile by tile, then its product
+            top = rows.start - rows.start % _SLAB
             for cols in _row_blocks(n):
-                k1.tile(rows, cols, left[:, cols])
-            np.matmul(left, right, out=m[rows])
+                k1.tile(rows, cols, left[rows.start - top:rows.stop - top, cols])
+            if rows.stop % _SLAB == 0 or rows.stop == n:
+                np.matmul(left[:rows.stop - top], right, out=m[top:rows.stop])
         flip = np.empty((_TILE, _TILE), m.dtype)  # conj(M[cols, rows]), read by rows
 
     def cross(kernel, diag, order):  # (d(w) - d(w')) K, or (d(w') - d(w)) K for order -1
@@ -176,12 +180,12 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     limit = 2.0 * (sum(float(np.ptp(d)) * (b1 if k is k1 else b2) for k, d, _ in crosses)
                    + (2.0 * max(n, grid.omega_max) * b1 * b2 if m is not None else 0.0))
     dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *[m] * (m is not None))
-    scratch = np.empty((2, _TILE, _TILE), dtype)  # the diagonal difference, a later term
+    scratch = np.empty((2 + (dtype.kind == "f"), _TILE, _TILE), dtype)  # diff, later, real sum
 
     def make(rows, cols, out=None):
         d = np.empty((len(d1[rows]), len(d1[cols])), complex) if out is None else out
-        acc = d if dtype.kind == "c" else d.imag  # -[O1, O2] = -i D, summed term by term
-        diff, later = scratch[:, :d.shape[0], :d.shape[1]]
+        diff, later, *real = scratch[:, :d.shape[0], :d.shape[1]]
+        acc = real[0] if real else d  # -[O1, O2] = -i D, summed term by term
         for k, write in enumerate(terms):
             write(rows, cols, later if k else acc, diff)
             if k:
@@ -189,7 +193,7 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
         if acc is d:
             d *= 1j
         else:
-            d.real = 0.0
+            d.real, d.imag = 0.0, acc
         return d if math.isfinite(limit) else _finite(d)
 
     exact = k1.hermitian_residual == 0.0 and k2.hermitian_residual == 0.0
@@ -217,14 +221,14 @@ def _phase_series(grid: FrequencyGrid, profile: Optional[np.ndarray],
     a baby-step giant-step split (Shanks 1971; Paterson and Stockmeyer 1973): E[k, m] =
     exp(i nu_m (t_k - t_0)) and Q[m, b] = profile[m] exp(i nu_m t_bK) make the series E @ Q, read
     in sample order, from about 2 sqrt(S) (2n - 1) exps; one time is K = 1, the direct sum. The
-    offsets go in chunks of at least _TILE, E and Q within one tile's bytes or K x _TILE each.
+    offsets go in chunks of at least C = _PHASE_CHUNK, E and Q within C^2 complex or K x C each.
     """
     if profile is None:  # known zero: +0.0 at every time, and no phase formed
         return np.zeros(len(times), dtype=np.complex128)
     n, k = grid.n_points, math.isqrt(len(times) - 1) + 1  # K = ceil(sqrt(S))
     inu = 1j * grid.spacing * np.arange(-(n - 1), n, dtype=np.float64)
     babies, giants = times[:k] - times[0], times[::k]
-    step = max(_TILE, _TILE * _TILE // (k + len(giants)))
+    step = max(_PHASE_CHUNK, _PHASE_CHUNK**2 // (k + len(giants)))
     series, part = np.zeros((2, k, len(giants)), dtype=np.complex128)
     for m in (slice(i, i + step) for i in range(0, 2 * n - 1, step)):
         e, q = np.multiply.outer(babies, inu[m]), np.multiply.outer(inu[m], giants)
@@ -255,9 +259,10 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
 
     profile is the spacing^2 nu-profile of conj(rho) o D, profile[m + n - 1] summing the terms
     with k - l = m, or None (zero) when rho has no kernel or D is absent. Each tile of rho is made
-    straight into a sheared view of an (h, 2h - 1) buffer, h = _TILE, entry [i, l] at column
-    h - 1 - i + l (one column per anti-diagonal), and multiplied there by D's tile. norms is None,
-    or, given a time t, D's HS norms at 0 and at t, each tile phased in place once read.
+    and conjugated in its own buffer, and its product with D's tile written by one multiply into a
+    sheared view of an (h, 2h - 1) buffer, h = _TILE, entry [i, l] at column h - 1 - i + l (one
+    per anti-diagonal). norms is None, or, given a time t, D's HS norms at 0 and at t (tiles phased
+    in place once read).
 
     conj(rho) o D is Hermitian with rho and D, so a strict tile (I < J) stands for its mirror: its
     profile row, strict, is added as read and conjugated and reversed, and its squares count twice.
@@ -270,17 +275,17 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
     weighted = rho.kernel.present and d.present
     skew = np.zeros((h, 2 * h - 1), dtype=np.complex128)
     view = as_strided(skew.reshape(-1)[h - 1:], (h, h), ((2 * h - 2) * 16, 16))
-    buf = np.empty((h, h), dtype=np.complex128)
+    buf, state = np.empty((2, h, h), dtype=np.complex128)  # D's tile, conj(rho)'s tile
     profile = np.zeros((2, 2 * n - 1), dtype=np.complex128) if weighted else None  # row times - 1
     squares = _SumOfSquares(), _SumOfSquares()  # |D|^2 at 0 and at t
     phases = None if t is None else np.exp(1j * t * grid.nodes)
     for rows, cols, times in _upper_tiles(n) if d.present else ():
         a, w = rows.stop - rows.start, cols.stop - cols.start
         tile = d.tile(rows, cols, buf[:a, :w])  # made even unweighted: checked if unbounded
-        if weighted:  # in the complex view, so real and complex operands mix
+        if weighted:  # in complex buffers, so real and complex operands mix
             view[:a, w:] = 0.0  # a wider tile before a narrower one wrote its right corner
-            np.conjugate(rho.kernel.tile(rows, cols, out=view[:a, :w]), out=view[:a, :w])
-            view[:a, :w] *= tile
+            conj = np.conjugate(rho.kernel.tile(rows, cols, out=state[:a, :w]), out=state[:a, :w])
+            np.multiply(conj, tile, out=view[:a, :w])
             start = rows.start - cols.stop + n  # column h + w - 2: offset start - n + 1
             profile[times - 1, start:start + a + w - 1] += skew[:a, h - a:h + w - 1].sum(0)[::-1]
         if phases is not None:

@@ -34,9 +34,9 @@ STATE_NORM_TOL = 1e-10
 
 KERNEL_FAMILIES = ("gaussian_band", "lorentz_band", "rect_band", "random_bandlimited")
 _RANDOM_MODES = 6
-# Edge of the square tiles by which every pass reads an n x n kernel (D, nu-profile, HS norm,
-# finiteness, residual), and of the random_bandlimited mixture's matrix-product tiles.
-_TILE = 256
+# Edge of the square tiles by which every pass reads an n x n kernel and random_bandlimited makes
+# its mixture: a 128 x 128 complex tile is 256 KB, so a pass's few buffers fit a 2-MB L2 cache.
+_TILE = 128
 
 
 def _row_blocks(n: int):
@@ -488,21 +488,29 @@ def kernel_compose(k1: RegularKernel, k2: RegularKernel) -> RegularKernel:
 
 
 _BIG = 2.0**600  # parts divided by it square to a finite sum in any n x n kernel
+_SMALL = 2.0**-960  # a block's plain sum of squares below it may have lost bits to underflow
 
 
 class _SumOfSquares:
     """sum |K|^2 over blocks of K, each counted times times (2 for a tile and its mirror, exact),
     held as scale^2 * total: scale is 1 until the plain sum overflows, then _BIG, by which each
-    block is divided before it is squared (Blue, ACM TOMS 4, 1978; Anderson, ACM TOMS 44, 2017)."""
+    block is divided before it is squared; a nonzero block of plain sum below _SMALL is multiplied
+    by _BIG instead and summed apart, counted beside a tiny total (Blue, ACM TOMS 4, 1978;
+    Anderson, ACM TOMS 44, 2017)."""
 
     def __init__(self):
-        self.total, self.scale = 0.0, 1.0
+        self.total, self.scale, self.small = 0.0, 1.0, 0.0
 
     def add(self, block: np.ndarray, times: int = 1) -> None:
         parts = np.ascontiguousarray(block).reshape(-1).view(np.float64)  # re, im if complex
         if self.scale == 1.0:
             with np.errstate(over="ignore"):
-                total = self.total + times * float(parts @ parts)
+                squares = float(parts @ parts)
+            if squares < _SMALL and (squares or parts.any()):  # tiny, not all zero
+                parts = parts * _BIG
+                self.small += times * float(parts @ parts)
+                return
+            total = self.total + times * squares
             if math.isfinite(total):
                 self.total = total
                 return
@@ -512,6 +520,8 @@ class _SumOfSquares:
 
     def norm(self, spacing: float) -> float:
         """spacing * sqrt(sum |K|^2), the Hilbert-Schmidt norm: inf only if it overflows."""
+        if self.small and self.scale == 1.0 and self.total < _SMALL * _BIG:  # total * _BIG^2 finite
+            return spacing * (math.sqrt(self.total * _BIG * _BIG + self.small) / _BIG)
         return spacing * math.sqrt(self.total) * self.scale
 
 

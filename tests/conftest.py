@@ -13,9 +13,21 @@ from sidlattice import (
     build_kernel,
     from_vectors,
     make_grid,
+    spectral,
 )
 
 _acceptance_lines = []
+
+
+def tile_edge(k, d=0):
+    """The grid size k T + d at the edge of the pass tile T = spectral._TILE; with d = 1 the
+    last tile is one column wide."""
+    return k * spectral._TILE + d
+
+
+# either side of one and of two tiles: T - 1, T, T + 1, 2T - 1, 2T, 2T + 1
+TILE_EDGES = [tile_edge(k, d) for k in (1, 2) for d in (-1, 0, 1)]
+ONE_WIDE_LAST_TILE = [tile_edge(1, 1), tile_edge(2, 1)]
 
 
 @pytest.fixture

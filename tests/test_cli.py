@@ -13,8 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_phase_series
-from sidlattice import ExpectationSeries, cli, engine, hs_norm, incompatibility_observable
+from conftest import direct_phase_series, near_the_evolved_norm
+from sidlattice import (
+    ExpectationSeries,
+    cli,
+    engine,
+    evolve,
+    hs_norm,
+    incompatibility_observable,
+)
 from sidlattice.cli import main
 
 _SHIPPED_PATH = Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json"
@@ -344,8 +351,28 @@ class TestEmerge:
         assert report["decoherence_time"] == report["effective_compatibility_time"] == 0.0
         assert not any(v for part in ("re", "im", "abs") for v in report["series"][part])
         scenario = cli.load_scenario(cfg, need_partition=True, outputs={})
-        d = incompatibility_observable(scenario.o1, scenario.o2).kernel
-        assert report["hs_norm_initial"] == report["hs_norm_final"] == hs_norm(d) > 0.0
+        incompat = incompatibility_observable(scenario.o1, scenario.o2)
+        assert report["hs_norm_initial"] == hs_norm(incompat.kernel) > 0.0
+        assert near_the_evolved_norm(report["hs_norm_final"], hs_norm(
+            evolve(incompat.to_observable(), scenario.t_max).kernel))
+
+    def test_tiny_kernel_amplitude_still_decoheres(self, tmp_path, capsys):
+        """An O2 kernel of amplitude 1e-170 makes D's squares underflow; its HS norm must
+        still be 1e-170 times that at amplitude 1, not 0 (which read as commuting)."""
+        reports = {}
+        for amplitude in (1.0, 1e-170):
+            doc = json.loads(_SHIPPED_PATH.read_text())
+            doc["observables"]["O2"]["kernel"]["amplitude"] = amplitude
+            cfg, path = _write(tmp_path / "cfg.json", doc), tmp_path / f"r{amplitude}.json"
+            assert main(["emerge", "--config", cfg, "--report", str(path),
+                         "--series", str(tmp_path / "s.csv")]) == 0
+            assert capsys.readouterr().err == ""
+            reports[amplitude] = json.loads(path.read_text())
+        tiny, unit = reports[1e-170], reports[1.0]
+        assert tiny["verdict"] == "BOOLEANIZED"
+        assert tiny["decoherence_time"] == unit["decoherence_time"]
+        for key in ("hs_norm_initial", "hs_norm_final"):
+            assert tiny[key] == pytest.approx(1e-170 * unit[key], rel=1e-13, abs=0.0)
 
     def test_missing_partition_exits_2(self, tmp_path):
         doc = _base_config()

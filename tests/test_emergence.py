@@ -7,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gaussian_scenario, linear_vs_gaussian_pair, near_the_evolved_norm
+from conftest import (
+    ONE_WIDE_LAST_TILE,
+    gaussian_scenario,
+    linear_vs_gaussian_pair,
+    near_the_evolved_norm,
+)
 from sidlattice import (
     BinPartition,
     DiagonalPart,
@@ -366,9 +371,9 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("o1_kernel", [False, True], ids=["diag-only-O1", "kernel-O1"])
     def test_emerge_and_simulate_hold_no_n_by_n_d(self, tmp_path, monkeypatch, o1_kernel):
-        """D is made and used one 256 x 256 tile at a time.
+        """D is made and used one tile (spectral._TILE a side) at a time.
 
-        At n = 2048 a tile is a 64th of an n x n complex array, and a stored
+        At n = 2048 a tile is at most a 64th of an n x n complex array, and a stored
         D would be a whole one. rho and the operands are built before tracing
         starts, so the live traced arrays are the tiles and, for two real
         kernels, the real product M = K1 K2 and a dense K2 while it is formed.
@@ -452,9 +457,10 @@ def _emerge(s):
 
 class TestTiledWorkingSet:
     def test_emerge_peak_does_not_grow_with_n(self, tmp_path):
-        """Every pass reads 256 x 256 tiles, so the traced peak is a few tiles' bytes.
+        """Every pass reads 128 x 128 tiles, so the traced peak is a few tiles' bytes.
 
-        By 256-row blocks it was 13.8 MB at n = 1024 and 26.5 MB at n = 2048.
+        By 256-row blocks it was 13.8 MB at n = 1024 and 26.5 MB at n = 2048, and by
+        256 x 256 tiles 4.63 MB at n = 2048.
         """
         peaks = {}
         for n in (1024, 2048):
@@ -466,10 +472,10 @@ class TestTiledWorkingSet:
             finally:
                 tracemalloc.stop()
             assert report.verdict is Verdict.BOOLEANIZED
-        assert peaks[2048] < 10e6
+        assert peaks[2048] < 2.5e6
         assert peaks[2048] - peaks[1024] <= 2e6
 
-    @pytest.mark.parametrize("n", [256, 600])  # as shipped, and four tiles
+    @pytest.mark.parametrize("n", [256, 600])  # as shipped, and several tiles a side
     def test_no_operand_tile_is_made_after_the_pass(self, tmp_path, n):
         """The DEGENERATE threshold is settled by a bound from the kernels' tables."""
         scenario = _shipped_scenario(tmp_path, n)
@@ -500,7 +506,7 @@ class TestTiledWorkingSet:
         assert o2.kernel in calls
 
 
-    @pytest.mark.parametrize("n", [257, 513])  # a last tile one column wide
+    @pytest.mark.parametrize("n", ONE_WIDE_LAST_TILE)
     def test_emerge_at_a_tile_edge_booleanizes_with_the_hs_norms(self, tmp_path, n):
         scenario = _shipped_scenario(tmp_path, n)
         doc = json.loads(SHIPPED_CONFIG.read_text())
@@ -554,7 +560,7 @@ def _operands(grid, o1_kernel, o1_family="lorentz_band"):
 
 
 class TestStreamedIncompatibility:
-    @pytest.mark.parametrize("n", [300, 257, 513])  # one-wide and non-square mirror tiles of M
+    @pytest.mark.parametrize("n", [300, *ONE_WIDE_LAST_TILE])  # one-wide, non-square mirrors
     @pytest.mark.parametrize("o1_kernel,o1_family", [
         (False, None), (True, "lorentz_band"), (True, "random_bandlimited")])
     def test_matches_the_stored_d_bit_for_bit(self, o1_kernel, o1_family, n):
@@ -609,7 +615,8 @@ class TestStreamedIncompatibility:
         incompat = engine.incompatibility_observable(o1, o2)
         assert incompat.kernel._maker.bound == math.inf
         engine.expectation_series(rho, incompat, 10.0, 101)
-        assert scans == [(256, 256), (256, 44), (44, 44)] * 2  # the tiles I <= J, each pass
+        upper = [(i.stop - i.start, j.stop - j.start) for i, j, _ in spectral._upper_tiles(300)]
+        assert scans == upper * 2  # the tiles I <= J, each pass
 
     def test_a_stored_d_is_scanned_once(self, scans):
         grid = make_grid(20.0, 300)

@@ -10,12 +10,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TILE_EDGES,
     brute_expectation,
     direct_phase_series,
     gaussian_scenario,
     linear_vs_gaussian_pair,
     near_the_evolved_norm,
     obs_matrix,
+    tile_edge,
 )
 from sidlattice import cli, engine, spectral
 from sidlattice import (
@@ -99,7 +101,8 @@ class TestEvolve:
     @settings(max_examples=40, deadline=None)
     @given(family=st.sampled_from(["gaussian_band", "lorentz_band", "rect_band",
                                    "random_bandlimited"]),
-           n=st.one_of(st.integers(2, 64), st.integers(255, 257)),
+           n=st.one_of(st.integers(2, 64),
+                       st.sampled_from([tile_edge(1, d) for d in (-1, 0, 1)])),
            t=st.floats(-50.0, 50.0), width=st.floats(0.2, 4.0),
            seed=st.integers(0, 2**32 - 1))
     def test_hermiticity_and_norm_are_invariants(self, family, n, t, width, seed):
@@ -799,7 +802,7 @@ class TestIncompatibilityCheckedOnce:
         tiles = list(spectral._tiles(300))
         made = [kernel.tile(*ij) for ij in tiles]
         # a real tile of [O1, O2] goes to D.imag alone; a given out is zeroed first
-        stale = np.full((256, 256), 7.0 + 7.0j)
+        stale = np.full((spectral._TILE,) * 2, 7.0 + 7.0j)
         assert np.array_equal(kernel.tile(*tiles[0], out=stale), made[0])
         values = kernel.values
         assert kernel._maker is None
@@ -825,7 +828,7 @@ class TestIncompatibilityCheckedOnce:
         assert 0.0 < incompat.kernel.hermitian_residual <= 1e-10  # scanned: made dense
         expectation_series(_random_state(grid, 3), incompat, 5.0, 17)
         hs_norm(incompat.kernel)
-        assert made == [(0, 0), (0, 256), (256, 0), (256, 256)]
+        assert made == [(rows.start, cols.start) for rows, cols in spectral._tiles(300)]
 
 
 class TestConstantDiagonalSkip:
@@ -862,7 +865,7 @@ def _hermitian_array(rng, n, is_complex):
 
 class TestFusedProfile:
     @settings(max_examples=40, deadline=None)
-    @given(n=st.one_of(st.sampled_from([2, 255, 256, 257, 511, 512, 513]),
+    @given(n=st.one_of(st.sampled_from([2, *TILE_EDGES]),
                        st.integers(2, 600)),
            rho_complex=st.booleans(), kernel_complex=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
@@ -890,7 +893,7 @@ class TestFusedProfile:
 
 
 class TestTileInvariants:
-    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 300, 511, 700, 1025])
+    @pytest.mark.parametrize("n", [2, 3, *TILE_EDGES, 300, 700, 1025])
     def test_mixture_and_d_are_exactly_hermitian_and_their_tiles(self, n):
         """A tile and its mirror are products of the same shapes, so the residual is 0.0;
         dense() writes each tile into place and equals the fresh tiles put together."""
@@ -914,8 +917,9 @@ class TestTileInvariants:
 _WIDTHS = {"gaussian_band": {"sigma": 1.5}, "lorentz_band": {"gamma": 1.0},
            "rect_band": {"sigma": 1.5}, "random_bandlimited": {"sigma": 1.5}}
 _FAMILIES = sorted(_WIDTHS)
-# small grids, and the sizes either side of one and two tiles (a one-column last tile at 257, 513)
-_SIZES = st.one_of(st.integers(2, 64), st.sampled_from([255, 256, 257, 511, 512, 513]))
+# small grids, and the sizes either side of one and two tiles (a one-column last tile at T + 1
+# and 2T + 1)
+_SIZES = st.one_of(st.integers(2, 64), st.sampled_from(TILE_EDGES))
 
 
 def _tile_pass_scenario(n, state_family, o1_family, o2_family, seed):
@@ -986,11 +990,13 @@ class TestTilePassProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(**_scenarios)
-    @example(n=257, state_family="random_bandlimited", o1_family=None,
+    @example(n=tile_edge(1, 1), state_family="random_bandlimited", o1_family=None,
              o2_family="gaussian_band", seed=7, fraction=0.5)
-    @example(n=513, state_family="gaussian_band", o1_family="lorentz_band",
+    @example(n=tile_edge(2, 1), state_family="gaussian_band", o1_family="lorentz_band",
              o2_family="random_bandlimited", seed=3, fraction=1.0)
-    @example(n=511, state_family="gaussian_band", o1_family=None,  # final norm one ulp apart
+    @example(n=tile_edge(2, -1), state_family="gaussian_band", o1_family=None,
+             o2_family="gaussian_band", seed=0, fraction=1.0)
+    @example(n=130, state_family="gaussian_band", o1_family=None,  # one ulp apart at T = 128
              o2_family="gaussian_band", seed=0, fraction=1.0)
     def test_pass_norms_are_hs_norms_bit_for_bit(self, n, state_family, o1_family,
                                                  o2_family, seed, fraction):
@@ -1002,13 +1008,15 @@ class TestTilePassProperties:
             final, hs_norm(evolve(incompat.to_observable(), t_max).kernel))
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.one_of(st.integers(2, 600), st.sampled_from([257, 300, 513])),
+    @given(n=st.one_of(st.integers(2, 600), st.sampled_from([300, tile_edge(1, 1),
+                                                              tile_edge(2, 1)])),
            state_family=st.sampled_from(_FAMILIES), o1_family=st.sampled_from([None] + _FAMILIES),
            o2_family=st.sampled_from(_FAMILIES), seed=st.integers(0, 2**32 - 1),
            fraction=st.floats(0.05, 1.0), low=st.integers(0, 598), gap=st.integers(1, 599),
            r=st.floats(0.0, 1e-8), angle=st.floats(0.0, 2 * math.pi))
     @example(n=300, state_family="gaussian_band", o1_family=None, o2_family="gaussian_band",
-             seed=0, fraction=0.5, low=255, gap=1, r=0.99e-8, angle=1.0)  # in tile (0, 256)
+             seed=0, fraction=0.5, low=tile_edge(1, -1), gap=1, r=0.99e-8,
+             angle=1.0)  # the corner (T - 1, T) of tile (0, T)
     def test_inexact_state_stays_within_the_stated_bound(self, n, state_family, o1_family,
                                                          o2_family, seed, fraction, low, gap,
                                                          r, angle):
@@ -1212,7 +1220,7 @@ class TestIncompatibilityBound:
     @example(n=2, omega_max=9594.0, seed=1,  # spacing 4797: |D| passes 4 n b1 b2
              op1=("zero", 0.0, "gaussian_band", 150.0, -0.07, 0.53, -0.31),
              op2=("zero", 0.0, "lorentz_band", 150.0, -0.52, 0.7, -0.65))
-    @example(n=513, omega_max=20.0, seed=5,
+    @example(n=tile_edge(2, 1), omega_max=20.0, seed=5,
              op1=("sine", 300.0, "lorentz_band", 5.0, -1.3, 0.5, -0.8),
              op2=("gaussian", 290.0, "random_bandlimited", 1.0, -1.0, 0.4, -0.9))
     def test_every_tile_is_within_the_bound(self, n, omega_max, seed, op1, op2):

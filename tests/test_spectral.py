@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad as scipy_quad
 
+from conftest import ONE_WIDE_LAST_TILE, TILE_EDGES
 from sidlattice import spectral
 from sidlattice import (
     DiagonalPart,
@@ -238,7 +239,7 @@ class TestHsNorm:
         h_fine = math.sqrt(fine.spacing**2 * float(np.sum(np.abs(kf.values) ** 2)))
         assert abs(h_coarse - h_fine) < 1e-10
 
-    @pytest.mark.parametrize("n", [257, 513])
+    @pytest.mark.parametrize("n", ONE_WIDE_LAST_TILE)
     def test_complex_array_with_a_one_column_last_tile(self, n):
         """A one-column tile of a caller's array is a strided view; it is squared all the same."""
         rng = np.random.default_rng(n)
@@ -436,7 +437,7 @@ def _random_bandlimited_tables(n, amplitude, sigma=1.5, mu=10.0, Sigma=2.0):
 def _whole_array_mix(base, toeplitz, hankel):
     """random_bandlimited as one whole-array expression: the mixture B on and right of the
     diagonal tiles, mirrored (B^H) left of them, and 0.5 (B + B^H) inside each diagonal tile."""
-    block = np.arange(len(base)) // 256
+    block = np.arange(len(base)) // spectral._TILE
     mix = np.where(block[:, None] <= block[None, :], base, base.conj().T)
     diagonal = block[:, None] == block[None, :]
     mix[diagonal] = ((base + base.conj().T) * 0.5)[diagonal]
@@ -446,7 +447,7 @@ def _whole_array_mix(base, toeplitz, hankel):
 
 
 class TestTiledRandomBandlimited:
-    @pytest.mark.parametrize("n", [2, 255, 256, 257, 513])
+    @pytest.mark.parametrize("n", [2, *TILE_EDGES])
     @pytest.mark.parametrize("amplitude", [1.0, -0.7])
     def test_build_is_the_whole_array_formula_bit_for_bit(self, n, amplitude):
         grid = make_grid(20.0, n)
@@ -580,7 +581,7 @@ class TestHermitianResidualRecord:
     @settings(max_examples=40, deadline=None)
     @given(family=st.sampled_from(["gaussian_band", "lorentz_band", "rect_band",
                                    "random_bandlimited"]),
-           n=st.one_of(st.sampled_from([2, 255, 256, 257, 513]), st.integers(2, 600)),
+           n=st.one_of(st.sampled_from([2, *TILE_EDGES]), st.integers(2, 600)),
            amplitude=st.floats(-4.0, 4.0).filter(lambda a: abs(a) > 0.05),
            width=st.floats(0.2, 4.0), mu=st.floats(0.0, 20.0),
            seed=st.integers(0, 2**32 - 1))
@@ -619,7 +620,7 @@ _FAMILY_WIDTHS = {"gaussian_band": {"sigma": 1.5}, "lorentz_band": {"gamma": 0.7
 
 class TestTabulatedKernelTiles:
     @pytest.mark.parametrize("family", sorted(_FAMILY_WIDTHS))
-    @pytest.mark.parametrize("n", [2, 7, 255, 256, 257, 513])
+    @pytest.mark.parametrize("n", [2, 7, *TILE_EDGES])
     def test_tiles_are_the_densified_values_bit_for_bit(self, family, n):
         grid = make_grid(20.0, n)
         with warnings.catch_warnings():
@@ -666,7 +667,7 @@ class TestTabulatedKernelTiles:
         with patch.object(RegularKernel, "tile",
                           lambda self, *args: read.append(args) or tile(self, *args)):
             assert not kernel.is_zero and not kernel.is_zero
-        assert read == [(slice(0, 256), slice(0, 256))]
+        assert read == [(slice(0, spectral._TILE), slice(0, spectral._TILE))]
         assert RegularKernel.absent(grid).is_zero and RegularKernel.zeros(grid).is_zero
 
 
@@ -687,3 +688,32 @@ class TestHsNormPastTheSquareOverflow:
             parts = kernel.values[ij].ravel()
             plain += float(parts @ parts)
         assert hs_norm(kernel) == g.spacing * math.sqrt(plain)
+
+
+class TestHsNormBelowTheSquareUnderflow:
+    @pytest.mark.parametrize("value", [1e-160, 1e-200, 1e-300, -3e-308j])
+    def test_tiny_kernel_keeps_its_norm(self, value):
+        """Squares of entries below about 1e-162 are subnormal or 0: a block whose plain sum
+        is that small is scaled up by 2^600 before it is squared."""
+        g = make_grid(20.0, 64)
+        expected = g.spacing * 64 * abs(value)  # 2e-199 at 1e-200
+        assert hs_norm(RegularKernel(g, np.full((64, 64), value))) == pytest.approx(
+            expected, rel=1e-14, abs=0.0)
+
+    def test_tiny_tiles_beside_ordinary_ones_keep_the_plain_bits(self):
+        g = make_grid(20.0, 300)
+        values = build_kernel(g, _quiet_gaussian()).values.copy()
+        values[spectral._TILE:] = 1e-200  # every square 0: the plain sum reads them as 0
+        kernel = RegularKernel(g, values)
+        plain = 0.0
+        for ij in spectral._tiles(300):
+            parts = values[ij].ravel()
+            plain += float(parts @ parts)
+        assert hs_norm(kernel) == g.spacing * math.sqrt(plain)
+
+    def test_tiny_and_overflowing_tiles_together(self):
+        g = make_grid(10.0, 300)
+        values = np.full((300, 300), 1e-200)
+        values[-1] = 1e200
+        expected = g.spacing * 1e200 * math.sqrt(300)
+        assert hs_norm(RegularKernel(g, values)) == pytest.approx(expected, rel=1e-14)
