@@ -148,25 +148,23 @@ class PointerAlgebra:
         return self.full + 1
 
 
-def require_pointer_cap(partition: BinPartition,
-                        max_elements: int = DEFAULT_MAX_ELEMENTS) -> None:
-    """Raise LatticeTooLarge when the 2**B pointer elements exceed max_elements."""
-    if 2**partition.n_bins > max_elements:
+def require_pointer_cap(partition: BinPartition) -> None:
+    """Raise LatticeTooLarge when the 2**B pointer elements exceed DEFAULT_MAX_ELEMENTS."""
+    if 2**partition.n_bins > DEFAULT_MAX_ELEMENTS:
         raise LatticeTooLarge(
-            f"pointer lattice closure exceeded max_elements={max_elements}")
+            f"pointer lattice closure exceeded max_elements={DEFAULT_MAX_ELEMENTS}")
 
 
 def pointer_lattice(observables: Sequence[VanHoveObservable],
-                    partition: BinPartition,
-                    max_elements: int = DEFAULT_MAX_ELEMENTS) -> PointerAlgebra:
+                    partition: BinPartition) -> PointerAlgebra:
     """PointerAlgebra of the partition, on the grid of the observables.
 
-    Raises LatticeTooLarge when its 2**B elements exceed max_elements.
+    Raises LatticeTooLarge when its 2**B elements exceed DEFAULT_MAX_ELEMENTS.
     """
     for obs in observables:
         if obs.grid != partition.grid:
             raise GridMismatch("observable grid differs from the partition grid")
-    require_pointer_cap(partition, max_elements)
+    require_pointer_cap(partition)
     return PointerAlgebra(partition)
 
 
@@ -177,10 +175,9 @@ class EmergenceReport:
     The kernel norm of the incompatibility observable is conserved by the
     unitary evolution (checked at construction to 1e-10, relative once the
     norm passes 1, as roundoff in the phases is relative); only the
-    expectation series decays, and the verdict is BOOLEANIZED exactly when
-    both decay times were reached inside the window and the pointer lattice
-    is Boolean. pointer_lattice_boolean is structural: the pointer lattice
-    is the power set of the partition bins whatever the dynamics.
+    expectation series decays. pointer_lattice_boolean is structural: the
+    pointer lattice is the power set of the partition bins whatever the
+    dynamics. The verdict is derived from these facts, never stored.
     """
 
     series: ExpectationSeries
@@ -189,7 +186,7 @@ class EmergenceReport:
     hs_norm_initial: float
     hs_norm_final: float
     pointer_lattice_boolean: bool
-    verdict: Verdict
+    degenerate: bool
 
     def __post_init__(self):
         if not (abs(self.hs_norm_initial - self.hs_norm_final)
@@ -197,13 +194,16 @@ class EmergenceReport:
             raise ValueError(
                 "evolution must conserve the kernel norm: "
                 f"{self.hs_norm_initial} vs {self.hs_norm_final}")
-        if self.verdict is Verdict.BOOLEANIZED:
-            if (self.decoherence_time is None
-                    or self.effective_compatibility_time is None
-                    or not self.pointer_lattice_boolean):
-                raise ValueError(
-                    "BOOLEANIZED requires both times reached and a Boolean "
-                    "pointer lattice")
+
+    @property
+    def verdict(self) -> Verdict:
+        """DEGENERATE if the premise failed, else BOOLEANIZED exactly when both
+        decay times were reached inside the window and the pointer lattice is Boolean."""
+        if self.degenerate:
+            return Verdict.DEGENERATE
+        times = (self.decoherence_time, self.effective_compatibility_time)
+        return (Verdict.BOOLEANIZED if None not in times and self.pointer_lattice_boolean
+                else Verdict.NOT_REACHED)
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,15 +255,6 @@ def run_emergence(rho: VanHoveState,
     t_dec = decoherence_time(series, threshold_ratio, sustain)
     t_eff = effective_compatibility(series, epsilon)
 
-    # the exact scale only when the bound does not decide it, so no operand is made again
-    if not incompat.kernel.present or all(
-            hs_initial <= DEGENERACY_RTOL * _degeneracy_scale(o1, o2, norm)
-            for norm in (_hs_bound, hs_norm)):
-        verdict = Verdict.DEGENERATE
-    elif t_dec is not None and t_eff is not None and pointer.is_boolean:
-        verdict = Verdict.BOOLEANIZED
-    else:
-        verdict = Verdict.NOT_REACHED
     return EmergenceReport(
         series=series,
         decoherence_time=t_dec,
@@ -271,5 +262,8 @@ def run_emergence(rho: VanHoveState,
         hs_norm_initial=hs_initial,
         hs_norm_final=hs_final,
         pointer_lattice_boolean=pointer.is_boolean,
-        verdict=verdict,
+        # the exact scale only when the bound does not decide it, so no operand is made again
+        degenerate=not incompat.kernel.present or all(
+            hs_initial <= DEGENERACY_RTOL * _degeneracy_scale(o1, o2, norm)
+            for norm in (_hs_bound, hs_norm)),
     )

@@ -35,7 +35,6 @@ from .spectral import (
     _Tiles,
     _finite,
     _require_same_grid,
-    _row_blocks,
     _upper_tiles,
 )
 
@@ -128,10 +127,10 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     (``is_zero``: absent, or read up to its first nonzero tile). When no term
     survives, the pair commutes exactly and D is the absent kernel. For Hermitian
     kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
-    one n x n array the tiles need. It is formed here, by _SLAB-row slabs of K1 against K2
-    made dense for it alone. Each tile sums -[O1, O2] = -i D into D's buffer (if every term is
-    real, into a real scratch then written to D.imag once), the negation folded into each
-    subtraction's operand order, exact under round-to-nearest; i times that sum is D.
+    one n x n array the tiles need. It is formed here in K1's dense copy, _SLAB rows at a time
+    against K2 made dense for it alone. Each tile sums -[O1, O2] = -i D in a scratch of the
+    terms' dtype, the negation folded into each subtraction's operand order, exact under
+    round-to-nearest; i times that sum, written once, is D.
 
     When both operand kernels are exactly Hermitian (residual 0.0, or
     absent), so is D, whose maker is then exact (residual 0.0, no scan):
@@ -150,13 +149,10 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     m = None
     if not (k1.is_zero or k2.is_zero):
         right = k2.dense(np.result_type(k1.dtype, k2.dtype))
-        m, left = np.empty((n, n), right.dtype), np.empty((_SLAB, n), k1.dtype)
-        for rows in _row_blocks(n):  # K1's slab from `top`, made tile by tile, then its product
-            top = rows.start - rows.start % _SLAB
-            for cols in _row_blocks(n):
-                k1.tile(rows, cols, left[rows.start - top:rows.stop - top, cols])
-            if rows.stop % _SLAB == 0 or rows.stop == n:
-                np.matmul(left[:rows.stop - top], right, out=m[top:rows.stop])
+        m, slab = k1.dense(right.dtype), np.empty((_SLAB, n), right.dtype)
+        for top in range(0, n, _SLAB):  # K1's rows, a slab at a time, become M's
+            part = m[top:top + _SLAB]
+            part[...] = np.matmul(part, right, out=slab[:len(part)])
         flip = np.empty((_TILE, _TILE), m.dtype)  # conj(M[cols, rows]), read by rows
 
     def cross(kernel, diag, order):  # (d(w) - d(w')) K, or (d(w') - d(w)) K for order -1
@@ -180,20 +176,16 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     limit = 2.0 * (sum(float(np.ptp(d)) * (b1 if k is k1 else b2) for k, d, _ in crosses)
                    + (2.0 * max(n, grid.omega_max) * b1 * b2 if m is not None else 0.0))
     dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *[m] * (m is not None))
-    scratch = np.empty((2 + (dtype.kind == "f"), _TILE, _TILE), dtype)  # diff, later, real sum
+    scratch = np.empty((3, _TILE, _TILE), dtype)  # diff, later, the sum
 
     def make(rows, cols, out=None):
         d = np.empty((len(d1[rows]), len(d1[cols])), complex) if out is None else out
-        diff, later, *real = scratch[:, :d.shape[0], :d.shape[1]]
-        acc = real[0] if real else d  # -[O1, O2] = -i D, summed term by term
-        for k, write in enumerate(terms):
+        diff, later, acc = scratch[:, :d.shape[0], :d.shape[1]]
+        for k, write in enumerate(terms):  # -[O1, O2] = -i D, summed term by term
             write(rows, cols, later if k else acc, diff)
             if k:
                 acc += later
-        if acc is d:
-            d *= 1j
-        else:
-            d.real, d.imag = 0.0, acc
+        np.multiply(acc, 1j, out=d)
         return d if math.isfinite(limit) else _finite(d)
 
     exact = k1.hermitian_residual == 0.0 and k2.hermitian_residual == 0.0

@@ -583,6 +583,27 @@ def test_lattice_max_elements_below_two_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_lattice_max_elements_cap_itself_is_accepted(tmp_path):
+    inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [0.0, 1.0]))
+    report_path = tmp_path / "r.json"
+    assert main(["lattice", "--in", inp, "--report", str(report_path),
+                 "--max-elements", str(cli.MAX_LATTICE_ELEMENTS)]) == 0
+    assert json.loads(report_path.read_text())["n_elements"] == 4
+
+
+def test_lattice_max_elements_past_the_cap_exits_2_before_reading(tmp_path, capsys, monkeypatch):
+    def unread(*args, **kwargs):
+        raise AssertionError("the input was read before --max-elements was checked")
+
+    monkeypatch.setattr(cli, "_load_json", unread)
+    cap = cli.MAX_LATTICE_ELEMENTS
+    assert main(["lattice", "--in", str(tmp_path / "unread.json"), "--report",
+                 str(tmp_path / "r.json"), "--max-elements", str(cap + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --max-elements must be at least 2 and at most {cap}, got {cap + 1}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("raw", ["zero", "-1e-8", "nan", "inf"])
 def test_bad_tolerance_env_exits_2_naming_it(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv("SIDLATTICE_TOL", raw)

@@ -43,6 +43,7 @@ from sidlattice import (
 )
 from sidlattice import cli, emergence, engine, spectral
 from sidlattice.errors import ConfigError
+from sidlattice.lattice import DEFAULT_MAX_ELEMENTS
 
 
 def _complex_state(grid, seed=7):
@@ -187,11 +188,13 @@ class TestPointerLattice:
             pointer_lattice([o1, o2], BinPartition.equal_bins(other, 2))
 
     def test_cap_raises(self):
+        """8 bins make the 256 elements of the cap itself; 9 bins go past it."""
         grid = make_grid(20.0, 64)
         o1, o2 = linear_vs_gaussian_pair(grid)
-        with pytest.raises(LatticeTooLarge):
-            pointer_lattice([o1, o2], BinPartition.equal_bins(grid, 5),
-                            max_elements=16)
+        assert 2**8 == DEFAULT_MAX_ELEMENTS
+        assert len(pointer_lattice([o1, o2], BinPartition.equal_bins(grid, 8))) == 2**8
+        with pytest.raises(LatticeTooLarge, match=f"max_elements={DEFAULT_MAX_ELEMENTS}$"):
+            pointer_lattice([o1, o2], BinPartition.equal_bins(grid, 9))
 
 
 class TestRunEmergence:
@@ -402,6 +405,25 @@ class TestPeakMemory:
                 tracemalloc.stop()
             assert peak <= bound, name
 
+
+    @pytest.mark.parametrize("o1_family", ["lorentz_band", "random_bandlimited"])
+    def test_m_is_formed_in_k1s_dense_copy(self, o1_family):
+        """Forming D holds two n x n arrays, K2 made dense and K1's dense copy, which becomes
+        M = K1 K2 one _SLAB-row slab at a time: no third one. The slack is D's maker's
+        four scratch tiles (diff, later, sum, mirror) and 64 KiB."""
+        n = 512
+        grid = make_grid(20.0, n)
+        o1, o2 = _operands(grid, True, o1_family)
+        assert o1.kernel.hermitian_residual == o2.kernel.hermitian_residual == 0.0  # D unscanned
+        itemsize = np.result_type(o1.kernel.dtype, o2.kernel.dtype).itemsize
+        tracemalloc.start()
+        try:
+            incompatibility_observable(o1, o2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 4 * spectral._TILE**2 * itemsize + 2**16
+        assert peak <= (2 * n + engine._SLAB) * n * itemsize + slack
 
     def test_emerge_builds_and_holds_no_n_by_n_kernel(self, tmp_path):
         """The emerge-n2048 benchmark scenario, its kernels built inside the traced window.
@@ -689,4 +711,23 @@ class TestStreamedIncompatibility:
         series = ExpectationSeries(times, np.ones(3, dtype=complex), 10.0)
         with pytest.raises(ValueError, match="conserve the kernel norm"):
             emergence.EmergenceReport(series, None, None, math.inf, math.inf, False,
-                                      Verdict.NOT_REACHED)
+                                      degenerate=False)
+
+
+@pytest.mark.parametrize("degenerate,t_dec,t_eff,boolean", [
+    (degenerate, t_dec, t_eff, boolean) for degenerate in (False, True)
+    for t_dec in (None, 1.0) for t_eff in (None, 0.0) for boolean in (False, True)])
+def test_verdict_is_derived_from_the_stored_facts(degenerate, t_dec, t_eff, boolean):
+    """DEGENERATE whenever the premise failed; else BOOLEANIZED exactly when both times were
+    reached (0.0 counts) and the pointer lattice is Boolean; NOT_REACHED otherwise."""
+    series = ExpectationSeries(np.linspace(0.0, 1.0, 3), np.ones(3, dtype=complex), 10.0)
+    report = emergence.EmergenceReport(series, t_dec, t_eff, 1.0, 1.0, boolean,
+                                       degenerate=degenerate)
+    if degenerate:
+        expected = Verdict.DEGENERATE
+    elif (t_dec, t_eff, boolean) == (1.0, 0.0, True):
+        expected = Verdict.BOOLEANIZED
+    else:
+        expected = Verdict.NOT_REACHED
+    assert report.verdict is expected
+    assert report.to_json_dict()["verdict"] == expected.value

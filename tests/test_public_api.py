@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +12,22 @@ def test_every_exported_name_resolves_once():
     names = sidlattice.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(sidlattice, name)] == []
+
+
+def test_every_name_a_module_imports_is_read_in_it():
+    """An import that nothing reads is dead code. __init__ is exempt: it imports to re-export."""
+    unread = []
+    for path in sorted(Path(sidlattice.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unread == []
 
 
 def test_the_cli_import_loads_the_standard_library_and_numpy_alone():
