@@ -70,8 +70,9 @@ DIAG_FAMILIES = ("linear", "constant", "gaussian", "zero")
 MAX_SAMPLES = 1_000_000
 # Grid cap unless both observables carry a kernel (M = K1 K2 is n x n): none is stored
 MAX_MADE_GRID_POINTS = 16384
-# Cap on --max-elements: closure plus law suite took 42 s at 384 elements, 97 s at 576 (README)
+# Caps on --max-elements and the subspace dim, from the closure's measured time (README)
 MAX_LATTICE_ELEMENTS = 512
+MAX_LATTICE_DIM = 256
 _CSV_BLOCK_ROWS = 4096  # series rows per write: the text held is one block's, not the file's
 
 
@@ -238,13 +239,13 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
     """
     doc = _load_json(path, "config")
     grid_doc = _cfg_get(doc, "grid", dict, "config")
-    obs = doc.get("observables")
-    two_kernels = isinstance(obs, dict) and all(
-        isinstance(obs.get(name), dict) and "kernel" in obs[name] for name in ("O1", "O2"))
-    try:
+    obs_doc = _cfg_get(doc, "observables", dict, "config")
+    o1_doc, o2_doc = (_cfg_get(obs_doc, name, dict, "observables") for name in ("O1", "O2"))
+    try:  # the grid cap is the smaller when both observables carry a kernel
         grid = make_grid(_cfg_get(grid_doc, "omega_max", float, "grid"),
                          _cfg_get(grid_doc, "n_points", int, "grid"),
-                         MAX_GRID_POINTS if two_kernels else MAX_MADE_GRID_POINTS)
+                         MAX_GRID_POINTS if "kernel" in o1_doc and "kernel" in o2_doc
+                         else MAX_MADE_GRID_POINTS)
     except (SidLatticeError, ValueError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
@@ -275,8 +276,6 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
     resolved = _resolve_outputs(doc, outputs)
 
     state_doc = _cfg_get(doc, "state", dict, "config")
-    obs_doc = _cfg_get(doc, "observables", dict, "config")
-    o1_doc, o2_doc = (_cfg_get(obs_doc, name, dict, "observables") for name in ("O1", "O2"))
     diag = _build_diag(grid, _cfg_get(state_doc, "diag", dict, "state", None), "state")
     kernel = _build_kernel(grid, _cfg_get(state_doc, "kernel", dict, "state", None), "state")
     try:
@@ -325,8 +324,8 @@ def _parse_subspaces(doc: dict) -> tuple[int, list[Subspace]]:
     dim = doc.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConfigError(f"dim must be a positive integer, got {dim!r}")
-    if dim > MAX_GRID_POINTS:
-        raise ConfigError(f"dim={dim} exceeds the dense-storage cap {MAX_GRID_POINTS}")
+    if dim > MAX_LATTICE_DIM:
+        raise ConfigError(f"dim={dim} exceeds the lattice cap {MAX_LATTICE_DIM}")
     spaces = []
     for k, vectors in enumerate(_cfg_get(doc, "elements", list, "subspace document")):
         if not isinstance(vectors, list):
@@ -503,13 +502,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         try:
             code = args.run(args)
-        except WindowExceeded as exc:
+        except SidLatticeError as exc:  # a window overrun, else a config or domain precondition
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_WINDOW
-        except SidLatticeError as exc:
-            # ConfigError and any other domain precondition failure
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return EXIT_WINDOW if isinstance(exc, WindowExceeded) else EXIT_CONFIG
     if code == EXIT_OK:
         for caught_warning in caught:
             print(f"warning: {caught_warning.message}", file=sys.stderr)

@@ -109,13 +109,13 @@ def phased_values(values: np.ndarray, phases: np.ndarray,
 
 
 def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
-    """Heisenberg evolution by time t: phase the kernel, keep the diagonal."""
+    """Heisenberg evolution by time t: phase a dense copy of the kernel, keep the diagonal."""
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
     if not obs.kernel.present:
         return obs
     with np.errstate(over="ignore", invalid="ignore"):  # t omega past the float range: nan
-        evolved = phased_values(obs.kernel.values, np.exp(1j * t * obs.grid.nodes))
+        evolved = phased_values(obs.kernel.dense(), np.exp(1j * t * obs.grid.nodes))
     return VanHoveObservable(obs.diag, RegularKernel(obs.grid, evolved, _adopt=True))
 
 
@@ -138,7 +138,7 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     the mixing term M - M^H come out exactly anti-Hermitian.
 
     Tiles are checked finite as made only if the maker's bound is not: 2 (ptp(d1) b2 + ptp(d2) b1
-    + 2 max(n, omega_max) b1 b2) over the surviving terms, b >= max |K| an operand maker's bound
+    + 2 max(n, omega_max) b1 b2) over the surviving terms, b >= max |K| an operand's own bound
     (inf if stored; a zero K's is unread), covers every intermediate (|M| <= n b1 b2 before the
     spacing scales it, omega_max b1 b2 after).
     """
@@ -172,7 +172,7 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     terms = [cross(*term) for term in crosses] + [mixing] * (m is not None)
     if not terms:  # D = 0
         return RegularKernel.absent(grid)
-    b1, b2 = ((k._maker and k._maker.bound) or math.inf for k in (k1, k2))  # >= max |K|
+    b1, b2 = k1.bound, k2.bound  # >= max |K|
     limit = 2.0 * (sum(float(np.ptp(d)) * (b1 if k is k1 else b2) for k, d, _ in crosses)
                    + (2.0 * max(n, grid.omega_max) * b1 * b2 if m is not None else 0.0))
     dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *[m] * (m is not None))
@@ -392,11 +392,10 @@ def analytic_decay(kind: str, rate: float, times) -> np.ndarray:
     the O(rate/omega_max) truncation of the Lorentzian tails by the window.
     """
     times = np.asarray(times, dtype=np.float64)
-    if kind == "gaussian":
-        with np.errstate(over="ignore"):  # (rate t)^2 = inf gives exp(-inf) = 0
+    with np.errstate(over="ignore"):  # (rate t)^2 or rate |t| = inf gives exp(-inf) = 0
+        if kind == "gaussian":
             return np.exp(-0.5 * (rate * times) ** 2)
-    if kind == "lorentz":
-        with np.errstate(over="ignore"):  # rate |t| = inf gives exp(-inf) = 0
+        if kind == "lorentz":
             return np.exp(-rate * np.abs(times))
     raise UnsupportedFamily(f"unknown analytic decay kind {kind!r}")
 

@@ -414,7 +414,7 @@ def check_lattice_laws(lat: PropertyLattice) -> dict:
 
     record("reflexive", lq.diagonal())
     record("antisymmetric", ~(lq & lq.T & ~np.eye(n, dtype=bool)))
-    reach = lq.astype(np.int64)
+    reach = lq.astype(np.float64)  # BLAS, exact: each count is at most n
     record("transitive", ~(((reach @ reach) > 0) & ~lq))
 
     # one sweep over a third element c: every common bound of (a, b) against a ^ b and a v b,

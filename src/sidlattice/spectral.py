@@ -135,7 +135,7 @@ class _Tiles(NamedTuple):
 
     make: Callable
     dtype: np.dtype
-    bound: Optional[float] = None
+    bound: float = math.inf
     exact: bool = False
 
 
@@ -146,7 +146,8 @@ class RegularKernel:
     K = 0 (``absent``): a read-only float zero-stride view that is never scanned. A made kernel
     (``_Tiles``: every built kernel, and D = -i [O1, O2]) holds no n x n array and makes tiles on
     demand; ``values`` is built once, when first asked, and from then on serves the tiles while
-    the maker is dropped. Other samples, float64 if real and complex128 if complex, are copied
+    the maker is dropped. ``bound`` >= max |K| is fixed here: the maker's, inf for stored samples,
+    0.0 for the absent kernel. Other samples, float64 if real and complex128 if complex, are copied
     unless ``_adopt`` is true, which the library passes for arrays it has just built: those are
     frozen in place. Shape and finiteness are checked either way, so an explicit zero array
     (``zeros``) is a present kernel like any other. ``hermitian_residual``, max |K - K^H|, is 0.0
@@ -159,6 +160,7 @@ class RegularKernel:
         self.grid = grid
         self.present = values is not None
         self._maker = values if isinstance(values, _Tiles) else None
+        self.bound = self._maker.bound if self._maker else math.inf if self.present else 0.0
         if not self.present or (self._maker and self._maker.exact):
             self.hermitian_residual = 0.0  # shadows the scan, as values does for a stored array
         if values is None:
@@ -182,7 +184,7 @@ class RegularKernel:
         """The n x n samples of a made kernel, made by tiles and kept read-only."""
         values = self.dense()
         values.setflags(write=False)
-        self._maker = None  # the tiles are read from values from now on
+        self._maker = None  # the tiles are read from values from now on; bound stays
         return values
 
     @cached_property
@@ -482,9 +484,9 @@ def quad1(grid: FrequencyGrid, samples) -> complex:
 
 
 def kernel_compose(k1: RegularKernel, k2: RegularKernel) -> RegularKernel:
-    """Kernel of the operator product: midpoint integral over the shared leg."""
+    """Kernel of the operator product: midpoint integral over the shared leg, of dense copies."""
     grid = _require_same_grid(k1.grid, k2.grid)
-    return RegularKernel(grid, grid.spacing * (k1.values @ k2.values), _adopt=True)
+    return RegularKernel(grid, grid.spacing * (k1.dense() @ k2.dense()), _adopt=True)
 
 
 _BIG = 2.0**600  # parts divided by it square to a finite sum in any n x n kernel
@@ -537,9 +539,9 @@ def hs_norm(kernel: RegularKernel) -> float:
 
 
 def _hs_bound(kernel: RegularKernel) -> float:
-    """hs_norm(kernel) or more: 2 n spacing max |K| (2 covers rounding) from a maker's tables."""
-    bound = kernel._maker.bound if kernel._maker else None
-    return hs_norm(kernel) if bound is None else 2.0 * kernel.grid.omega_max * bound
+    """hs_norm(kernel) or more: 2 n spacing max |K| (2 covers rounding), or hs_norm if unbounded."""
+    bound = 2.0 * kernel.grid.omega_max * kernel.bound
+    return bound if kernel.bound < math.inf else hs_norm(kernel)
 
 
 def _hermitian_residual(values: np.ndarray) -> float:

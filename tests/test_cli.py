@@ -223,7 +223,17 @@ class TestLattice:
         assert main(["lattice", "--in", inp,
                      "--report", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == (
-            "error: dim=100000000 exceeds the dense-storage cap 4096\n")
+            "error: dim=100000000 exceeds the lattice cap 256\n")
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["cap", "cap+1"])
+    def test_dim_cap_is_checked_before_any_element(self, tmp_path, capsys, over):
+        """The cap itself goes on to its (malformed) element; one past it stops first."""
+        dim = cli.MAX_LATTICE_DIM + over
+        inp = _write(tmp_path / "in.json", {"dim": dim, "elements": [[[]]]})
+        assert main(["lattice", "--in", inp, "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dim={dim} exceeds the lattice cap {cli.MAX_LATTICE_DIM}\n" if over else
+            f"error: element 0: each column vector needs {dim} [re, im] pairs of numbers\n")
 
     def test_bool_dim_exits_2(self, tmp_path, capsys):
         inp = _write(tmp_path / "in.json", {"dim": True, "elements": []})
@@ -573,6 +583,20 @@ def test_overflowing_kernel_exits_2_without_a_runtime_warning(tmp_path, capsys):
                      "--series", str(tmp_path / "s.csv")]) == 2
     assert capsys.readouterr().err == (
         "error: state kernel invalid: samples must be finite\n")
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["simulate", "--config", "{doc}"], [1], "config {doc} must hold a JSON object"),
+    (["lattice", "--in", "{doc}", "--report", "{tmp}/r.json"], {"dim": 2, "elements": [5]},
+     "element 0 must be a list of column vectors"),
+    (["oracle", "--family", "gaussian_band", "--params", "[1]", "--t", "0"], None,
+     "--params must be a JSON object"),
+], ids=["config-not-an-object", "element-not-a-list", "params-not-an-object"])
+def test_shape_guard_exits_2_with_its_line(tmp_path, capsys, argv, doc, message):
+    path = _write(tmp_path / "doc.json", doc)
+    argv = [arg.format(doc=path, tmp=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message.format(doc=path)}\n"
 
 
 def test_lattice_max_elements_below_two_exits_2(tmp_path, capsys):

@@ -557,7 +557,8 @@ def test_emergence_holds_no_tile_code():
 
 
 def test_only_the_kernel_writes_its_facts():
-    """hermitian_residual and _maker are assigned in RegularKernel's own methods alone."""
+    """hermitian_residual and _maker are assigned in RegularKernel's own methods alone, and
+    _maker is read there alone: any other reader asks the kernel (bound, tile, dense)."""
     facts = {"hermitian_residual", "_maker"}
     writes = []
     for path in sorted(Path(emergence.__file__).parent.glob("*.py")):
@@ -567,8 +568,9 @@ def test_only_the_kernel_writes_its_facts():
                  for method in cls.body if isinstance(method, ast.FunctionDef)
                  for node in ast.walk(method)}
         writes += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and node.attr in facts
-                   and not isinstance(node.ctx, ast.Load) and id(node) not in owned]
+                   if isinstance(node, ast.Attribute) and id(node) not in owned
+                   and (node.attr == "_maker" or node.attr in facts
+                        and not isinstance(node.ctx, ast.Load))]
     assert writes == []
 
 
@@ -622,9 +624,25 @@ class TestStreamedIncompatibility:
         rho = _complex_state(grid)
         o1, o2 = _operands(grid, o1_kernel)
         incompat = engine.incompatibility_observable(o1, o2)
-        assert math.isfinite(incompat.kernel._maker.bound)
+        assert math.isfinite(incompat.kernel.bound)
         run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 101, epsilon=1e-6)
         engine.expectation_series(rho, incompat, 10.0, 101)  # simulate's path
+        assert scans == []
+
+    @pytest.mark.parametrize("read", ["evolve", "values"])
+    def test_an_operand_read_keeps_its_bound(self, scans, read):
+        """Evolving O2 or reading its samples leaves its bound, so D stays bounded, unscanned."""
+        grid = make_grid(20.0, 300)
+        rho = _complex_state(grid)
+        o1, o2 = _operands(grid, False)
+        bound = o2.kernel.bound
+        if read == "evolve":
+            evolve(o2, 3.0)
+        else:
+            o2.kernel.values  # built and kept: the maker is dropped
+        assert o2.kernel.bound == bound < math.inf
+        scans.clear()  # the evolved kernel's own check
+        run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 101, epsilon=1e-6)
         assert scans == []
 
     def test_an_unbounded_made_d_is_scanned_tile_by_tile(self, scans):
@@ -635,7 +653,7 @@ class TestStreamedIncompatibility:
         scans.clear()  # the stored operand's own check
         run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 101, epsilon=1e-6)
         incompat = engine.incompatibility_observable(o1, o2)
-        assert incompat.kernel._maker.bound == math.inf
+        assert incompat.kernel.bound == math.inf
         engine.expectation_series(rho, incompat, 10.0, 101)
         upper = [(i.stop - i.start, j.stop - j.start) for i, j, _ in spectral._upper_tiles(300)]
         assert scans == upper * 2  # the tiles I <= J, each pass

@@ -124,6 +124,26 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(_random_observable(grid, 5), math.inf)
 
+    def test_leaves_the_operand_as_built(self):
+        """evolve phases a dense copy: the operand keeps its maker and caches no samples."""
+        grid = make_grid(20.0, 300)  # more than one tile a side
+        obs = _random_observable(grid, 6)
+        evolved = evolve(obs, 2.0)
+        assert obs.kernel._maker is not None and "values" not in vars(obs.kernel)
+        phased = engine.phased_values(obs.kernel.values, np.exp(2j * grid.nodes))
+        assert evolved.kernel.values.tobytes() == phased.tobytes()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda grid: ExpectationSeries(np.zeros((2, 2)), np.zeros((2, 2)), grid.recurrence_time),
+     "times and values must be matching 1-d arrays"),
+    (lambda grid: expectation(_random_state(grid, 1), _random_observable(grid, 1), math.nan),
+     "time must be finite, got nan"),
+], ids=["series-not-1-d", "expectation-at-nan"])
+def test_engine_guard_raises_its_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(make_grid(20.0, 16))
+
 
 class TestCommutator:
     def test_self_commutator_vanishes(self):
@@ -1230,10 +1250,10 @@ class TestIncompatibilityBound:
         o2 = _bounded_operand(grid, *op2, seed + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             d = engine._incompatibility_blocks(o1, o2)
-        assume(d.present and math.isfinite(d._maker.bound))
+        assume(d.present and math.isfinite(d.bound))
         with np.errstate(over="raise", invalid="raise"):
             for ij in spectral._tiles(n):
-                assert np.max(np.abs(d.tile(*ij))) <= d._maker.bound
+                assert np.max(np.abs(d.tile(*ij))) <= d.bound
 
     def test_d_whose_product_overflows_before_the_spacing_is_rejected(self):
         """n b1 b2 overflows and omega_max b1 b2 does not: M = K1 K2 itself overflows.
@@ -1244,11 +1264,11 @@ class TestIncompatibilityBound:
         ops = [VanHoveObservable.kernel_only(build_kernel(grid, KernelFamilySpec(
             "rect_band", amplitude=1e153, sigma=2.0, mu=0.5, Sigma=half)))
             for half in (0.5, 0.4)]  # K1 = 1e153 everywhere, K2 on 240 or more of each column
-        b1, b2 = (o.kernel._maker.bound for o in ops)
+        b1, b2 = (o.kernel.bound for o in ops)
         assert math.isfinite(grid.omega_max * b1 * b2) and grid.n_points * b1 * b2 == math.inf
         rho = VanHoveState.normalized(DiagonalPart(grid, np.ones(300)), RegularKernel.absent(grid))
         with np.errstate(over="ignore", invalid="ignore"):
             incompat = incompatibility_observable(*ops)
-            assert incompat.kernel._maker.bound == math.inf
+            assert incompat.kernel.bound == math.inf
             with pytest.raises(ValueError, match="samples must be finite"):
                 expectation_series(rho, incompat, 1.0, 11)

@@ -571,6 +571,30 @@ class TestLawSuite:
         assert not mat[ia, ib]
 
 
+def _tables(n):
+    return {"meet": np.zeros((n, n), int), "join": np.zeros((n, n), int), "ortho": np.zeros(n, int)}
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Subspace(0, np.zeros((0, 0))), ValueError, "ambient dimension must be positive"),
+    (lambda: Subspace(2, np.zeros(2)), DimensionMismatch, r"basis must be 2 x r, got shape \(2,\)"),
+    (lambda: Subspace(1, np.ones((1, 2))), ValueError, "rank 2 exceeds ambient dimension 1"),
+    (lambda: Subspace(2, np.ones((2, 1))), ValueError, "not orthonormal"),
+    (lambda: is_compatible(line(1.0, 0.0), line(0.0, 1.0), tol=0.0), ValueError,
+     "tolerance must be positive"),
+    (lambda: PropertyLattice(2, (), **_tables(0)), ValueError, "at least the zero and full"),
+    (lambda: PropertyLattice(2, (Subspace.zero(3),), **_tables(1)), DimensionMismatch,
+     "wrong ambient dimension"),
+    (lambda: PropertyLattice(2, (Subspace.zero(2),), **_tables(1)), ValueError,
+     "must contain the zero and full"),
+    (lambda: DensityState(np.zeros(3)), DimensionMismatch, "density matrix must be square"),
+], ids=["dim-0", "basis-not-2-d", "rank-past-dim", "not-orthonormal", "zero-tolerance",
+        "no-elements", "element-in-wrong-dim", "no-full-element", "state-not-square"])
+def test_lattice_guard_raises_its_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def _reference_laws(lat):
     """The law suite as formulated with the whole (2, N, N, N) array of distributive inclusions
     and a GLB/LUB maximality pass per bound: the N^3-memory reference for check_lattice_laws."""

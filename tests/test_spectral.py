@@ -219,6 +219,17 @@ class TestKernelCompose:
         with pytest.raises(GridMismatch):
             kernel_compose(k1, k2)
 
+    def test_leaves_the_operands_as_built(self):
+        """kernel_compose multiplies dense copies: each operand keeps its maker, caches nothing."""
+        g = make_grid(10.0, 300)  # more than one tile a side
+        k1 = build_kernel(g, _quiet_gaussian(sigma=1.0, mu=5.0, Sigma=0.8))
+        k2 = build_kernel(g, KernelFamilySpec(
+            "random_bandlimited", sigma=1.0, mu=5.0, Sigma=1.0, seed=2))
+        product = kernel_compose(k1, k2)
+        for k in (k1, k2):
+            assert k._maker is not None and "values" not in vars(k)
+        assert product.values.tobytes() == (g.spacing * (k1.values @ k2.values)).tobytes()
+
 
 class TestHsNorm:
     def test_zero(self):
@@ -273,6 +284,18 @@ class TestCheckHermitian:
     def test_gaussian_band(self):
         g = make_grid(20.0, 64)
         assert check_hermitian(build_kernel(g, _quiet_gaussian()), 1e-12)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda g: VanHoveState.normalized(DiagonalPart(g, np.ones(4)),
+                                       RegularKernel(g, 1j * np.ones((4, 4)))),
+     "state kernel is not Hermitian within tolerance"),
+    (lambda g: KernelFamilySpec.from_json({"sigma": 1.0}), "kernel spec needs a 'family' tag"),
+    (lambda g: check_hermitian(RegularKernel.zeros(g), 0.0), "tolerance must be positive, got 0.0"),
+], ids=["state-kernel-not-hermitian", "spec-without-family", "zero-tolerance"])
+def test_spectral_guard_raises_its_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(make_grid(10.0, 4))
 
 
 def _dense_residual(values):
