@@ -10,7 +10,7 @@ On the uniform grid the phases depend only on the node-index difference, so expe
 are evaluated by collapsing the weighted kernel (Hermitian, so read by its tiles I <= J) onto its
 anti-diagonals (the nu profile) and summing one factor per offset, a baby-step times a giant-step
 phase. The regrouping is exact and keeps roundoff near 1e-13 even for strongly cancelling sums.
-Kernels are read by L2-sized tiles (spectral._TILE); M = K1 K2 by wider _SLAB-row products.
+Kernels are read by L2-sized tiles (spectral._TILE); M = K1 K2 by _SLAB rows, kept as half M^H - M.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .spectral import (
     _Tiles,
     _finite,
     _require_same_grid,
+    _row_blocks,
     _upper_tiles,
 )
 
@@ -122,20 +123,19 @@ def evolve(obs: VanHoveObservable, t: float) -> VanHoveObservable:
 def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
     """D = -i [O1, O2] as a made kernel: complex tiles, checked finite as made unless bounded.
 
-    [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1;
-    a cross term is skipped when its diagonal is constant or its kernel zero
-    (``is_zero``: absent, or read up to its first nonzero tile). When no term
-    survives, the pair commutes exactly and D is the absent kernel. For Hermitian
-    kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2 (real for two real kernels), the
-    one n x n array the tiles need. It is formed here in K1's dense copy, _SLAB rows at a time
-    against K2 made dense for it alone. Each tile sums -[O1, O2] = -i D in a scratch of the
-    terms' dtype, the negation folded into each subtraction's operand order, exact under
-    round-to-nearest; i times that sum, written once, is D.
+    [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1; a cross term is
+    skipped when its diagonal is constant or its kernel zero (``is_zero``: absent, or read up to
+    its first nonzero tile). When no term survives, the pair commutes exactly and D is the absent
+    kernel. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2, made _SLAB rows at a
+    time (K1's slab by tiles, times K2 made dense for it alone), each slab scattered at once into
+    H = M^H - M, kept as half[i], slab i's rows from its first column on (n (n + _SLAB) / 2 in
+    all), each entry one rounding of conj(M[J, I]) - M[I, J]; a tile J >= I reads H, a lower one
+    -conj(H[J, I]).T. Each tile sums -[O1, O2] = -i D in a scratch of the terms' dtype, negated
+    by each subtraction's operand order (exact under round-to-nearest); i times that sum is D.
 
-    When both operand kernels are exactly Hermitian (residual 0.0, or
-    absent), so is D, whose maker is then exact (residual 0.0, no scan):
-    IEEE rounding is sign-symmetric, so the cross terms (d(w) - d(w')) K and
-    the mixing term M - M^H come out exactly anti-Hermitian.
+    When both operand kernels are exactly Hermitian (residual 0.0, or absent), so is D, whose
+    maker is then exact (residual 0.0, no scan): IEEE rounding is sign-symmetric, so the cross
+    terms (d(w) - d(w')) K and the mixing term M - M^H come out exactly anti-Hermitian.
 
     Tiles are checked finite as made only if the maker's bound is not: 2 (ptp(d1) b2 + ptp(d2) b1
     + 2 max(n, omega_max) b1 b2) over the surviving terms, b >= max |K| an operand's own bound
@@ -146,14 +146,18 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     n = grid.n_points
     d1, d2 = o1.diag.values, o2.diag.values
     k1, k2 = o1.kernel, o2.kernel
-    m = None
+    half = []  # H's upper slabs, when the mixing term survives
     if not (k1.is_zero or k2.is_zero):
         right = k2.dense(np.result_type(k1.dtype, k2.dtype))
-        m, slab = k1.dense(right.dtype), np.empty((_SLAB, n), right.dtype)
-        for top in range(0, n, _SLAB):  # K1's rows, a slab at a time, become M's
-            part = m[top:top + _SLAB]
-            part[...] = np.matmul(part, right, out=slab[:len(part)])
-        flip = np.empty((_TILE, _TILE), m.dtype)  # conj(M[cols, rows]), read by rows
+        left, slab = np.empty((2, _SLAB, n), right.dtype)
+        for top in range(0, n, _SLAB):  # K1's slab by tiles (rows local to it), times K2
+            for rows in _row_blocks(min(_SLAB, n - top)):
+                for cols in _row_blocks(n):
+                    k1.tile(slice(top + rows.start, top + rows.stop), cols, left[rows, cols])
+            m = np.matmul(left[:n - top], right, out=slab[:n - top])
+            half.append(np.negative(m[:, top:]))  # -M[I, J >= I], then H[J <= I, I]:
+            for j, above in zip(range(0, top + 1, _SLAB), half):
+                above[:, top - j:top - j + len(m)] += m[:, j:j + _SLAB].T.conj()  # real: no copy
 
     def cross(kernel, diag, order):  # (d(w) - d(w')) K, or (d(w') - d(w)) K for order -1
         def write(rows, cols, into, diff):
@@ -161,21 +165,25 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
             into *= np.subtract(*(diag[rows, None], diag[None, cols])[::order], out=diff)
         return write
 
-    def mixing(rows, cols, into, diff):  # (M[cols, rows]^H - M[rows, cols]) spacing
-        mirror = np.conjugate(m[cols, rows], out=flip[:into.shape[1], :into.shape[0]])
-        np.subtract(mirror.T, m[rows, cols], out=into)
-        into *= grid.spacing
+    def mixing(rows, cols, into, diff):  # H[rows, cols] spacing, from the slab of min(I, J)
+        i, j = (rows, cols) if cols.start >= rows.start else (cols, rows)
+        top = i.start - i.start % _SLAB
+        h = half[top // _SLAB][i.start - top:i.stop - top, j.start - top:j.stop - top]
+        if i is cols:  # -conj(H[J, I]).T; re as 0 - re keeps the +0.0 that x - x rounds to
+            h = np.positive(h.T, out=into)
+            np.subtract(0.0, h.real, out=h.real)
+        np.multiply(h, grid.spacing, out=into)
 
     # -[O1, O2] = (d1(w') - d1(w)) K2 + (d2(w) - d2(w')) K1 + M^H - M, summed in this order
     crosses = [(k, d, order) for k, d, order in ((k2, d1, -1), (k1, d2, 1))
                if np.ptp(d) != 0 and not k.is_zero]
-    terms = [cross(*term) for term in crosses] + [mixing] * (m is not None)
+    terms = [cross(*term) for term in crosses] + [mixing] * bool(half)
     if not terms:  # D = 0
         return RegularKernel.absent(grid)
     b1, b2 = k1.bound, k2.bound  # >= max |K|
     limit = 2.0 * (sum(float(np.ptp(d)) * (b1 if k is k1 else b2) for k, d, _ in crosses)
-                   + (2.0 * max(n, grid.omega_max) * b1 * b2 if m is not None else 0.0))
-    dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *[m] * (m is not None))
+                   + (2.0 * max(n, grid.omega_max) * b1 * b2 if half else 0.0))
+    dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *half[:1])
     scratch = np.empty((3, _TILE, _TILE), dtype)  # diff, later, the sum
 
     def make(rows, cols, out=None):
@@ -195,7 +203,9 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
 def commutator_kernel(o1: VanHoveObservable, o2: VanHoveObservable) -> RegularKernel:
     """Regular kernel of [O1, O2] = i D, stored, or absent with D; singular part zero."""
     d = _incompatibility_blocks(o1, o2)
-    return RegularKernel(o1.grid, 1j * d.values, _adopt=True) if d.present else d
+    if d.present:  # D made into one n x n array, times i in place
+        d = RegularKernel(o1.grid, np.multiply(values := d.dense(), 1j, out=values), _adopt=True)
+    return d
 
 
 def incompatibility_observable(o1: VanHoveObservable,

@@ -43,7 +43,7 @@ class Subspace:
             raise DimensionMismatch(
                 f"basis must be {d} x r, got shape {basis.shape}")
         r = basis.shape[1]
-        if r > d:
+        if r > d:  # before the work: the r x r Gram matrix of a d x r basis is never formed
             raise ValueError(f"rank {r} exceeds ambient dimension {d}")
         if r > 0:
             gram = basis.conj().T @ basis
@@ -199,8 +199,6 @@ class PropertyLattice:
 
     def __post_init__(self):
         elements = tuple(self.elements)
-        if not elements:
-            raise ValueError("lattice needs at least the zero and full subspaces")
         for e in elements:
             if e.ambient_dim != self.ambient_dim:
                 raise DimensionMismatch("lattice element in wrong ambient dimension")

@@ -142,16 +142,16 @@ class _Tiles(NamedTuple):
 class RegularKernel:
     """Real or complex samples K(omega_k, omega_l) of a regular two-frequency kernel.
 
-    Each kernel is read by square tiles through ``tile``. ``values=None`` is the absent kernel
-    K = 0 (``absent``): a read-only float zero-stride view that is never scanned. A made kernel
-    (``_Tiles``: every built kernel, and D = -i [O1, O2]) holds no n x n array and makes tiles on
-    demand; ``values`` is built once, when first asked, and from then on serves the tiles while
-    the maker is dropped. ``bound`` >= max |K| is fixed here: the maker's, inf for stored samples,
-    0.0 for the absent kernel. Other samples, float64 if real and complex128 if complex, are copied
-    unless ``_adopt`` is true, which the library passes for arrays it has just built: those are
-    frozen in place. Shape and finiteness are checked either way, so an explicit zero array
-    (``zeros``) is a present kernel like any other. ``hermitian_residual``, max |K - K^H|, is 0.0
-    for the absent kernel and an exact maker's (``_Tiles.exact``); any other kernel is scanned
+    Each kernel is read by square tiles through ``tile``. ``values=None`` is the absent kernel K = 0
+    (``absent``): a read-only float zero-stride view that is never scanned. A made kernel
+    (``_Tiles``: every built kernel, and D = -i [O1, O2], of two kernels over half of M^H - M) makes
+    tiles on demand; ``values`` is built once, when first asked, and from then on serves the tiles
+    while the maker is dropped. ``bound`` >= max |K| is fixed here: the maker's, inf for stored
+    samples, 0.0 for the absent kernel. Other samples, float64 if real and complex128 if complex,
+    are copied unless ``_adopt`` is true, which the library passes for arrays it has just built:
+    those are frozen in place. Shape and finiteness are checked either way, so an explicit zero
+    array (``zeros``) is a present kernel like any other. ``hermitian_residual``, max |K - K^H|, is
+    0.0 for the absent kernel and an exact maker's (``_Tiles.exact``); any other kernel is scanned
     once, when first read. hs_norm reads a kernel of residual 0.0 by its tiles I <= J alone.
     """
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
@@ -28,6 +30,23 @@ def tile_edge(k, d=0):
 # either side of one and of two tiles: T - 1, T, T + 1, 2T - 1, 2T, 2T + 1
 TILE_EDGES = [tile_edge(k, d) for k in (1, 2) for d in (-1, 0, 1)]
 ONE_WIDE_LAST_TILE = [tile_edge(1, 1), tile_edge(2, 1)]
+
+
+class Traced(NamedTuple):
+    result: Any
+    peak: int  # bytes tracemalloc traced at most during the call
+    held: int  # bytes still traced when the call returned, its result alive
+
+
+def traced_peak(fn):
+    """Call fn() with tracemalloc on: its result and the traced peak and held bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return Traced(result, peak, held)
 
 
 @pytest.fixture

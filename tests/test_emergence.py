@@ -1,7 +1,6 @@
 import ast
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ from conftest import (
     gaussian_scenario,
     linear_vs_gaussian_pair,
     near_the_evolved_norm,
+    traced_peak,
 )
 from sidlattice import (
     BinPartition,
@@ -349,8 +349,8 @@ class TestPeakMemory:
         """The traced peak stays within half an n x n complex array of the live arrays.
 
         rho and the operands are built before tracing starts, so the live
-        traced arrays are D and, for two real kernels, the real product
-        M = K1 K2 the commutator holds beside it.
+        traced arrays are D and, for two real kernels, the real half of
+        M^H - M, M = K1 K2, that D's maker holds.
         """
         n = 1024
         grid = make_grid(20.0, n)
@@ -360,17 +360,15 @@ class TestPeakMemory:
             o1 = VanHoveObservable(o1.diag, build_kernel(grid, KernelFamilySpec(
                 "lorentz_band", amplitude=0.5, gamma=1.0, mu=10.0, Sigma=2.0)))
         live = n * n * 16 + (n * n * 8 if o1_kernel else 0)
-        tracemalloc.start()
-        try:
+
+        def run():
             incompat = incompatibility_observable(o1, o2)
             expectation_series(rho, incompat, 10.0, 201)
             del incompat
             run_emergence(rho, o1, o2, BinPartition.equal_bins(grid, 4), 10.0, 201,
                           epsilon=1e-6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= live + n * n * 8
+
+        assert traced_peak(run).peak <= live + n * n * 8
 
     @pytest.mark.parametrize("o1_kernel", [False, True], ids=["diag-only-O1", "kernel-O1"])
     def test_emerge_and_simulate_hold_no_n_by_n_d(self, tmp_path, monkeypatch, o1_kernel):
@@ -379,7 +377,7 @@ class TestPeakMemory:
         At n = 2048 a tile is at most a 64th of an n x n complex array, and a stored
         D would be a whole one. rho and the operands are built before tracing
         starts, so the live traced arrays are the tiles and, for two real
-        kernels, the real product M = K1 K2 and a dense K2 while it is formed.
+        kernels, the real half of M^H - M, M = K1 K2, and a dense K2 while it is formed.
         """
         n = 2048
         grid = make_grid(20.0, n)
@@ -397,33 +395,29 @@ class TestPeakMemory:
             "simulate": lambda: cli.run_simulate("unread.json", None),
         }
         for name, run in runs.items():
-            tracemalloc.start()
-            try:
-                run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound, name
-
+            assert traced_peak(run).peak <= bound, name
 
     @pytest.mark.parametrize("o1_family", ["lorentz_band", "random_bandlimited"])
-    def test_m_is_formed_in_k1s_dense_copy(self, o1_family):
-        """Forming D holds two n x n arrays, K2 made dense and K1's dense copy, which becomes
-        M = K1 K2 one _SLAB-row slab at a time: no third one. The slack is D's maker's
-        four scratch tiles (diff, later, sum, mirror) and 64 KiB."""
-        n = 512
+    def test_d_is_formed_beside_k2_and_keeps_half_of_m(self, o1_family):
+        """Forming D holds K2 made dense, H = M^H - M by its upper slabs (n (n + _SLAB) / 2
+        entries) and two one-slab buffers, K1's slab and its product: no n x n copy of K1 or M.
+        Once formed, D keeps H and its three scratch tiles. The peak's slack is four tiles (the
+        scratch, a cast's buffers), one _SLAB^2 block (a complex slab's conjugate, read block by
+        block) and 64 KiB. With M formed in K1's dense copy beside dense K2 and kept whole, the
+        peak was 71.8 and 143.7 MB here, and D kept 34.1 and 68.2 MB."""
+        n, slab = 2048, engine._SLAB
         grid = make_grid(20.0, n)
         o1, o2 = _operands(grid, True, o1_family)
         assert o1.kernel.hermitian_residual == o2.kernel.hermitian_residual == 0.0  # D unscanned
         itemsize = np.result_type(o1.kernel.dtype, o2.kernel.dtype).itemsize
-        tracemalloc.start()
-        try:
-            incompatibility_observable(o1, o2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        slack = 4 * spectral._TILE**2 * itemsize + 2**16
-        assert peak <= (2 * n + engine._SLAB) * n * itemsize + slack
+        assert itemsize == (8 if o1_family == "lorentz_band" else 16)  # a real and a complex M
+        traced = traced_peak(lambda: incompatibility_observable(o1, o2))
+        assert traced.result.kernel.hermitian_residual == 0.0
+        half = (n * n + n * slab) // 2 * itemsize
+        tile = spectral._TILE**2 * itemsize
+        assert traced.peak <= n * n * itemsize + half + 2 * slab * n * itemsize \
+            + 4 * tile + slab**2 * itemsize + 2**16
+        assert traced.held <= half + 3 * tile + 2**16
 
     def test_emerge_builds_and_holds_no_n_by_n_kernel(self, tmp_path):
         """The emerge-n2048 benchmark scenario, its kernels built inside the traced window.
@@ -448,16 +442,15 @@ class TestPeakMemory:
         }
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        tracemalloc.start()
-        try:
+
+        def run():
             s = cli.load_scenario(str(cfg), need_partition=True, outputs={})
-            report = run_emergence(s.rho, s.o1, s.o2, s.partition, s.t_max, s.n_samples,
-                                   s.epsilon, s.decoherence_ratio, s.sustain)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.verdict is Verdict.BOOLEANIZED
-        assert peak <= 0.6 * n * n * 16
+            return run_emergence(s.rho, s.o1, s.o2, s.partition, s.t_max, s.n_samples,
+                                 s.epsilon, s.decoherence_ratio, s.sustain)
+
+        traced = traced_peak(run)
+        assert traced.result.verdict is Verdict.BOOLEANIZED
+        assert traced.peak <= 0.6 * n * n * 16
 
 
 SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "gaussian_emerge.json"
@@ -487,12 +480,7 @@ class TestTiledWorkingSet:
         peaks = {}
         for n in (1024, 2048):
             scenario = _shipped_scenario(tmp_path, n)
-            tracemalloc.start()
-            try:
-                report = _emerge(scenario)
-                _, peaks[n] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            report, peaks[n], _ = traced_peak(lambda: _emerge(scenario))
             assert report.verdict is Verdict.BOOLEANIZED
         assert peaks[2048] < 2.5e6
         assert peaks[2048] - peaks[1024] <= 2e6

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from conftest import (
     near_the_evolved_norm,
     obs_matrix,
     tile_edge,
+    traced_peak,
 )
 from sidlattice import cli, engine, spectral
 from sidlattice import (
@@ -428,12 +428,7 @@ class TestExpectationSeries:
         # formed for all times at once, the phases of 2001 samples at
         # n = 1024 traced 66 MB
         grid, rho, incompat = gaussian_scenario(n_points=1024)
-        tracemalloc.start()
-        try:
-            series = expectation_series(rho, incompat, 10.0, 2001)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        series, peak, _ = traced_peak(lambda: expectation_series(rho, incompat, 10.0, 2001))
         assert peak <= 12e6
         profile, _ = engine._tile_pass(rho, incompat.kernel)
         # K = 45 baby steps a block: either side of the first giant step and of the last,
@@ -448,12 +443,8 @@ class TestExpectationSeries:
         grid, rho, incompat = gaussian_scenario(n_points=1024)
         peaks = {}
         for n_samples in (201, 2001):
-            tracemalloc.start()
-            try:
-                expectation_series(rho, incompat, 10.0, n_samples)
-                _, peaks[n_samples] = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peaks[n_samples] = traced_peak(
+                lambda: expectation_series(rho, incompat, 10.0, n_samples)).peak
         # only the times and values themselves may grow: 1800 samples, 0.1 MB with copies
         assert peaks[2001] - peaks[201] <= 0.2e6
 
@@ -1272,3 +1263,89 @@ class TestIncompatibilityBound:
             assert incompat.kernel.bound == math.inf
             with pytest.raises(ValueError, match="samples must be finite"):
                 expectation_series(rho, incompat, 1.0, 11)
+
+
+def _slab_product_d(o1, o2):
+    """D by the dense formula: K1 made dense, times K2 in _SLAB-row np.matmul slabs into M,
+    then i ((d1(w') - d1(w)) K2 + (d2(w) - d2(w')) K1 + spacing (conj(M).T - M)), each term
+    in the terms' dtype and summed in this order, a cross term left out where its diagonal
+    is constant. The oracle of the engine's slab-by-slab M and its upper half of M^H - M."""
+    grid, slab = o1.grid, engine._SLAB
+    k1, k2 = o1.kernel, o2.kernel
+    dtype = np.result_type(np.float64, k1.dtype, k2.dtype)
+    m, right = k1.dense(dtype), k2.dense(dtype)
+    for top in range(0, grid.n_points, slab):
+        part = m[top:top + slab]
+        part[...] = np.matmul(part, right)
+    d1, d2 = o1.diag.values, o2.diag.values  # d(w) - d(w') is np.subtract.outer(d, d)
+    terms = [k.dense(dtype) * diff.astype(dtype) for k, diff, d in (
+        (k2, np.subtract.outer(d1, d1).T, d1), (k1, np.subtract.outer(d2, d2), d2))
+        if np.ptp(d) != 0]
+    mixing = np.subtract(np.conjugate(m).T, m)
+    mixing *= grid.spacing
+    acc = terms[0] if terms else mixing
+    for term in terms[1:] + [mixing] * bool(terms):
+        acc += term
+    return np.multiply(acc, 1j)
+
+
+def _kernel_pair(grid, o1_family, diagonals):
+    """O1 with a kernel of o1_family, O2 with a gaussian_band one (rect_band for a rect O1);
+    linear and gaussian diagonals, or none."""
+    widths = {"lorentz_band": {"gamma": 1.0}, "random_bandlimited": {"sigma": 1.0, "seed": 3},
+              "rect_band": {"sigma": 1.0}}
+    k1 = build_kernel(grid, KernelFamilySpec(o1_family, amplitude=0.5, mu=10.0, Sigma=2.0,
+                                             **widths[o1_family]))
+    k2 = build_kernel(grid, KernelFamilySpec(
+        "rect_band" if o1_family == "rect_band" else "gaussian_band", sigma=1.0, mu=10.0,
+        Sigma=2.0))
+    if not diagonals:
+        return VanHoveObservable.kernel_only(k1), VanHoveObservable.kernel_only(k2)
+    return (VanHoveObservable(DiagonalPart(grid, grid.nodes), k1),
+            VanHoveObservable(DiagonalPart(grid, np.exp(-0.5 * ((grid.nodes - 9.0) / 3.0)**2)),
+                              k2))
+
+
+class TestMixingTermByHalves:
+    @pytest.mark.parametrize("n", [engine._SLAB - 1, 300, 2 * engine._SLAB + 1,
+                                   2 * engine._SLAB + spectral._TILE + 1])
+    @pytest.mark.parametrize("o1_family,diagonals", [
+        ("lorentz_band", True), ("random_bandlimited", True), ("rect_band", False)],
+        ids=["real-M", "complex-M", "M-zero-off-the-band"])
+    def test_d_matches_the_slab_product_bit_for_bit(self, monkeypatch, n, o1_family, diagonals):
+        """n = 2 _SLAB + 1 leaves a one-row last slab, 2 _SLAB + _TILE + 1 a one-row last tile
+        in a two-tile slab. Two rect kernels and no diagonals leave M exactly 0 away from the
+        band, where a lower tile's -conj(H[J, I]).T must keep the +0.0 that conj(M[J, I]) -
+        M[I, J] rounds to: D's bytes, signs of zero included, are compared."""
+        def no_scan(*args):
+            raise AssertionError("D was scanned although exactly Hermitian")
+
+        grid = make_grid(20.0, n)
+        o1, o2 = _kernel_pair(grid, o1_family, diagonals)
+        assert (o1.kernel.dtype.kind == "c") == (o1_family == "random_bandlimited")
+        monkeypatch.setattr(spectral, "_hermitian_residual", no_scan)
+        d = engine._incompatibility_blocks(o1, o2)
+        assert d.hermitian_residual == 0.0
+        got, expected = d.dense(), _slab_product_d(o1, o2)
+        assert got.tobytes() == expected.tobytes()
+        if not diagonals:
+            assert np.count_nonzero(got) < got.size  # some entries are zeros to compare
+
+    @pytest.mark.parametrize("o1_family", ["lorentz_band", "random_bandlimited"])
+    def test_commutator_kernel_is_i_times_d_bit_for_bit(self, o1_family):
+        grid = make_grid(20.0, 300)
+        o1, o2 = _kernel_pair(grid, o1_family, True)
+        d = incompatibility_observable(o1, o2).kernel
+        assert commutator_kernel(o1, o2).values.tobytes() == (1j * d.values).tobytes()
+
+    def test_commutator_kernel_holds_one_n_by_n_complex_array(self):
+        """D is made into the commutator's own array and multiplied by i in place, so the peak
+        is that array beside the real half of M^H - M and a few tiles. With a second array for
+        i D, as before, it traced 33.7 MB."""
+        n, slab = 1024, engine._SLAB
+        grid = make_grid(20.0, n)
+        o1, o2 = _kernel_pair(grid, "lorentz_band", True)
+        traced = traced_peak(lambda: commutator_kernel(o1, o2))
+        assert traced.result.values.shape == (n, n)
+        slack = 4 * spectral._TILE**2 * 16 + 2**16
+        assert traced.peak <= n * n * 16 + (n * n + n * slab) // 2 * 8 + slack

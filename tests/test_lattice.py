@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary, line, random_density, random_subspace
+from conftest import haar_unitary, line, random_density, random_subspace, traced_peak
 from sidlattice import lattice
 from sidlattice import (
     DensityState,
@@ -582,7 +581,7 @@ def _tables(n):
     (lambda: Subspace(2, np.ones((2, 1))), ValueError, "not orthonormal"),
     (lambda: is_compatible(line(1.0, 0.0), line(0.0, 1.0), tol=0.0), ValueError,
      "tolerance must be positive"),
-    (lambda: PropertyLattice(2, (), **_tables(0)), ValueError, "at least the zero and full"),
+    (lambda: PropertyLattice(2, (), **_tables(0)), ValueError, "must contain the zero and full"),
     (lambda: PropertyLattice(2, (Subspace.zero(3),), **_tables(1)), DimensionMismatch,
      "wrong ambient dimension"),
     (lambda: PropertyLattice(2, (Subspace.zero(2),), **_tables(1)), ValueError,
@@ -693,12 +692,7 @@ class TestLawSuiteReference:
         rng = np.random.default_rng(5)
         lat = _table_lattice(rng.integers(0, 200, (200, 200)), rng.integers(0, 200, (200, 200)),
                              rng.integers(0, 200, 200), full_idx=1)
-        tracemalloc.start()
-        try:
-            laws = check_lattice_laws(lat)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        laws, peak, _ = traced_peak(lambda: check_lattice_laws(lat))
         assert not laws["all_pass"]
         assert peak < 8 * 2**20
 
