@@ -3,30 +3,28 @@
 Configuration is a single JSON document (schema in the README). Output
 formats are stable: CSV files always carry the header ``t,re,im,abs`` with
 17-significant-digit values and LF line endings, JSON reports are emitted
-with sorted keys. Exit codes: 0 success, 2 config error, 3 window guard,
-4 lattice-law failure, 5 degenerate premise.
+with sorted keys. Exit codes: 0 success, 2 config error (or an output that
+cannot be written), 3 window guard, 4 lattice-law failure, 5 degenerate premise.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .emergence import BinPartition, Verdict, require_epsilon, require_pointer_cap, run_emergence
+from .emergence import BinPartition, PointerAlgebra, Verdict, require_epsilon, run_emergence
 from .engine import (
     ANALYTIC_FORMS,
     DEFAULT_SUSTAIN,
     DEFAULT_THRESHOLD_RATIO,
-    ExpectationSeries,
     analytic_decay,
     expectation_series,
     incompatibility_observable,
@@ -73,11 +71,6 @@ MAX_MADE_GRID_POINTS = 16384
 # Caps on --max-elements and the subspace dim, from the closure's measured time (README)
 MAX_LATTICE_ELEMENTS = 512
 MAX_LATTICE_DIM = 256
-_CSV_BLOCK_ROWS = 4096  # series rows per write: the text held is one block's, not the file's
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -97,19 +90,31 @@ def _require_output_dir(path: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise ConfigError(f"output directory {parent} does not exist (for {path})")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
 
 
-def _write_series_csv(path: str, series: ExpectationSeries) -> None:
-    rows = zip(series.times, series.values)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t,re,im,abs\n")
-        while block := "".join(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}\n"
-                               for t, v in itertools.islice(rows, _CSV_BLOCK_ROWS)):
-            fh.write(block)
+@contextlib.contextmanager
+def _output(path: str):
+    """The output file, opened for text with LF endings; an OSError opening, writing or closing
+    it (a full disk, say) exits 2 with one line."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(fh, times, values) -> None:
+    """The header t,re,im,abs, then one row per sample, each passed on to fh by itself: every
+    number as float(x) formatted with .17g, one %-format per row (four calls fewer)."""
+    fh.write("t,re,im,abs\n")
+    fh.writelines("%.17g,%.17g,%.17g,%.17g\n" % (t, v.real, v.imag, abs(v))
+                  for t, v in zip(times, values))
 
 
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -266,7 +271,7 @@ def load_scenario(path: str, need_partition: bool, outputs: dict) -> Scenario:
             part = _cfg_get(doc, "partition", dict, "config")
             partition = BinPartition.equal_bins(
                 grid, _cfg_get(part, "n_bins", int, "partition", 4))
-            require_pointer_cap(partition)  # so an over-fine partition costs nothing
+            PointerAlgebra(partition)  # its cap, so an over-fine partition costs nothing
         require_window(grid, t_max, n_samples)
         require_thresholds(ratio, sustain)
         if epsilon is not None:
@@ -308,7 +313,8 @@ def run_simulate(config_path: str, out_path: Optional[str]) -> int:
     with _evaluating():
         incompat = incompatibility_observable(scenario.o1, scenario.o2)
         series = expectation_series(scenario.rho, incompat, scenario.t_max, scenario.n_samples)
-    _write_series_csv(scenario.outputs["series"], series)
+    with _output(scenario.outputs["series"]) as fh:
+        _write_csv(fh, series.times, series.values)
     return EXIT_OK
 
 
@@ -358,33 +364,22 @@ def run_lattice(input_path: str, state_path: Optional[str], report_path: str,
     doc = _load_json(input_path, "subspace document")
     dim, seeds = _parse_subspaces(doc)
     state = None if state_path is None else _parse_state(state_path, dim)
-    report: dict = {"dim": dim, "input_elements": len(seeds)}
+    report: dict = {"dim": dim, "input_elements": len(seeds), "laws": None, "boolean": None,
+                    "compatibility_matrix": None, "kolmogorov": None}
     try:
         lat = generate_lattice(seeds, max_elements=max_elements, ambient_dim=dim)
     except LatticeTooLarge as exc:
         # the closure refuses a new element only once it holds max_elements
-        report.update({"n_elements": max_elements, "closed": False, "laws": None,
-                       "boolean": None, "compatibility_matrix": None,
-                       "kolmogorov": None, "error": str(exc)})
+        report.update(n_elements=max_elements, closed=False, error=str(exc))
         _write_json(report_path, report)
         print(f"lattice closure exceeded {max_elements} elements; "
               "laws not certified", file=sys.stderr)
         return EXIT_LAWS
 
-    report.update({"n_elements": len(lat), "closed": True})
     laws = check_lattice_laws(lat)
-    report["laws"] = laws
-    report["boolean"] = is_boolean(lat)
-    report["compatibility_matrix"] = compatibility_matrix(lat).tolist()
-    if state is not None:
-        kol = kolmogorov_check(state, lat)
-        report["kolmogorov"] = {
-            "max_residual": kol.max_residual,
-            "pairs_checked": kol.pairs_checked,
-            "violations": [list(v) for v in kol.violations],
-        }
-    else:
-        report["kolmogorov"] = None
+    report.update(n_elements=len(lat), closed=True, laws=laws, boolean=is_boolean(lat),
+                  compatibility_matrix=compatibility_matrix(lat).tolist(),
+                  kolmogorov=None if state is None else asdict(kolmogorov_check(state, lat)))
     _write_json(report_path, report)
     if not laws["all_pass"]:
         failing = [k for k, v in laws.items()
@@ -404,7 +399,8 @@ def run_emerge(config_path: str, report_path: Optional[str],
             scenario.t_max, scenario.n_samples, scenario.epsilon,
             threshold_ratio=scenario.decoherence_ratio, sustain=scenario.sustain)
     _write_json(scenario.outputs["report"], report.to_json_dict())
-    _write_series_csv(scenario.outputs["series"], report.series)
+    with _output(scenario.outputs["series"]) as fh:
+        _write_csv(fh, report.series.times, report.series.values)
     if report.verdict is Verdict.DEGENERATE:
         print("degenerate premise: the observables already commute",
               file=sys.stderr)
@@ -447,10 +443,7 @@ def run_oracle(family: str, params_json: str, t_list: str) -> int:
     if not 0 < rate < np.inf:
         raise ConfigError(f"decay rate must be positive, got {rate}")
 
-    values = analytic_decay(kind, rate, times)
-    print("t,re,im,abs")
-    for t, v in zip(times, values):
-        print(f"{_fmt(t)},{_fmt(v)},{_fmt(0.0)},{_fmt(abs(v))}")
+    _write_csv(sys.stdout, times, analytic_decay(kind, rate, times))
     return EXIT_OK
 
 

@@ -135,10 +135,16 @@ class PointerAlgebra:
     The bin projectors commute (Birkhoff and von Neumann, 1936). Elements
     are the bitmasks 0 .. full = 2**B - 1, bit i for bin i: meet is a & b,
     join is a | b, the orthocomplement is full ^ a, and a <= b is a & ~b == 0.
+    More than DEFAULT_MAX_ELEMENTS elements raise LatticeTooLarge.
     """
 
     partition: BinPartition
     is_boolean: ClassVar[bool] = True
+
+    def __post_init__(self):
+        if 2**self.partition.n_bins > DEFAULT_MAX_ELEMENTS:
+            raise LatticeTooLarge(
+                f"pointer lattice closure exceeded max_elements={DEFAULT_MAX_ELEMENTS}")
 
     @property
     def full(self) -> int:
@@ -146,13 +152,6 @@ class PointerAlgebra:
 
     def __len__(self) -> int:
         return self.full + 1
-
-
-def require_pointer_cap(partition: BinPartition) -> None:
-    """Raise LatticeTooLarge when the 2**B pointer elements exceed DEFAULT_MAX_ELEMENTS."""
-    if 2**partition.n_bins > DEFAULT_MAX_ELEMENTS:
-        raise LatticeTooLarge(
-            f"pointer lattice closure exceeded max_elements={DEFAULT_MAX_ELEMENTS}")
 
 
 def pointer_lattice(observables: Sequence[VanHoveObservable],
@@ -164,7 +163,6 @@ def pointer_lattice(observables: Sequence[VanHoveObservable],
     for obs in observables:
         if obs.grid != partition.grid:
             raise GridMismatch("observable grid differs from the partition grid")
-    require_pointer_cap(partition)
     return PointerAlgebra(partition)
 
 

@@ -10,7 +10,7 @@ On the uniform grid the phases depend only on the node-index difference, so expe
 are evaluated by collapsing the weighted kernel (Hermitian, so read by its tiles I <= J) onto its
 anti-diagonals (the nu profile) and summing one factor per offset, a baby-step times a giant-step
 phase. The regrouping is exact and keeps roundoff near 1e-13 even for strongly cancelling sums.
-Kernels are read by L2-sized tiles (spectral._TILE); M = K1 K2 by _SLAB rows, kept as half M^H - M.
+Kernels are read by L2-sized tiles (spectral._TILE); M = K1 K2 by tile rows, kept as half M^H - M.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import UnsupportedFamily, WindowExceeded
 from .spectral import (
-    DiagonalPart,
     FrequencyGrid,
     KernelFamilySpec,
     RegularKernel,
@@ -44,7 +43,6 @@ DEFAULT_THRESHOLD_RATIO = math.exp(-1.0)
 DEFAULT_SUSTAIN = 10
 # kernel family with a closed-form decay -> (analytic decay kind, width parameter)
 ANALYTIC_FORMS = {"gaussian_band": ("gaussian", "sigma"), "lorentz_band": ("lorentz", "gamma")}
-_SLAB = 256  # K1 rows per product of M = K1 K2 (a multiple of _TILE): 128 repack K2 twice as often
 _PHASE_CHUNK = 256  # least offsets per chunk of the phase series: a 1-MB E and Q, and their bits
 
 
@@ -66,7 +64,7 @@ class IncompatibilityObservable:
         return self.kernel.grid
 
     def to_observable(self) -> VanHoveObservable:
-        return VanHoveObservable(DiagonalPart.zeros(self.grid), self.kernel)
+        return VanHoveObservable.kernel_only(self.kernel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +124,13 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1; a cross term is
     skipped when its diagonal is constant or its kernel zero (``is_zero``: absent, or read up to
     its first nonzero tile). When no term survives, the pair commutes exactly and D is the absent
-    kernel. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2, made _SLAB rows at a
-    time (K1's slab by tiles, times K2 made dense for it alone), each slab scattered at once into
-    H = M^H - M, kept as half[i], slab i's rows from its first column on (n (n + _SLAB) / 2 in
-    all), each entry one rounding of conj(M[J, I]) - M[I, J]; a tile J >= I reads H, a lower one
-    -conj(H[J, I]).T. Each tile sums -[O1, O2] = -i D in a scratch of the terms' dtype, negated
-    by each subtraction's operand order (exact under round-to-nearest); i times that sum is D.
+    kernel. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2, made one tile row at
+    a time (K1's row by tiles, times K2 made dense for it alone), each row scattered at once into
+    H = M^H - M by _TILE x _TILE blocks, kept as half[i], tile row i from its first column on
+    (n (n + _TILE) / 2 in all), each entry one rounding of conj(M[J, I]) - M[I, J]; a tile
+    J >= I reads H, a lower one -conj(H[J, I]).T. Each tile sums -[O1, O2] = -i D in a scratch
+    of the terms' dtype, negated by each subtraction's operand order (exact under
+    round-to-nearest); i times that sum is D.
 
     When both operand kernels are exactly Hermitian (residual 0.0, or absent), so is D, whose
     maker is then exact (residual 0.0, no scan): IEEE rounding is sign-symmetric, so the cross
@@ -146,18 +145,18 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     n = grid.n_points
     d1, d2 = o1.diag.values, o2.diag.values
     k1, k2 = o1.kernel, o2.kernel
-    half = []  # H's upper slabs, when the mixing term survives
+    half = []  # H's upper tile rows, when the mixing term survives
     if not (k1.is_zero or k2.is_zero):
         right = k2.dense(np.result_type(k1.dtype, k2.dtype))
-        left, slab = np.empty((2, _SLAB, n), right.dtype)
-        for top in range(0, n, _SLAB):  # K1's slab by tiles (rows local to it), times K2
-            for rows in _row_blocks(min(_SLAB, n - top)):
-                for cols in _row_blocks(n):
-                    k1.tile(slice(top + rows.start, top + rows.stop), cols, left[rows, cols])
-            m = np.matmul(left[:n - top], right, out=slab[:n - top])
+        left, product = np.empty((2, _TILE, n), right.dtype)
+        for rows in _row_blocks(n):  # K1's tile row by tiles, times K2
+            top, a = rows.start, rows.stop - rows.start
+            for cols in _row_blocks(n):
+                k1.tile(rows, cols, left[:a, cols])
+            m = np.matmul(left[:a], right, out=product[:a])
             half.append(np.negative(m[:, top:]))  # -M[I, J >= I], then H[J <= I, I]:
-            for j, above in zip(range(0, top + 1, _SLAB), half):
-                above[:, top - j:top - j + len(m)] += m[:, j:j + _SLAB].T.conj()  # real: no copy
+            for j, above in zip(range(0, top + 1, _TILE), half):
+                above[:, top - j:top - j + a] += m[:, j:j + _TILE].T.conj()  # real: no copy
 
     def cross(kernel, diag, order):  # (d(w) - d(w')) K, or (d(w') - d(w)) K for order -1
         def write(rows, cols, into, diff):
@@ -165,10 +164,9 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
             into *= np.subtract(*(diag[rows, None], diag[None, cols])[::order], out=diff)
         return write
 
-    def mixing(rows, cols, into, diff):  # H[rows, cols] spacing, from the slab of min(I, J)
+    def mixing(rows, cols, into, diff):  # H[rows, cols] spacing, from the tile row of min(I, J)
         i, j = (rows, cols) if cols.start >= rows.start else (cols, rows)
-        top = i.start - i.start % _SLAB
-        h = half[top // _SLAB][i.start - top:i.stop - top, j.start - top:j.stop - top]
+        h = half[i.start // _TILE][:, j.start - i.start:j.stop - i.start]
         if i is cols:  # -conj(H[J, I]).T; re as 0 - re keeps the +0.0 that x - x rounds to
             h = np.positive(h.T, out=into)
             np.subtract(0.0, h.real, out=h.real)

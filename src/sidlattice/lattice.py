@@ -301,10 +301,13 @@ def generate_lattice(seeds: Iterable[Subspace],
 
 
 def _distributive_sides(lat: PropertyLattice):
-    """Per element a, the (b, c) tables of (a^b)v(a^c) <= a^(bvc) and av(b^c) <= (avb)^(avc)."""
+    """Per third element c, the sides (x, y) of (a^b)v(a^c) <= a^(bvc) and av(b^c) <= (avb)^(avc)
+    for every (a, b), as the flat index x n + y: one gather where a 2-d fancy index takes two."""
     m, j = lat.meet, lat.join
-    for a in range(len(lat)):
-        yield (j[np.ix_(m[a], m[a])], m[a, j]), (j[a, m], m[np.ix_(j[a], j[a])])
+    mn, jn = m * len(lat), j * len(lat)
+    for c in range(len(lat)):
+        yield (jn.ravel()[mn + m[:, c, None]] + m[:, j[:, c]],
+               jn[:, m[:, c]] + m.ravel()[jn + j[:, c, None]])
 
 
 def is_boolean(lat: PropertyLattice) -> bool:
@@ -313,8 +316,9 @@ def is_boolean(lat: PropertyLattice) -> bool:
     The check runs on the lattice's operation tables, which is exact finite
     algebra for closures produced by generate_lattice.
     """
+    same = np.eye(len(lat), dtype=bool).ravel()  # x == y, read at x n + y
     return bool(compatibility_matrix(lat).all()) and all(
-        np.array_equal(low, high) for sides in _distributive_sides(lat) for low, high in sides)
+        same[side].all() for sides in _distributive_sides(lat) for side in sides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,16 +420,13 @@ def check_lattice_laws(lat: PropertyLattice) -> dict:
     record("transitive", ~(((reach @ reach) > 0) & ~lq))
 
     # one sweep over a third element c: every common bound of (a, b) against a ^ b and a v b,
-    # and the distributive inclusions of (a, b, c) counted, so memory stays O(n^2); a table
-    # entry [x, y] is read flat at x n + y, one gather where a 2-d fancy index takes two
+    # and the distributive inclusions of (a, b, c) counted, so memory stays O(n^2)
     glb, lub = lq[m, idx[:, None]] & lq[m, idx[None, :]], lq[idx[:, None], j] & lq[idx[None, :], j]
     held = [0, 0]  # (a^b)v(a^c) <= a^(bvc) and av(b^c) <= (avb)^(avc) holding
-    flat, mn, jn = lq.ravel(), m * n, j * n
-    for c in range(n):
+    for c, sides in enumerate(_distributive_sides(lat)):
         glb &= ~(lq[c, :, None] & lq[c]) | lq[c][m]
         lub &= ~(lq[:, c, None] & lq[:, c]) | lq[:, c][j]
-        held[0] += np.count_nonzero(flat[jn.ravel()[mn + m[:, c, None]] + m[:, j[:, c]]])
-        held[1] += np.count_nonzero(flat[jn[:, m[:, c]] + m.ravel()[jn + j[:, c, None]]])
+        held = [h + np.count_nonzero(lq.ravel()[side]) for h, side in zip(held, sides)]
     record("meet_is_glb", glb)
     record("join_is_lub", lub)
 

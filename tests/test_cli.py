@@ -71,14 +71,14 @@ class TestSimulate:
         assert len(lines) == 43  # header + 41 rows + empty tail
 
     @pytest.mark.parametrize("rows", [3, 4095, 4096, 4097, 2 * 4096 + 1])
-    def test_series_csv_is_the_one_join_written_by_blocks(self, tmp_path, monkeypatch, rows):
+    def test_series_csv_is_the_one_join_written_row_by_row(self, tmp_path, monkeypatch, rows):
         rng = np.random.default_rng(rows)
         values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) \
             + 1j * rng.standard_normal(rows)
         values[:3] = [-0.0 - 0.0j, 1e-320 + 1e300j, 1e300 - 1e300j]
         series = ExpectationSeries(np.linspace(0.0, 1.0, rows), values, 10.0)
         lines = ["t,re,im,abs"] + [  # the writer as one joined list
-            f"{cli._fmt(t)},{cli._fmt(v.real)},{cli._fmt(v.imag)},{cli._fmt(abs(v))}"
+            ",".join(format(float(x), ".17g") for x in (t, v.real, v.imag, abs(v)))
             for t, v in zip(series.times, series.values)]
         writes = []
 
@@ -89,10 +89,12 @@ class TestSimulate:
             return fh
 
         monkeypatch.setattr(cli, "open", recorded, raising=False)
-        cli._write_series_csv(str(tmp_path / "s.csv"), series)
-        assert (tmp_path / "s.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
-        assert len(writes) == 1 + -(-rows // cli._CSV_BLOCK_ROWS)  # the header, then the blocks
-        assert max(writes) <= max(len(line) + 1 for line in lines) * cli._CSV_BLOCK_ROWS
+        with cli._output(str(tmp_path / "s.csv")) as fh:
+            cli._write_csv(fh, series.times, series.values)
+        text = "\n".join(lines) + "\n"
+        assert (tmp_path / "s.csv").read_bytes() == text.encode()
+        assert sum(writes) == len(text)  # every write recorded, and none holds two rows
+        assert max(writes) <= max(len(line) + 1 for line in lines)
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -473,6 +475,14 @@ class TestOracle:
         assert main(["oracle", "--family", "rect_band",
                      "--params", '{"sigma_c": 1.0}', "--t", "1"]) == 2
 
+    def test_stdout_is_the_series_writer_text(self, capsys):
+        times = np.array([0.0, 0.5, 1.0, 2.5, 1e-320])
+        assert main(["oracle", "--family", "lorentz_band", "--params", '{"gamma_c": 0.5}',
+                     "--t", ",".join(map(repr, times.tolist()))]) == 0
+        expected = io.StringIO()
+        cli._write_csv(expected, times, np.exp(-0.5 * times))
+        assert capsys.readouterr().out == expected.getvalue()
+
     def test_rate_that_overflows_its_square_prints_no_warning(self, capsys):
         assert main(["oracle", "--family", "gaussian_band",
                      "--params", '{"sigma_c": 1e300}', "--t", "0,1"]) == 0
@@ -725,6 +735,38 @@ def test_lattice_missing_report_directory_exits_2_before_closure(
                  "--report", str(tmp_path / "missing" / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: output directory ") and err.count("\n") == 1
+
+
+def _argv_writing_to(tmp_path, command, out):
+    """command's argv on small inputs, its report (simulate: its series) written to out."""
+    if command == "lattice":
+        inp = _write(tmp_path / "in.json", _line_doc([1.0, 0.0], [0.0, 1.0]))
+        return ["lattice", "--in", inp, "--report", out]
+    cfg = _write(tmp_path / "cfg.json", _base_config())
+    if command == "simulate":
+        return ["simulate", "--config", cfg, "--out", out]
+    return ["emerge", "--config", cfg, "--report", out, "--series", str(tmp_path / "s.csv")]
+
+
+@pytest.mark.parametrize("command", ["emerge", "simulate", "lattice"])
+def test_directory_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """Opening a directory for writing would fail after all the numeric work."""
+    monkeypatch.setattr(cli, "build_kernel", _no_work)
+    monkeypatch.setattr(cli, "_parse_subspaces", _no_work)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(_argv_writing_to(tmp_path, command, str(out))) == 2
+    assert capsys.readouterr().err == f"error: output path {out} is a directory\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("command", ["emerge", "simulate", "lattice"])
+def test_failed_write_exits_2_with_one_line(tmp_path, capsys, command):
+    """/dev/full opens, and refuses every write with ENOSPC."""
+    assert main(_argv_writing_to(tmp_path, command, "/dev/full")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("mutate,message", [

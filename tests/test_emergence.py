@@ -195,6 +195,8 @@ class TestPointerLattice:
         assert len(pointer_lattice([o1, o2], BinPartition.equal_bins(grid, 8))) == 2**8
         with pytest.raises(LatticeTooLarge, match=f"max_elements={DEFAULT_MAX_ELEMENTS}$"):
             pointer_lattice([o1, o2], BinPartition.equal_bins(grid, 9))
+        with pytest.raises(LatticeTooLarge, match=f"max_elements={DEFAULT_MAX_ELEMENTS}$"):
+            PointerAlgebra(BinPartition.equal_bins(grid, 9))  # the algebra's own guard
 
 
 class TestRunEmergence:
@@ -399,13 +401,14 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("o1_family", ["lorentz_band", "random_bandlimited"])
     def test_d_is_formed_beside_k2_and_keeps_half_of_m(self, o1_family):
-        """Forming D holds K2 made dense, H = M^H - M by its upper slabs (n (n + _SLAB) / 2
-        entries) and two one-slab buffers, K1's slab and its product: no n x n copy of K1 or M.
-        Once formed, D keeps H and its three scratch tiles. The peak's slack is four tiles (the
-        scratch, a cast's buffers), one _SLAB^2 block (a complex slab's conjugate, read block by
-        block) and 64 KiB. With M formed in K1's dense copy beside dense K2 and kept whole, the
-        peak was 71.8 and 143.7 MB here, and D kept 34.1 and 68.2 MB."""
-        n, slab = 2048, engine._SLAB
+        """Forming D holds K2 made dense, H = M^H - M by its upper tile rows (n (n + _TILE) / 2
+        entries) and two one-row buffers, K1's tile row and its product: no n x n copy of K1 or
+        M. Once formed, D keeps H and its three scratch tiles. The peak's slack is five tiles
+        (the scratch, a cast's buffers, a complex block's conjugate) and 64 KiB. With M formed
+        in K1's dense copy beside dense K2 and kept whole, the peak was 71.8 and 143.7 MB here,
+        and D kept 34.1 and 68.2 MB; with H kept by 256-row slabs, the peak was 4.9 and 10.6 MB
+        above this bound, and D kept 1.0 and 2.0 MB above its own."""
+        n, rows = 2048, spectral._TILE
         grid = make_grid(20.0, n)
         o1, o2 = _operands(grid, True, o1_family)
         assert o1.kernel.hermitian_residual == o2.kernel.hermitian_residual == 0.0  # D unscanned
@@ -413,10 +416,9 @@ class TestPeakMemory:
         assert itemsize == (8 if o1_family == "lorentz_band" else 16)  # a real and a complex M
         traced = traced_peak(lambda: incompatibility_observable(o1, o2))
         assert traced.result.kernel.hermitian_residual == 0.0
-        half = (n * n + n * slab) // 2 * itemsize
-        tile = spectral._TILE**2 * itemsize
-        assert traced.peak <= n * n * itemsize + half + 2 * slab * n * itemsize \
-            + 4 * tile + slab**2 * itemsize + 2**16
+        half = (n * n + n * rows) // 2 * itemsize
+        tile = rows**2 * itemsize
+        assert traced.peak <= n * n * itemsize + half + 2 * rows * n * itemsize + 5 * tile + 2**16
         assert traced.held <= half + 3 * tile + 2**16
 
     def test_emerge_builds_and_holds_no_n_by_n_kernel(self, tmp_path):

@@ -1265,17 +1265,17 @@ class TestIncompatibilityBound:
                 expectation_series(rho, incompat, 1.0, 11)
 
 
-def _slab_product_d(o1, o2):
-    """D by the dense formula: K1 made dense, times K2 in _SLAB-row np.matmul slabs into M,
+def _row_product_d(o1, o2):
+    """D by the dense formula: K1 made dense, times K2 in _TILE-row np.matmul products into M,
     then i ((d1(w') - d1(w)) K2 + (d2(w) - d2(w')) K1 + spacing (conj(M).T - M)), each term
     in the terms' dtype and summed in this order, a cross term left out where its diagonal
-    is constant. The oracle of the engine's slab-by-slab M and its upper half of M^H - M."""
-    grid, slab = o1.grid, engine._SLAB
+    is constant. The oracle of the engine's tile-row M and its upper half of M^H - M."""
+    grid, rows = o1.grid, spectral._TILE
     k1, k2 = o1.kernel, o2.kernel
     dtype = np.result_type(np.float64, k1.dtype, k2.dtype)
     m, right = k1.dense(dtype), k2.dense(dtype)
-    for top in range(0, grid.n_points, slab):
-        part = m[top:top + slab]
+    for top in range(0, grid.n_points, rows):
+        part = m[top:top + rows]
         part[...] = np.matmul(part, right)
     d1, d2 = o1.diag.values, o2.diag.values  # d(w) - d(w') is np.subtract.outer(d, d)
     terms = [k.dense(dtype) * diff.astype(dtype) for k, diff, d in (
@@ -1307,14 +1307,14 @@ def _kernel_pair(grid, o1_family, diagonals):
 
 
 class TestMixingTermByHalves:
-    @pytest.mark.parametrize("n", [engine._SLAB - 1, 300, 2 * engine._SLAB + 1,
-                                   2 * engine._SLAB + spectral._TILE + 1])
+    @pytest.mark.parametrize("n", [spectral._TILE - 1, 2 * spectral._TILE, 300,
+                                   2 * spectral._TILE + 1])
     @pytest.mark.parametrize("o1_family,diagonals", [
         ("lorentz_band", True), ("random_bandlimited", True), ("rect_band", False)],
         ids=["real-M", "complex-M", "M-zero-off-the-band"])
-    def test_d_matches_the_slab_product_bit_for_bit(self, monkeypatch, n, o1_family, diagonals):
-        """n = 2 _SLAB + 1 leaves a one-row last slab, 2 _SLAB + _TILE + 1 a one-row last tile
-        in a two-tile slab. Two rect kernels and no diagonals leave M exactly 0 away from the
+    def test_d_matches_the_row_product_bit_for_bit(self, monkeypatch, n, o1_family, diagonals):
+        """n = 2 _TILE fills its last tile row, 300 does not, and 2 _TILE + 1 leaves a one-row
+        last tile row. Two rect kernels and no diagonals leave M exactly 0 away from the
         band, where a lower tile's -conj(H[J, I]).T must keep the +0.0 that conj(M[J, I]) -
         M[I, J] rounds to: D's bytes, signs of zero included, are compared."""
         def no_scan(*args):
@@ -1326,7 +1326,7 @@ class TestMixingTermByHalves:
         monkeypatch.setattr(spectral, "_hermitian_residual", no_scan)
         d = engine._incompatibility_blocks(o1, o2)
         assert d.hermitian_residual == 0.0
-        got, expected = d.dense(), _slab_product_d(o1, o2)
+        got, expected = d.dense(), _row_product_d(o1, o2)
         assert got.tobytes() == expected.tobytes()
         if not diagonals:
             assert np.count_nonzero(got) < got.size  # some entries are zeros to compare
@@ -1341,11 +1341,11 @@ class TestMixingTermByHalves:
     def test_commutator_kernel_holds_one_n_by_n_complex_array(self):
         """D is made into the commutator's own array and multiplied by i in place, so the peak
         is that array beside the real half of M^H - M and a few tiles. With a second array for
-        i D, as before, it traced 33.7 MB."""
-        n, slab = 1024, engine._SLAB
+        i D, as before, it traced 33.7 MB; with H kept by 256-row slabs, 0.3 MB above this bound."""
+        n, rows = 1024, spectral._TILE
         grid = make_grid(20.0, n)
         o1, o2 = _kernel_pair(grid, "lorentz_band", True)
         traced = traced_peak(lambda: commutator_kernel(o1, o2))
         assert traced.result.values.shape == (n, n)
-        slack = 4 * spectral._TILE**2 * 16 + 2**16
-        assert traced.peak <= n * n * 16 + (n * n + n * slab) // 2 * 8 + slack
+        slack = 3 * rows**2 * 16 + 2**16
+        assert traced.peak <= n * n * 16 + (n * n + n * rows) // 2 * 8 + slack

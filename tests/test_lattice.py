@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -695,6 +696,66 @@ class TestLawSuiteReference:
         laws, peak, _ = traced_peak(lambda: check_lattice_laws(lat))
         assert not laws["all_pass"]
         assert peak < 8 * 2**20
+
+
+def _ix_distributive(lat):
+    """Every triple distributive, by the per-element np.ix_ tables: for each a, both sides of
+    (a^b)v(a^c) = a^(bvc) and av(b^c) = (avb)^(avc) as (b, c) tables."""
+    m, j = lat.meet, lat.join
+    return all(np.array_equal(j[np.ix_(m[a], m[a])], m[a, j])
+               and np.array_equal(j[a, m], m[np.ix_(j[a], j[a])]) for a in range(len(lat)))
+
+
+BLOCKS = {"mo2": (2, 6), "bool2": (2, 4), "bool3": (3, 8)}  # block -> (dimension, elements)
+
+
+@st.composite
+def block_lattices(draw):
+    """(closure, blocks) of one or two orthogonal blocks, turned by a Haar unitary and with
+    its elements in a drawn order: an "mo2" block is two lines at a drawn angle in C^2, the
+    non-Boolean MO2; "bool2" and "bool3" are the axes of C^2 and C^3, Boolean."""
+    blocks = draw(st.lists(st.sampled_from(sorted(BLOCKS)), min_size=1, max_size=2).filter(
+        lambda b: math.prod(BLOCKS[k][1] for k in b) <= 36))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = sum(BLOCKS[k][0] for k in blocks)
+    eye, lines, start = np.eye(d), [], 0
+    for kind in blocks:
+        axes = eye[start:start + BLOCKS[kind][0]]
+        start += len(axes)
+        theta = rng.uniform(0.2, 1.3)
+        lines += [axes[0], math.cos(theta) * axes[0] + math.sin(theta) * axes[1]] \
+            if kind == "mo2" else list(axes)
+    u = haar_unitary(rng, d)
+    lat = generate_lattice([from_vectors(d, [u @ v]) for v in lines], ambient_dim=d)
+    assert len(lat) == math.prod(BLOCKS[k][1] for k in blocks)
+    p = rng.permutation(len(lat))  # element i moves to p[i]
+    meet_table, join_table, ortho_table = map(np.empty_like, (lat.meet, lat.join, lat.ortho))
+    meet_table[np.ix_(p, p)], join_table[np.ix_(p, p)], ortho_table[p] = \
+        p[lat.meet], p[lat.join], p[lat.ortho]
+    elements = [lat.elements[i] for i in np.argsort(p)]
+    return PropertyLattice(d, elements, meet=meet_table, join=join_table,
+                           ortho=ortho_table), blocks
+
+
+class TestIsBooleanReference:
+    @settings(max_examples=30, deadline=None)
+    @given(case=block_lattices())
+    def test_flat_sweep_equals_the_ix_form_on_closures(self, case):
+        """An MO2 block has incompatible pairs, which decide alone; with every pair taken as
+        compatible the distributive sweep decides, and fails exactly with an MO2 block."""
+        lat, blocks = case
+        assert check_lattice_laws(lat)["all_pass"]
+        reference = bool(compatibility_matrix(lat).all()) and _ix_distributive(lat)
+        assert is_boolean(lat) == reference == ("mo2" not in blocks)
+        with mock.patch.object(lattice, "compatibility_matrix",
+                               lambda lat: np.ones(1, dtype=bool)):
+            assert is_boolean(lat) == _ix_distributive(lat) == ("mo2" not in blocks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lat=law_tables())
+    def test_flat_sweep_equals_the_ix_form_on_any_tables(self, lat):
+        reference = bool(compatibility_matrix(lat).all()) and _ix_distributive(lat)
+        assert is_boolean(lat) == reference
 
 
 class TestRandomAxioms:
