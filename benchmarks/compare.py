@@ -1,4 +1,4 @@
-"""Compare the outputs of two sidlattice source trees, byte for byte.
+"""Compare the outputs of two sidlattice source trees, byte for byte, then by value.
 
 Usage, from anywhere:
 
@@ -6,10 +6,15 @@ Usage, from anywhere:
 
 Each directory is the root of a checkout (it holds ``src/sidlattice``). A fixed
 matrix of CLI calls runs in fresh processes, once per tree, each in its own
-empty directory with the same relative paths. A case prints SAME when the
-sha256 of every file the call wrote, its stdout, its stderr and its exit code
-agree between the trees, and DIFF (naming what differs) when they do not. The
-exit code is 1 on any DIFF, else 0. Timing is perfbench's job, not this one's.
+empty directory with the same relative paths. A case prints SAME when every
+file the call wrote, its stdout, its stderr and its exit code agree byte for
+byte between the trees, and DIFF (naming what differs) when they do not. Under
+a DIFF, each differing output that holds an expectation series (a t,re,im,abs
+CSV, or an emerge report) gets one more line: the largest |change| of the
+series over |<D(0)>|, the parent's first magnitude, and for a report the
+distance of each HS norm in ulps and whether the verdict and both decoherence
+times are equal. The exit code is 1 on any DIFF, else 0. Timing is perfbench's
+job, not this one's.
 
 The inputs come from ``perfbench/workloads.py``, imported read-only, and from
 ``configs/``, both of this checkout.
@@ -18,13 +23,15 @@ The inputs come from ``perfbench/workloads.py``, imported read-only, and from
 from __future__ import annotations
 
 import argparse
-import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
@@ -94,15 +101,15 @@ def cases() -> dict:
     out["oracle gaussian_band"] = lambda workdir: [
         "oracle", "--family", "gaussian_band", "--params", '{"sigma1": 1.5, "sigma2": 2.0}',
         "--t", "0,0.25,1,3.5,10"]
-    for n in (129, 257, 385):
+    for n in (129, 257, 385, 513):
         for o1_family, m in (("lorentz_band", "real"), ("random_bandlimited", "complex")):
             out[f"two kernels n={n} {m} M"] = _scenario_case(_two_kernels(n, o1_family),
                                                               "simulate")
     return out
 
 
-def fingerprint(tree: Path, setup) -> dict:
-    """sha256 of each file one call writes, and of its stdout, stderr and exit code."""
+def outputs(tree: Path, setup) -> dict:
+    """The bytes of each file one call writes, and of its stdout, stderr and exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         argv = setup(workdir)
@@ -115,7 +122,52 @@ def fingerprint(tree: Path, setup) -> dict:
                  "stderr": proc.stderr}
         parts.update({path.name: path.read_bytes()
                       for path in sorted(set(workdir.iterdir()) - inputs)})
-    return {key: hashlib.sha256(data).hexdigest() for key, data in parts.items()}
+    return parts
+
+
+def _numbers(data: bytes) -> dict:
+    """The series of a t,re,im,abs CSV, or an emerge report's series and scalars; else {}."""
+    if data.startswith(b"t,re,im,abs\n"):
+        rows = np.loadtxt(io.BytesIO(data), delimiter=",", skiprows=1, ndmin=2)
+        return {"series": rows[:, 1] + 1j * rows[:, 2]}
+    try:
+        doc = json.loads(data)
+    except ValueError:
+        return {}
+    if not (isinstance(doc, dict) and isinstance(doc.get("series"), dict)):
+        return {}
+    return {**doc, "series": np.array(doc["series"]["re"]) + 1j * np.array(doc["series"]["im"])}
+
+
+def ulps(x: float, y: float) -> int:
+    """How many doubles lie from x to y: 0 when equal, 1 for neighbours (-0.0 and 0.0 are 0)."""
+    def line(v):  # the bits of v as a sign-magnitude integer, made monotone in v
+        bits = int(np.array(v, np.float64).view(np.int64))
+        return bits if bits >= 0 else -(bits & (2**63 - 1))
+    return abs(line(x) - line(y))
+
+
+def numeric_diff(before: bytes, after: bytes) -> str:
+    """How far a differing output moved by value, or "" if it holds no series in both trees."""
+    a, b = _numbers(before), _numbers(after)
+    if "series" not in a or "series" not in b:
+        return ""
+    first, (x, y) = abs(a["series"][0]), (a["series"], b["series"])
+    if x.shape != y.shape:
+        notes = [f"series of {len(x)} and {len(y)} samples"]
+    else:
+        moved = np.max(np.abs(y - x))
+        notes = [f"max |dseries| / |D(0)| = {moved / first:.3g}" if first
+                 else f"max |dseries| = {moved:.3g}, D(0) = 0"]
+    for key in ("hs_norm_initial", "hs_norm_final", "verdict", "decoherence_time",
+                "effective_compatibility_time"):
+        if key in a and key in b:
+            u, v = a[key], b[key]
+            if key.startswith("hs_norm") and isinstance(u, float) and isinstance(v, float):
+                notes.append(f"{key} {ulps(u, v)} ulps")
+            else:
+                notes.append(f"{key} {'equal' if u == v else f'{u} vs {v}'}")
+    return ", ".join(notes)
 
 
 def main(argv=None) -> int:
@@ -129,11 +181,16 @@ def main(argv=None) -> int:
             parser.error(f"no sidlattice sources under {tree / 'src'}")
     matrix, diffs = cases(), 0
     for name, setup in matrix.items():
-        before, after = (fingerprint(tree, setup) for tree in trees)
+        before, after = (outputs(tree, setup) for tree in trees)
         differ = sorted(key for key in before.keys() | after.keys()
                         if before.get(key) != after.get(key))
         diffs += bool(differ)
-        print(f"DIFF {name}: {', '.join(differ)}" if differ else f"SAME {name}", flush=True)
+        print(f"DIFF {name}: {', '.join(differ)}" if differ else f"SAME {name}")
+        for key in differ:
+            moved = numeric_diff(before.get(key, b""), after.get(key, b""))
+            if moved:
+                print(f"    {key}: {moved}")
+        sys.stdout.flush()
     print(f"{diffs} of {len(matrix)} cases differ")
     return 1 if diffs else 0
 

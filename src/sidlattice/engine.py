@@ -10,7 +10,7 @@ On the uniform grid the phases depend only on the node-index difference, so expe
 are evaluated by collapsing the weighted kernel (Hermitian, so read by its tiles I <= J) onto its
 anti-diagonals (the nu profile) and summing one factor per offset, a baby-step times a giant-step
 phase. The regrouping is exact and keeps roundoff near 1e-13 even for strongly cancelling sums.
-Kernels are read by L2-sized tiles (spectral._TILE); M = K1 K2 by tile rows, kept as half M^H - M.
+Kernels are read by L2-sized tiles (spectral._TILE); M = K1 K2 by panels, kept as half M^H - M.
 """
 
 from __future__ import annotations
@@ -124,13 +124,14 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     [O1, O2] is (d1(w) - d1(w')) K2 - (d2(w) - d2(w')) K1 + K1 o K2 - K2 o K1; a cross term is
     skipped when its diagonal is constant or its kernel zero (``is_zero``: absent, or read up to
     its first nonzero tile). When no term survives, the pair commutes exactly and D is the absent
-    kernel. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2, made one tile row at
-    a time (K1's row by tiles, times K2 made dense for it alone), each row scattered at once into
-    H = M^H - M by _TILE x _TILE blocks, kept as half[i], tile row i from its first column on
-    (n (n + _TILE) / 2 in all), each entry one rounding of conj(M[J, I]) - M[I, J]; a tile
-    J >= I reads H, a lower one -conj(H[J, I]).T. Each tile sums -[O1, O2] = -i D in a scratch
-    of the terms' dtype, negated by each subtraction's operand order (exact under
-    round-to-nearest); i times that sum is D.
+    kernel. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2, made by panels: each
+    tile row of K1, made by tiles, times a column half of K2 made by tiles into one n x cut buffer
+    (cut = _TILE ceil(n / (2 _TILE)); no split where a half would be one column). Each panel goes
+    at once into H = M^H - M, kept as half[i], tile row i from its first column on (n (n + _TILE)
+    / 2 in all), by _TILE x _TILE blocks, each set by its first term (-M[I, J] if I and J share a
+    half, else conj(M[J, I]).T) and combined with its second: one rounding of conj(M[J, I]) -
+    M[I, J]. A tile J >= I reads H, a lower one -conj(H[J, I]).T. Each tile sums -[O1, O2] = -i D
+    in one scratch of the terms' dtype (negated exactly by operand order); D is i times that sum.
 
     When both operand kernels are exactly Hermitian (residual 0.0, or absent), so is D, whose
     maker is then exact (residual 0.0, no scan): IEEE rounding is sign-symmetric, so the cross
@@ -147,16 +148,28 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     k1, k2 = o1.kernel, o2.kernel
     half = []  # H's upper tile rows, when the mixing term survives
     if not (k1.is_zero or k2.is_zero):
-        right = k2.dense(np.result_type(k1.dtype, k2.dtype))
-        left, product = np.empty((2, _TILE, n), right.dtype)
-        for rows in _row_blocks(n):  # K1's tile row by tiles, times K2
-            top, a = rows.start, rows.stop - rows.start
-            for cols in _row_blocks(n):
-                k1.tile(rows, cols, left[:a, cols])
-            m = np.matmul(left[:a], right, out=product[:a])
-            half.append(np.negative(m[:, top:]))  # -M[I, J >= I], then H[J <= I, I]:
-            for j, above in zip(range(0, top + 1, _TILE), half):
-                above[:, top - j:top - j + a] += m[:, j:j + _TILE].T.conj()  # real: no copy
+        dtype, cut = np.result_type(k1.dtype, k2.dtype), _TILE * -(-n // (2 * _TILE))
+        halves = [(0, cut), (cut, n)] if n - cut > 1 else [(0, n)]  # no one-column half
+        half = [np.empty((r.stop - r.start, n - r.start), dtype) for r in _row_blocks(n)]
+        left, buf = np.empty((_TILE, n), dtype), np.empty((n + _TILE) * halves[0][1], dtype)
+        for lo, hi in halves:  # K2[:, lo:hi] by tiles, times each tile row of K1 by tiles
+            right, product = buf[:n * (hi - lo)].reshape(n, -1), buf[n * (hi - lo):]
+            for rows in _row_blocks(n):
+                for cols in _row_blocks(hi - lo):
+                    k2.tile(rows, slice(lo + cols.start, lo + cols.stop), right[rows, cols])
+            for rows in _row_blocks(n):
+                top, a = rows.start, rows.stop - rows.start
+                for cols in _row_blocks(n):
+                    k1.tile(rows, cols, left[:a, cols])
+                m = np.matmul(left[:a], right, out=product[:a * (hi - lo)].reshape(a, -1))
+                if top < lo:  # -M[I, J >= I]: subtracted in the half after I's, set in I's
+                    half[top // _TILE][:, lo - top:hi - top] -= m
+                elif top < hi:
+                    np.negative(m[:, top - lo:], out=half[top // _TILE][:, :hi - top])
+                for j in range(lo, min(top + 1, hi), _TILE):  # conj(M[I, J]).T into H[J, I]:
+                    into = half[j // _TILE][:, top - j:top - j + a]  # added in I's half, else set
+                    blk = m[:, j - lo:j - lo + _TILE].T  # real: conj makes no copy
+                    np.add(into, blk.conj(), out=into) if top < hi else np.conjugate(blk, out=into)
 
     def cross(kernel, diag, order):  # (d(w) - d(w')) K, or (d(w') - d(w)) K for order -1
         def write(rows, cols, into, diff):

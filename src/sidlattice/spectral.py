@@ -198,11 +198,10 @@ class RegularKernel:
         tiles = (self.tile(*ij) for ij in _tiles(self.grid.n_points))
         return not (self.present and any(map(np.any, tiles)))
 
-    def dense(self, dtype=None) -> np.ndarray:
-        """A fresh n x n array of the samples as dtype, written tile by tile."""
-        n = self.grid.n_points
-        out = np.empty((n, n), self.dtype if dtype is None else dtype)
-        for ij in _tiles(n):
+    def dense(self) -> np.ndarray:
+        """A fresh n x n array of the samples, written tile by tile."""
+        out = np.empty((self.grid.n_points,) * 2, self.dtype)
+        for ij in _tiles(len(out)):
             self.tile(*ij, out[ij])
         return out
 

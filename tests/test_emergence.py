@@ -379,7 +379,8 @@ class TestPeakMemory:
         At n = 2048 a tile is at most a 64th of an n x n complex array, and a stored
         D would be a whole one. rho and the operands are built before tracing
         starts, so the live traced arrays are the tiles and, for two real
-        kernels, the real half of M^H - M, M = K1 K2, and a dense K2 while it is formed.
+        kernels, the real half of M^H - M, M = K1 K2, and a column half of K2
+        while M is formed.
         """
         n = 2048
         grid = make_grid(20.0, n)
@@ -401,14 +402,16 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("o1_family", ["lorentz_band", "random_bandlimited"])
     def test_d_is_formed_beside_k2_and_keeps_half_of_m(self, o1_family):
-        """Forming D holds K2 made dense, H = M^H - M by its upper tile rows (n (n + _TILE) / 2
-        entries) and two one-row buffers, K1's tile row and its product: no n x n copy of K1 or
-        M. Once formed, D keeps H and its three scratch tiles. The peak's slack is five tiles
-        (the scratch, a cast's buffers, a complex block's conjugate) and 64 KiB. With M formed
-        in K1's dense copy beside dense K2 and kept whole, the peak was 71.8 and 143.7 MB here,
-        and D kept 34.1 and 68.2 MB; with H kept by 256-row slabs, the peak was 4.9 and 10.6 MB
-        above this bound, and D kept 1.0 and 2.0 MB above its own."""
+        """Forming D holds one column half of K2 (n x cut, cut = _TILE ceil(n / (2 _TILE))),
+        H = M^H - M by its upper tile rows (n (n + _TILE) / 2 entries) and two one-row buffers,
+        K1's tile row (n wide) and its product (cut wide): no n x n copy of K1, K2 or M. Once
+        formed, D keeps H and its three scratch tiles. The peak's slack is five tiles (the
+        scratch, a cast's buffers, a complex block's conjugate) and 64 KiB. With M formed in K1's
+        dense copy beside dense K2 and kept whole, the peak was 71.8 and 143.7 MB here, and D
+        kept 34.1 and 68.2 MB; with H by tile rows but K2 made dense whole, the peak was 56.0
+        and 111.9 MB, 17.5 and 35.1 MB above this bound (38.5 and 76.9 MB)."""
         n, rows = 2048, spectral._TILE
+        cut = rows * -(-n // (2 * rows))
         grid = make_grid(20.0, n)
         o1, o2 = _operands(grid, True, o1_family)
         assert o1.kernel.hermitian_residual == o2.kernel.hermitian_residual == 0.0  # D unscanned
@@ -418,7 +421,8 @@ class TestPeakMemory:
         assert traced.result.kernel.hermitian_residual == 0.0
         half = (n * n + n * rows) // 2 * itemsize
         tile = rows**2 * itemsize
-        assert traced.peak <= n * n * itemsize + half + 2 * rows * n * itemsize + 5 * tile + 2**16
+        formed = (n * cut + rows * (n + cut)) * itemsize + half
+        assert traced.peak <= formed + 5 * tile + 2**16
         assert traced.held <= half + 3 * tile + 2**16
 
     def test_emerge_builds_and_holds_no_n_by_n_kernel(self, tmp_path):

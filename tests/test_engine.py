@@ -1265,20 +1265,29 @@ class TestIncompatibilityBound:
                 expectation_series(rho, incompat, 1.0, 11)
 
 
-def _row_product_d(o1, o2):
-    """D by the dense formula: K1 made dense, times K2 in _TILE-row np.matmul products into M,
-    then i ((d1(w') - d1(w)) K2 + (d2(w) - d2(w')) K1 + spacing (conj(M).T - M)), each term
+def _column_halves(n):
+    """The engine's split of K2's columns: at _TILE ceil(n / (2 _TILE)), unless the second half
+    would be one column wide (numpy would then take a matrix-vector product) or empty."""
+    cut = spectral._TILE * -(-n // (2 * spectral._TILE))
+    return [slice(0, cut), slice(cut, n)] if n - cut > 1 else [slice(0, n)]
+
+
+def _row_product_d(o1, o2, halves=True):
+    """D by the dense formula: K1 and K2 made dense, M = K1 K2 by _TILE-row np.matmul products
+    against K2's column halves (or, with halves false, against the whole of K2), then
+    i ((d1(w') - d1(w)) K2 + (d2(w) - d2(w')) K1 + spacing (conj(M).T - M)), each term
     in the terms' dtype and summed in this order, a cross term left out where its diagonal
-    is constant. The oracle of the engine's tile-row M and its upper half of M^H - M."""
-    grid, rows = o1.grid, spectral._TILE
+    is constant. The oracle of the engine's M and its upper half of M^H - M."""
+    grid, rows, n = o1.grid, spectral._TILE, o1.grid.n_points
     k1, k2 = o1.kernel, o2.kernel
     dtype = np.result_type(np.float64, k1.dtype, k2.dtype)
-    m, right = k1.dense(dtype), k2.dense(dtype)
-    for top in range(0, grid.n_points, rows):
-        part = m[top:top + rows]
-        part[...] = np.matmul(part, right)
+    left, right = k1.dense().astype(dtype), k2.dense().astype(dtype)
+    m = np.empty_like(left)
+    for top in range(0, n, rows):
+        for cols in _column_halves(n) if halves else [slice(0, n)]:
+            m[top:top + rows, cols] = np.matmul(left[top:top + rows], right[:, cols])
     d1, d2 = o1.diag.values, o2.diag.values  # d(w) - d(w') is np.subtract.outer(d, d)
-    terms = [k.dense(dtype) * diff.astype(dtype) for k, diff, d in (
+    terms = [k.dense().astype(dtype) * diff.astype(dtype) for k, diff, d in (
         (k2, np.subtract.outer(d1, d1).T, d1), (k1, np.subtract.outer(d2, d2), d2))
         if np.ptp(d) != 0]
     mixing = np.subtract(np.conjugate(m).T, m)
@@ -1307,16 +1316,19 @@ def _kernel_pair(grid, o1_family, diagonals):
 
 
 class TestMixingTermByHalves:
-    @pytest.mark.parametrize("n", [spectral._TILE - 1, 2 * spectral._TILE, 300,
-                                   2 * spectral._TILE + 1])
+    @pytest.mark.parametrize("n", [spectral._TILE - 1, spectral._TILE + 1, 2 * spectral._TILE,
+                                   2 * spectral._TILE + 1, 2 * spectral._TILE + 2, 300,
+                                   4 * spectral._TILE + 1])
     @pytest.mark.parametrize("o1_family,diagonals", [
         ("lorentz_band", True), ("random_bandlimited", True), ("rect_band", False)],
         ids=["real-M", "complex-M", "M-zero-off-the-band"])
     def test_d_matches_the_row_product_bit_for_bit(self, monkeypatch, n, o1_family, diagonals):
         """n = 2 _TILE fills its last tile row, 300 does not, and 2 _TILE + 1 leaves a one-row
-        last tile row. Two rect kernels and no diagonals leave M exactly 0 away from the
-        band, where a lower tile's -conj(H[J, I]).T must keep the +0.0 that conj(M[J, I]) -
-        M[I, J] rounds to: D's bytes, signs of zero included, are compared."""
+        last tile row. K2's columns are not split at _TILE +- 1 and 2 _TILE + 1 (a one-column
+        second half); 2 _TILE + 2 leaves a two-column second half, 4 _TILE + 1 one of
+        _TILE + 1 columns beside three tile columns. Two rect kernels and no diagonals leave M
+        exactly 0 away from the band, where a lower tile's -conj(H[J, I]).T must keep the +0.0
+        that conj(M[J, I]) - M[I, J] rounds to: D's bytes, signs of zero included, are compared."""
         def no_scan(*args):
             raise AssertionError("D was scanned although exactly Hermitian")
 
@@ -1330,6 +1342,17 @@ class TestMixingTermByHalves:
         assert got.tobytes() == expected.tobytes()
         if not diagonals:
             assert np.count_nonzero(got) < got.size  # some entries are zeros to compare
+
+    @pytest.mark.parametrize("n", [258, 385, 511, 513])
+    @pytest.mark.parametrize("o1_family", ["lorentz_band", "random_bandlimited"],
+                             ids=["real-M", "complex-M"])
+    def test_d_by_halves_is_within_eps_max_d_of_one_gemm_per_tile_row(self, n, o1_family):
+        """Against M by one GEMM per tile row, a BLAS may round a product of K2's column halves
+        otherwise in a near-cancelling entry of D; the sizes are those where one moved."""
+        grid = make_grid(20.0, n)
+        o1, o2 = _kernel_pair(grid, o1_family, True)
+        got, whole = engine._incompatibility_blocks(o1, o2).dense(), _row_product_d(o1, o2, False)
+        assert np.max(np.abs(got - whole)) <= np.finfo(float).eps * np.max(np.abs(whole))
 
     @pytest.mark.parametrize("o1_family", ["lorentz_band", "random_bandlimited"])
     def test_commutator_kernel_is_i_times_d_bit_for_bit(self, o1_family):
