@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._blas import blas_threads
 from .emergence import BinPartition, PointerAlgebra, Verdict, require_epsilon, run_emergence
 from .engine import (
     ANALYTIC_FORMS,
@@ -494,7 +495,8 @@ def main(argv=None) -> int:
     # (an envelope leak) as one line after its work
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = args.run(args)
+            with blas_threads(1):  # the pool only where engine raises it, for its large products
+                code = args.run(args)
         except SidLatticeError as exc:  # a window overrun, else a config or domain precondition
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_WINDOW if isinstance(exc, WindowExceeded) else EXIT_CONFIG

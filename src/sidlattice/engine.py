@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ._blas import blas_threads
 from .errors import UnsupportedFamily, WindowExceeded
 from .spectral import (
     FrequencyGrid,
@@ -161,7 +162,8 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
                 top, a = rows.start, rows.stop - rows.start
                 for cols in _row_blocks(n):
                     k1.tile(rows, cols, left[:a, cols])
-                m = np.matmul(left[:a], right, out=product[:a * (hi - lo)].reshape(a, -1))
+                with blas_threads():  # M's products need the pool
+                    m = np.matmul(left[:a], right, out=product[:a * (hi - lo)].reshape(a, -1))
                 if top < lo:  # -M[I, J >= I]: subtracted in the half after I's, set in I's
                     half[top // _TILE][:, lo - top:hi - top] -= m
                 elif top < hi:
@@ -243,11 +245,12 @@ def _phase_series(grid: FrequencyGrid, profile: Optional[np.ndarray],
     babies, giants = times[:k] - times[0], times[::k]
     step = max(_PHASE_CHUNK, _PHASE_CHUNK**2 // (k + len(giants)))
     series, part = np.zeros((2, k, len(giants)), dtype=np.complex128)
-    for m in (slice(i, i + step) for i in range(0, 2 * n - 1, step)):
-        e, q = np.multiply.outer(babies, inu[m]), np.multiply.outer(inu[m], giants)
-        np.multiply(np.exp(q, out=q), profile[m, None], out=q)
-        series += np.matmul(np.exp(e, out=e), q, out=part)
-        del e, q  # else the next chunk is formed while this one is alive
+    with blas_threads():  # E @ Q needs the pool
+        for m in (slice(i, i + step) for i in range(0, 2 * n - 1, step)):
+            e, q = np.multiply.outer(babies, inu[m]), np.multiply.outer(inu[m], giants)
+            np.multiply(np.exp(q, out=q), profile[m, None], out=q)
+            series += np.matmul(np.exp(e, out=e), q, out=part)
+            del e, q  # else the next chunk is formed while this one is alive
     return series.T.reshape(-1)[:len(times)]
 
 

@@ -3,6 +3,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import direct_phase_series, near_the_evolved_norm
 from sidlattice import (
     ExpectationSeries,
+    _blas,
     cli,
     engine,
     evolve,
@@ -1162,3 +1166,144 @@ def test_cli_contract_on_one_mutated_oracle_argument(base, key, value, times, mu
         params_json, t_list = json.dumps(params), "0,1,2"
     # one argument, since argparse reads a separate value that starts with "-" as an option
     _check_contract(["oracle", "--family", family, "--params", params_json, f"--t={t_list}"])
+
+
+_THREAD_PROBE = """
+import json, sys
+from pathlib import Path
+from sidlattice.cli import main
+doc, out = json.loads(Path(sys.argv[1]).read_text()), Path(sys.argv[2])
+for n in map(int, sys.argv[3:]):
+    doc["grid"]["n_points"] = n
+    (out / f"{n}.json").write_text(json.dumps(doc))
+    cfg = str(out / f"{n}.json")
+    assert main(["emerge", "--config", cfg, "--report", str(out / f"report{n}.json"),
+                 "--series", str(out / f"emerge{n}.csv")]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(out / f"simulate{n}.csv")]) == 0
+"""
+
+
+def _kernel_pair_config():
+    """The base scenario on 300 points with a kernel on O1 too, so that M = K1 K2 is formed."""
+    doc = _base_config(n_points=300)
+    doc["observables"]["O1"]["kernel"] = {"family": "lorentz_band", "amplitude": 0.5,
+                                          "gamma": 1.0, "mu": 10.0, "Sigma": 2.0}
+    return doc
+
+
+class TestBlasThreads:
+    """A CLI call runs on one BLAS thread, and raises the pool back to the process's own count
+    only around M = K1 K2 and the phase series' E @ Q; a library caller keeps its own count."""
+
+    @pytest.fixture
+    def pool(self):
+        """The process's count raised to 2 for the test, where the loaded OpenBLAS allows it,
+        and the count found restored after."""
+        calls = _blas._lookup()
+        if not calls:
+            pytest.skip("no OpenBLAS thread-count call found")
+        setter, getter = calls
+        own = getter()
+        setter(2)
+        yield getter
+        setter(own)
+
+    @staticmethod
+    def _argv(tmp_path, command, cfg):
+        if command == "simulate":
+            return ["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]
+        return ["emerge", "--config", cfg, "--report", str(tmp_path / "r.json"),
+                "--series", str(tmp_path / "s.csv")]
+
+    @staticmethod
+    def _recorded(monkeypatch, own=3):
+        """Stand-in thread-count calls that record each count set, with the engine function
+        (or "main") it was set inside."""
+        count, sets = [own], []
+
+        def setter(value):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            site = [f for f in ("_incompatibility_blocks", "_phase_series") if f in names]
+            sets.append((value, site[0] if site else "main"))
+            count[0] = value
+
+        monkeypatch.setattr(_blas, "_calls", (setter, lambda: count[0]))
+        return sets
+
+    def test_one_kernel_outputs_are_the_same_bytes_at_one_and_two_threads(self, tmp_path):
+        """Defect: M's products aside, output bits depended on the host's thread count
+        (emerge's HS norms moved at n = 385 and 2048). M is not formed here: O1 is diag-only."""
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                          os.environ.get("PYTHONPATH")])))
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(_SHIPPED_PATH), str(out),
+                            "129", "257", "385", "1000", "2048"],
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True)
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outputs["1"]) == 20
+        assert [name for name in outputs["1"] if outputs["1"][name] != outputs["2"][name]] == []
+
+    @pytest.mark.parametrize("command", ["emerge", "simulate"])
+    def test_the_count_is_restored_after_a_run(self, tmp_path, pool, command):
+        cfg = _write(tmp_path / "cfg.json", _kernel_pair_config())
+        own = pool()
+        assert main(self._argv(tmp_path, command, cfg)) == 0
+        assert pool() == own and _blas._pool == 0
+
+    def test_the_count_is_restored_after_a_config_error(self, tmp_path, capsys, pool):
+        cfg = _write(tmp_path / "cfg.json", {"grid": "not a block"})
+        own = pool()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert pool() == own and _blas._pool == 0
+
+    def test_the_count_is_restored_when_an_exception_escapes(self, tmp_path, monkeypatch, pool):
+        def broken(*args):
+            assert _blas._lookup()[1]() == 1  # the run itself is on one thread
+            raise RuntimeError("broken run")
+
+        monkeypatch.setattr(cli, "run_simulate", broken)
+        own = pool()
+        with pytest.raises(RuntimeError, match="broken run"):
+            main(["simulate", "--config", str(_SHIPPED_PATH), "--out", str(tmp_path / "s.csv")])
+        assert pool() == own and _blas._pool == 0
+
+    def test_a_library_call_never_sets_the_count(self, tmp_path, monkeypatch):
+        cfg = _write(tmp_path / "cfg.json", _kernel_pair_config())
+        scenario = cli.load_scenario(cfg, need_partition=False, outputs={})
+        sets = self._recorded(monkeypatch)
+        incompat = incompatibility_observable(scenario.o1, scenario.o2)  # M is formed
+        engine.series_and_norms(scenario.rho, incompat, scenario.t_max, scenario.n_samples)
+        assert sets == []
+
+    def test_one_kernel_emerge_raises_the_pool_only_in_the_phase_series(self, tmp_path,
+                                                                         monkeypatch):
+        sets = self._recorded(monkeypatch)
+        cfg = _write(tmp_path / "cfg.json", _base_config(n_points=300))
+        assert main(self._argv(tmp_path, "emerge", cfg)) == 0
+        assert sets == [(1, "main"), (3, "_phase_series"), (1, "_phase_series"), (3, "main")]
+
+    def test_two_kernel_simulate_raises_the_pool_around_m_too(self, tmp_path, monkeypatch):
+        sets = self._recorded(monkeypatch)
+        cfg = _write(tmp_path / "cfg.json", _kernel_pair_config())  # 3 tile rows, 2 halves
+        assert main(self._argv(tmp_path, "simulate", cfg)) == 0
+        products = [(3, "_incompatibility_blocks"), (1, "_incompatibility_blocks")] * 6
+        assert sets == [(1, "main"), *products, (3, "_phase_series"), (1, "_phase_series"),
+                        (3, "main")]
+
+    def test_emerge_runs_unchanged_where_no_thread_call_is_found(self, tmp_path, monkeypatch):
+        cfg = _write(tmp_path / "cfg.json", _base_config(n_points=300))
+        assert main(self._argv(tmp_path, "emerge", cfg)) == 0
+        found = (tmp_path / "r.json").read_bytes(), (tmp_path / "s.csv").read_bytes()
+        monkeypatch.setattr(_blas, "_calls", None)
+        monkeypatch.setattr(_blas, "_NAMES", [("no_such_set_num_threads", "no_such_get")])
+        assert main(self._argv(tmp_path, "emerge", cfg)) == 0
+        assert _blas._calls == ()  # nothing bound, so nothing set
+        assert ((tmp_path / "r.json").read_bytes(), (tmp_path / "s.csv").read_bytes()) == found
