@@ -126,13 +126,13 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     skipped when its diagonal is constant or its kernel zero (``is_zero``: absent, or read up to
     its first nonzero tile). When no term survives, the pair commutes exactly and D is the absent
     kernel. For Hermitian kernels K1 o K2 - K2 o K1 = M - M^H, M = K1 o K2, made by panels: each
-    tile row of K1, made by tiles, times a column half of K2 made by tiles into one n x cut buffer
-    (cut = _TILE ceil(n / (2 _TILE)); no split where a half would be one column). Each panel goes
-    at once into H = M^H - M, kept as half[i], tile row i from its first column on (n (n + _TILE)
-    / 2 in all), by _TILE x _TILE blocks, each set by its first term (-M[I, J] if I and J share a
-    half, else conj(M[J, I]).T) and combined with its second: one rounding of conj(M[J, I]) -
-    M[I, J]. A tile J >= I reads H, a lower one -conj(H[J, I]).T. Each tile sums -[O1, O2] = -i D
-    in one scratch of the terms' dtype (negated exactly by operand order); D is i times that sum.
+    tile row of K1, made by tiles, times a column half of K2 (right half first) made by tiles into
+    one n x cut buffer (cut = _TILE ceil(n / (2 _TILE)); no split where a half would be one column).
+    Each panel goes at once into H = M^H - M, kept as half[i], tile row i from its first column on
+    (n (n + _TILE) / 2 in all), by _TILE x _TILE blocks: rows ascending in each half, -M[I, J] sets
+    H[I, J >= I] before conj(M[J, I]).T is added, one rounding of conj(M[J, I]) - M[I, J]. A
+    tile J >= I reads H, a lower one -conj(H[J, I]).T. Each tile sums -[O1, O2] = -i D in one
+    scratch of the terms' dtype (negated exactly by operand order); D is i times that sum.
 
     When both operand kernels are exactly Hermitian (residual 0.0, or absent), so is D, whose
     maker is then exact (residual 0.0, no scan): IEEE rounding is sign-symmetric, so the cross
@@ -150,11 +150,11 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     half = []  # H's upper tile rows, when the mixing term survives
     if not (k1.is_zero or k2.is_zero):
         dtype, cut = np.result_type(k1.dtype, k2.dtype), _TILE * -(-n // (2 * _TILE))
-        halves = [(0, cut), (cut, n)] if n - cut > 1 else [(0, n)]  # no one-column half
+        halves = [(cut, n), (0, cut)] if n - cut > 1 else [(0, n)]  # right first; no 1-column half
         half = [np.empty((r.stop - r.start, n - r.start), dtype) for r in _row_blocks(n)]
-        left, buf = np.empty((_TILE, n), dtype), np.empty((n + _TILE) * halves[0][1], dtype)
+        left, right = np.empty((_TILE, n), dtype), np.empty((n, halves[-1][1]), dtype)
+        product = np.empty((_TILE, right.shape[1]), dtype)  # both as wide as the left half
         for lo, hi in halves:  # K2[:, lo:hi] by tiles, times each tile row of K1 by tiles
-            right, product = buf[:n * (hi - lo)].reshape(n, -1), buf[n * (hi - lo):]
             for rows in _row_blocks(n):
                 for cols in _row_blocks(hi - lo):
                     k2.tile(rows, slice(lo + cols.start, lo + cols.stop), right[rows, cols])
@@ -163,15 +163,12 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
                 for cols in _row_blocks(n):
                     k1.tile(rows, cols, left[:a, cols])
                 with blas_threads():  # M's products need the pool
-                    m = np.matmul(left[:a], right, out=product[:a * (hi - lo)].reshape(a, -1))
-                if top < lo:  # -M[I, J >= I]: subtracted in the half after I's, set in I's
-                    half[top // _TILE][:, lo - top:hi - top] -= m
-                elif top < hi:
-                    np.negative(m[:, top - lo:], out=half[top // _TILE][:, :hi - top])
-                for j in range(lo, min(top + 1, hi), _TILE):  # conj(M[I, J]).T into H[J, I]:
-                    into = half[j // _TILE][:, top - j:top - j + a]  # added in I's half, else set
-                    blk = m[:, j - lo:j - lo + _TILE].T  # real: conj makes no copy
-                    np.add(into, blk.conj(), out=into) if top < hi else np.conjugate(blk, out=into)
+                    m = np.matmul(left[:a], right[:, :hi - lo], out=product[:a, :hi - lo])
+                if (start := max(lo, top)) < hi:  # -M[I, J >= I] sets H[I, J], reached first
+                    np.negative(m[:, start - lo:], out=half[top // _TILE][:, start - top:hi - top])
+                for j in range(lo, min(top + 1, hi), _TILE):  # conj(M[I, J]).T adds into H[J, I]
+                    into = half[j // _TILE][:, top - j:top - j + a]
+                    np.add(into, m[:, j - lo:j - lo + _TILE].T.conj(), out=into)  # real: no copy
 
     def cross(kernel, diag, order):  # (d(w) - d(w')) K, or (d(w') - d(w)) K for order -1
         def write(rows, cols, into, diff):
@@ -277,7 +274,7 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
     with k - l = m, or None (zero) when rho has no kernel or D is absent. Each tile of rho is made
     and conjugated in its own buffer, and its product with D's tile written by one multiply into a
     sheared view of an (h, 2h - 1) buffer, h = _TILE, entry [i, l] at column h - 1 - i + l (one
-    per anti-diagonal). norms is None, or, given a time t, D's HS norms at 0 and at t (tiles phased
+    per anti-diagonal). norms is (), or, given a time t, D's HS norms at 0 and at t (tiles phased
     in place once read).
 
     conj(rho) o D is Hermitian with rho and D, so a strict tile (I < J) stands for its mirror: its
@@ -309,7 +306,7 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
             squares[1].add(phased_values(tile, phases, rows, cols, out=tile), times)
     if weighted:  # the diagonal tiles' row, plus the strict row and its mirror
         profile = grid.spacing**2 * (profile[0] + (profile[1] + np.conjugate(profile[1, ::-1])))
-    return profile, None if phases is None else tuple(s.norm(grid.spacing) for s in squares)
+    return profile, () if phases is None else tuple(s.norm(grid.spacing) for s in squares)
 
 
 def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
@@ -329,28 +326,30 @@ def expectation(rho: VanHoveState, obs: VanHoveObservable, t: float) -> complex:
     return diag_term + complex(_finite(kernel_term)[0])
 
 
+def _sampled(rho: VanHoveState, incompat: IncompatibilityObservable, t_max: float,
+             n_samples: int, t: Optional[float] = None) -> tuple:
+    """(series, *norms) from one pass over D's tiles I <= J; norms, at 0 and t, only given t."""
+    grid = _require_same_grid(rho.grid, incompat.grid)
+    require_window(grid, t_max, n_samples)
+    times = np.linspace(0.0, t_max, int(n_samples))
+    profile, norms = _tile_pass(rho, incompat.kernel, t)
+    return (ExpectationSeries(times, _phase_series(grid, profile, times), grid.recurrence_time),
+            *norms)
+
+
 def expectation_series(rho: VanHoveState, incompat: IncompatibilityObservable,
                        t_max: float, n_samples: int) -> ExpectationSeries:
     """Uniformly sampled expectation of incompat, from one pass over its kernel's tiles I <= J.
 
     Raises WindowExceeded past half the recurrence time 2*pi/spacing.
     """
-    grid = _require_same_grid(rho.grid, incompat.grid)
-    require_window(grid, t_max, n_samples)
-    times = np.linspace(0.0, t_max, int(n_samples))
-    profile, _ = _tile_pass(rho, incompat.kernel)
-    return ExpectationSeries(times, _phase_series(grid, profile, times), grid.recurrence_time)
+    return _sampled(rho, incompat, t_max, n_samples)[0]
 
 
 def series_and_norms(rho: VanHoveState, incompat: IncompatibilityObservable,
                      t_max: float, n_samples: int) -> tuple[ExpectationSeries, float, float]:
     """expectation_series, with the HS norms of D and of D evolved to t_max from its pass."""
-    grid = _require_same_grid(rho.grid, incompat.grid)
-    require_window(grid, t_max, n_samples)
-    times = np.linspace(0.0, t_max, int(n_samples))
-    profile, norms = _tile_pass(rho, incompat.kernel, t_max)
-    series = ExpectationSeries(times, _phase_series(grid, profile, times), grid.recurrence_time)
-    return (series, *norms)
+    return _sampled(rho, incompat, t_max, n_samples, t_max)
 
 
 def require_thresholds(threshold_ratio: float, sustain: int) -> None:

@@ -40,3 +40,20 @@ def test_a_series_csv_gives_its_move_and_other_outputs_give_nothing():
         "max |dseries| = 1e-300, D(0) = 0")
     assert compare.numeric_diff(b'{"meet": []}', b'{"meet": [1]}') == ""
     assert compare.numeric_diff(b"0", b"2") == ""
+
+
+def test_both_trees_inherit_the_callers_blas_thread_count(monkeypatch, tmp_path):
+    """The CLI sets its own count but for M = K1 K2 and E @ Q, whose bits can depend on the
+    caller's; a compare run under OPENBLAS_NUM_THREADS=2 must run both trees at 2."""
+    seen = []
+
+    def run(argv, env, **kwargs):
+        seen.append(env)
+        return compare.subprocess.CompletedProcess(argv, 0, b"", b"")
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setattr(compare.subprocess, "run", run)
+    parts = compare.outputs(tmp_path, lambda workdir: ["simulate"])
+    assert parts == {"exit code": b"0", "stdout": b"", "stderr": b""}
+    assert seen[0]["OPENBLAS_NUM_THREADS"] == "2"
+    assert seen[0]["PYTHONDONTWRITEBYTECODE"] == "1"
