@@ -24,14 +24,18 @@ def _lookup() -> tuple:
 @contextlib.contextmanager
 def blas_threads(count: int = 0):
     """Run the block at count BLAS threads, or for 0 at the count the enclosing one-thread call
-    recorded (nothing outside one); the count found on entry is restored, also if it raises."""
+    recorded (nothing outside one); the count found on entry is restored, also if it raises.
+    Where the count is already the one asked for, nothing is set."""
     global _pool
     setter, getter = (_lookup() if count or _pool else ()) or (lambda _: None, lambda: 0)
     own, outer = getter(), _pool
     _pool = outer or own
-    setter(count or _pool)
+    change = (count or _pool) != own
+    if change:
+        setter(count or _pool)
     try:
         yield
     finally:
-        setter(own)
+        if change:
+            setter(own)
         _pool = outer

@@ -11,12 +11,18 @@ are evaluated by collapsing the weighted kernel (Hermitian, so read by its tiles
 anti-diagonals (the nu profile) and summing one factor per offset, a baby-step times a giant-step
 phase. The regrouping is exact and keeps roundoff near 1e-13 even for strongly cancelling sums.
 Kernels are read by L2-sized tiles (spectral._TILE); M = K1 K2 by panels, kept as half M^H - M.
+The tile pass deals D's tile rows to the calling thread and, given two CPUs, one helper thread,
+and folds their sums in tile order, so its bits do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -36,6 +42,7 @@ from .spectral import (
     _finite,
     _require_same_grid,
     _row_blocks,
+    _thread_buffer,
     _upper_tiles,
 )
 
@@ -194,11 +201,11 @@ def _incompatibility_blocks(o1: VanHoveObservable, o2: VanHoveObservable) -> Reg
     limit = 2.0 * (sum(float(np.ptp(d)) * (b1 if k is k1 else b2) for k, d, _ in crosses)
                    + (2.0 * max(n, grid.omega_max) * b1 * b2 if half else 0.0))
     dtype = np.result_type(np.float64, *(k.dtype for k, _, _ in crosses), *half[:1])
-    scratch = np.empty((3, _TILE, _TILE), dtype)  # diff, later, the sum
+    scratch = _thread_buffer((3, _TILE, _TILE), dtype)  # diff, later, the sum: each thread's
 
     def make(rows, cols, out=None):
         d = np.empty((len(d1[rows]), len(d1[cols])), complex) if out is None else out
-        diff, later, acc = scratch[:, :d.shape[0], :d.shape[1]]
+        diff, later, acc = scratch()[:, :d.shape[0], :d.shape[1]]
         for k, write in enumerate(terms):  # -[O1, O2] = -i D, summed term by term
             write(rows, cols, later if k else acc, diff)
             if k:
@@ -268,7 +275,7 @@ def _require_half_window(t_max: float, recurrence_time: float) -> None:
 
 
 def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
-    """(profile, norms) from one pass over D's tiles I <= J, each made once into one buffer.
+    """(profile, norms) from one pass over D's tiles I <= J, each made once.
 
     profile is the spacing^2 nu-profile of conj(rho) o D, profile[m + n - 1] summing the terms
     with k - l = m, or None (zero) when rho has no kernel or D is absent. Each tile of rho is made
@@ -282,28 +289,98 @@ def _tile_pass(rho: VanHoveState, d: RegularKernel, t: Optional[float] = None):
     With residuals r_rho and r_D a mirrored term is off by r_rho |D| + r_D |rho| + r_rho r_D at
     most, so the series leaves the full double sum by spacing^2 (r_rho sum |D| + r_D sum |rho| +
     n^2 r_rho r_D) at most beyond the regrouping's roundoff, and each norm D's by n spacing r_D.
+
+    Each tile row I (its tiles J >= I) is a unit, taken in order by the calling thread and, when
+    os.sched_getaffinity finds two CPUs, one helper thread run in the caller's context (so under
+    its np.errstate); both lanes run at one BLAS thread, and each makes its tiles in buffers of
+    its own. A lane keeps, per tile, the column sums of its sheared product and the plain sums of
+    squares of D and of D phased; the caller folds them in _upper_tiles order into the one profile
+    and the two _SumOfSquares, so every addition is the one-lane pass's and no bit depends on the
+    lane count. A tile whose plain sum is tiny, or comes after the overflow switch, is made again
+    by the caller for add. A lane that raises ends both lanes' work past its unit; the helper is
+    always joined, and the caller raises the error of the first failing tile in tile order.
     """
     grid = rho.grid
     n, h = grid.n_points, _TILE
     weighted = rho.kernel.present and d.present
-    skew = np.zeros((h, 2 * h - 1), dtype=np.complex128)
-    view = as_strided(skew.reshape(-1)[h - 1:], (h, h), ((2 * h - 2) * 16, 16))
-    buf, state = np.empty((2, h, h), dtype=np.complex128)  # D's tile, conj(rho)'s tile
     profile = np.zeros((2, 2 * n - 1), dtype=np.complex128) if weighted else None  # row times - 1
     squares = _SumOfSquares(), _SumOfSquares()  # |D|^2 at 0 and at t
     phases = None if t is None else np.exp(1j * t * grid.nodes)
-    for rows, cols, times in _upper_tiles(n) if d.present else ():
-        a, w = rows.stop - rows.start, cols.stop - cols.start
-        tile = d.tile(rows, cols, buf[:a, :w])  # made even unweighted: checked if unbounded
-        if weighted:  # in complex buffers, so real and complex operands mix
-            view[:a, w:] = 0.0  # a wider tile before a narrower one wrote its right corner
-            conj = np.conjugate(rho.kernel.tile(rows, cols, out=state[:a, :w]), out=state[:a, :w])
-            np.multiply(conj, tile, out=view[:a, :w])
-            start = rows.start - cols.stop + n  # column h + w - 2: offset start - n + 1
-            profile[times - 1, start:start + a + w - 1] += skew[:a, h - a:h + w - 1].sum(0)[::-1]
-        if phases is not None:
-            squares[0].add(tile, times)
-            squares[1].add(phased_values(tile, phases, rows, cols, out=tile), times)
+    units = [list(row) for _, row in groupby(_upper_tiles(n) if d.present else (),
+                                             lambda tile: tile[0].start)]
+    made = [None] * len(units)  # per unit: (sums, plain sums) per tile, or the error it raised
+    lock, order = threading.Lock(), iter(range(len(units)))
+    stop, folded = len(units), 0  # no unit past stop, the first known to fail, is started
+
+    def lane(fold=lambda: None):  # the units it takes from order, each made, then fold()
+        nonlocal stop
+        skew = np.zeros((h, 2 * h - 1), dtype=np.complex128)
+        view = as_strided(skew.reshape(-1)[h - 1:], (h, h), ((2 * h - 2) * 16, 16))
+        buf, state = np.empty((2, h, h), dtype=np.complex128)  # D's tile, conj(rho)'s tile
+        while True:
+            with lock:
+                u = next(order, None)
+            if u is None or u > stop:
+                return
+            tiles = []
+            try:
+                for rows, cols, _ in units[u]:
+                    a, w = rows.stop - rows.start, cols.stop - cols.start
+                    # made even unweighted (checked if unbounded), in complex buffers, so real
+                    # and complex operands mix
+                    tile = d.tile(rows, cols, buf[:a, :w])
+                    sums = None
+                    if weighted:
+                        view[:a, w:] = 0.0  # a wider tile before a narrower one wrote its corner
+                        conj = np.conjugate(rho.kernel.tile(rows, cols, out=state[:a, :w]),
+                                            out=state[:a, :w])
+                        np.multiply(conj, tile, out=view[:a, :w])
+                        sums = skew[:a, h - a:h + w - 1].sum(0)[::-1]
+                    tiles.append((sums, () if phases is None else (
+                        _SumOfSquares.plain(tile),
+                        _SumOfSquares.plain(phased_values(tile, phases, rows, cols, out=tile)))))
+            except Exception as exc:
+                with lock:
+                    made[u], stop = exc, min(stop, u)
+                return
+            made[u] = tiles
+            fold()
+
+    def fold():  # the units made so far, in order
+        nonlocal folded
+        while folded < len(units) and made[folded] is not None:
+            u, tiles = folded, made[folded]
+            if isinstance(tiles, Exception):
+                raise tiles
+            for (rows, cols, times), (sums, plain) in zip(units[u], tiles):
+                if weighted:
+                    start = rows.start - cols.stop + n  # column h + w - 2: offset start - n + 1
+                    profile[times - 1, start:start + len(sums)] += sums
+                need = [not s.fold(p, times) for s, p in zip(squares, plain)]
+                if any(need):  # tiny, or past the overflow switch: the tile made again
+                    out = np.empty((h, h), np.complex128)[:rows.stop - rows.start,
+                                                          :cols.stop - cols.start]
+                    tile = d.tile(rows, cols, out)
+                    if need[0]:
+                        squares[0].add(tile, times)
+                    if need[1]:
+                        squares[1].add(phased_values(tile, phases, rows, cols, out=tile), times)
+            made[u], folded = (), u + 1
+
+    two = len(units) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(lane,)) if two else None
+    with blas_threads(1):  # each lane's BLAS calls on its own thread alone
+        if helper is not None:
+            helper.start()
+        try:
+            lane(fold)
+        except BaseException:
+            stop = -1  # the helper starts no further unit
+            raise
+        finally:
+            if helper is not None:
+                helper.join()
+        fold()
     if weighted:  # the diagonal tiles' row, plus the strict row and its mirror
         profile = grid.spacing**2 * (profile[0] + (profile[1] + np.conjugate(profile[1, ::-1])))
     return profile, () if phases is None else tuple(s.norm(grid.spacing) for s in squares)

@@ -10,6 +10,7 @@ accurate for profiles that decay inside the window).
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._blas import blas_threads
 from .errors import (
     GridMismatch,
     LengthMismatch,
@@ -365,27 +367,46 @@ def _warn_on_envelope_leak(grid: FrequencyGrid, spec: KernelFamilySpec) -> None:
         )
 
 
+def _thread_buffer(shape, dtype) -> Callable[[], np.ndarray]:
+    """A function giving the calling thread's own empty array, made at its first call and
+    dropped with the thread: scratch that concurrent tile makes do not share."""
+    local = threading.local()
+
+    def buffer():
+        if not hasattr(local, "array"):
+            local.array = np.empty(shape, dtype)
+        return local.array
+
+    return buffer
+
+
 def _tabulated(n: int, band, envelope, bound, mixed=None, phases_h=None) -> _Tiles:
     """Tiles of K[k, l] = band[k - l + n - 1] * envelope[k + l], times random_bandlimited's mode
-    mixture B = mixed @ phases_h / 6 as build_kernel says; exact for a bitwise symmetric band."""
-    scratch = None if mixed is None else np.empty((2, _TILE, _TILE), np.complex128)
-    nu_factor, s_factor = sliding_window_view(band, n)[:, ::-1], sliding_window_view(envelope, n)
+    mixture B = mixed @ phases_h / 6 as build_kernel says; exact for a bitwise symmetric band.
+    The Toeplitz view reads the reversed band forwards along a row (stride +8); a mixture tile
+    is made in out, and each thread keeps one plane of its own for B^H."""
+    plane = None if mixed is None else _thread_buffer((_TILE, _TILE), np.complex128)
+    nu_factor = sliding_window_view(np.ascontiguousarray(band[::-1]), n)[::-1]
+    s_factor = sliding_window_view(envelope, n)
 
     def make(rows, cols, out=None):
         toeplitz, hankel = nu_factor[rows, cols], s_factor[rows, cols]
         if mixed is None:
             return np.multiply(toeplitz, hankel, out=out)
-        # H * toeplitz * hankel, in this order, in the maker's own two buffers
+        # B * toeplitz * hankel, in this order, in out
+        tile = np.empty(toeplitz.shape, np.complex128) if out is None else out
+        a, w = tile.shape
         if cols.start < rows.start:  # a lower tile: its upper mirror's conjugate transpose
-            mirror = _mixture_tile(mixed, phases_h, cols, rows, scratch[1])
-            tile = np.conjugate(mirror.T, out=scratch[0][:mirror.shape[1], :mirror.shape[0]])
+            mirror = _mixture_tile(mixed, phases_h, cols, rows, plane()[:w, :a])
+            np.conjugate(mirror.T, out=tile)
         else:
-            tile = _mixture_tile(mixed, phases_h, rows, cols, scratch[0])
-        if cols == rows:  # a diagonal tile: its own Hermitian part 0.5 (B + B^H)
-            np.add(tile, np.conjugate(tile.T, out=scratch[1][:len(tile), :len(tile)]), out=tile)
-            tile *= 0.5
+            _mixture_tile(mixed, phases_h, rows, cols, tile)
+            if cols == rows:  # a diagonal tile: its own Hermitian part 0.5 (B + B^H)
+                np.add(tile, np.conjugate(tile.T, out=plane()[:a, :a]), out=tile)
+                tile *= 0.5
         tile *= toeplitz
-        return np.multiply(tile, hankel, out=out)
+        tile *= hankel
+        return tile
 
     return _Tiles(make, np.dtype(np.float64 if mixed is None else np.complex128), bound,
                   np.array_equal(band, band[::-1]))
@@ -395,16 +416,19 @@ def _mixture_tile(mixed: np.ndarray, phases_h: np.ndarray, rows: slice,
                   cols: slice, out: np.ndarray) -> np.ndarray:
     """B[rows, cols] for slices of _row_blocks, made in out: the whole product's bits.
 
-    A slab one row or column wide (a last block) is widened by the one before
-    and trimmed: numpy would take a matrix-vector product, which rounds differently.
+    A slab one row or column wide (a last block) is widened by the one before, made apart
+    and trimmed into out: numpy would take a matrix-vector product, which rounds differently.
     Its parts times 1 / 6 are numpy's complex / 6 (Smith's rule), bit for bit up to a 0's sign.
     """
     r, c = int(rows.stop - rows.start == 1), int(cols.stop - cols.start == 1)
     left, right = mixed[rows.start - r:rows.stop], phases_h[:, cols.start - c:cols.stop]
-    tile = np.matmul(left, right, out=out[:len(left), :right.shape[1]])[r:, c:]
-    parts = tile.view(np.float64)  # re, im
+    if r or c:
+        np.copyto(out, np.matmul(left, right)[r:, c:])
+    else:
+        np.matmul(left, right, out=out)
+    parts = out.view(np.float64)  # re, im
     parts *= 1.0 / _RANDOM_MODES
-    return tile
+    return out
 
 
 def build_kernel(grid: FrequencyGrid, spec: KernelFamilySpec) -> RegularKernel:
@@ -502,18 +526,34 @@ class _SumOfSquares:
     def __init__(self):
         self.total, self.scale, self.small = 0.0, 1.0, 0.0
 
+    @staticmethod
+    def plain(block: np.ndarray) -> Optional[float]:
+        """The plain sum of the squares of the block's parts (inf past the float range), or None
+        where it is below _SMALL and the block is not all zero: then add needs the block."""
+        parts = np.ascontiguousarray(block).reshape(-1).view(np.float64)  # re, im if complex
+        with np.errstate(over="ignore"):
+            squares = float(parts @ parts)
+        return None if squares < _SMALL and (squares or parts.any()) else squares
+
+    def fold(self, squares: Optional[float], times: int = 1) -> bool:
+        """Add a block's plain sum from plain, as add would; False, and nothing added, where add
+        needs the block itself: a tiny one (None), one past the overflow switch, or one that
+        makes the total overflow."""
+        if squares is None or self.scale != 1.0 or not math.isfinite(
+                total := self.total + times * squares):
+            return False
+        self.total = total
+        return True
+
     def add(self, block: np.ndarray, times: int = 1) -> None:
         parts = np.ascontiguousarray(block).reshape(-1).view(np.float64)  # re, im if complex
         if self.scale == 1.0:
-            with np.errstate(over="ignore"):
-                squares = float(parts @ parts)
-            if squares < _SMALL and (squares or parts.any()):  # tiny, not all zero
+            squares = self.plain(parts)
+            if squares is None:  # tiny, not all zero
                 parts = parts * _BIG
                 self.small += times * float(parts @ parts)
                 return
-            total = self.total + times * squares
-            if math.isfinite(total):
-                self.total = total
+            if self.fold(squares, times):
                 return
             self.total, self.scale = self.total / _BIG / _BIG, _BIG
         parts = parts / _BIG
@@ -527,13 +567,15 @@ class _SumOfSquares:
 
 
 def hs_norm(kernel: RegularKernel) -> float:
-    """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2), summed by tiles; 0 iff K = 0. An exact
-    kernel (residual 0.0) is read by _upper_tiles, as the tile pass reads D: the same bits."""
+    """Hilbert-Schmidt norm sqrt(spacing^2 * sum |K|^2), summed by tiles at one BLAS thread; 0 iff
+    K = 0. An exact kernel (residual 0.0) is read by _upper_tiles, as the tile pass reads D: the
+    same bits."""
     if not kernel.present:
         return 0.0
     squares, n, upper = _SumOfSquares(), kernel.grid.n_points, kernel.hermitian_residual == 0.0
-    for rows, cols, times in _upper_tiles(n) if upper else ((*ij, 1) for ij in _tiles(n)):
-        squares.add(kernel.tile(rows, cols), times)
+    with blas_threads(1):  # as the tile pass sums: a pooled ddot rounds otherwise
+        for rows, cols, times in _upper_tiles(n) if upper else ((*ij, 1) for ij in _tiles(n)):
+            squares.add(kernel.tile(rows, cols), times)
     return squares.norm(kernel.grid.spacing)
 
 

@@ -1191,6 +1191,37 @@ def _kernel_pair_config():
     return doc
 
 
+def _pin_to_one_cpu():
+    """preexec_fn of a test's own child: run it on one of the CPUs it may use."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity calls")
+def test_outputs_are_the_same_bytes_on_one_cpu_and_on_all():
+    """The tile pass runs a helper lane only where the process may use two CPUs. Both children
+    run at one BLAS thread: M's pooled products round by the pool's size, which OpenBLAS caps
+    at the CPUs a process may use, so a pinned two-kernel run differed at n = 385 before any
+    lane was added (one-kernel runs form no M and do not depend on the BLAS count)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        pair = Path(tmp) / "pair.json"
+        pair.write_text(json.dumps(_kernel_pair_config()))
+        outputs = {}
+        for pinned in (True, False):
+            out = Path(tmp) / str(pinned)
+            for cfg, sizes in ((_SHIPPED_PATH, ["257", "2048"]), (pair, ["385"])):
+                (out / cfg.stem).mkdir(parents=True)
+                subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(cfg), str(out / cfg.stem),
+                                *sizes], env=env, check=True,
+                               preexec_fn=_pin_to_one_cpu if pinned else None)
+            outputs[pinned] = {p.relative_to(out): p.read_bytes()
+                               for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(outputs[True]) == 12 and outputs[True].keys() == outputs[False].keys()
+    assert [name for name in outputs[True] if outputs[True][name] != outputs[False][name]] == []
+
+
 class TestBlasThreads:
     """A CLI call runs on one BLAS thread, and raises the pool back to the process's own count
     only around M = K1 K2 and the phase series' E @ Q; a library caller keeps its own count."""
@@ -1226,7 +1257,8 @@ class TestBlasThreads:
             while frame is not None:
                 names.add(frame.f_code.co_name)
                 frame = frame.f_back
-            site = [f for f in ("_incompatibility_blocks", "_phase_series") if f in names]
+            site = [f for f in ("_incompatibility_blocks", "_phase_series", "_tile_pass")
+                    if f in names]
             sets.append((value, site[0] if site else "main"))
             count[0] = value
 
@@ -1275,13 +1307,17 @@ class TestBlasThreads:
             main(["simulate", "--config", str(_SHIPPED_PATH), "--out", str(tmp_path / "s.csv")])
         assert pool() == own and _blas._pool == 0
 
-    def test_a_library_call_never_sets_the_count(self, tmp_path, monkeypatch):
+    def test_a_library_call_sets_the_count_only_around_the_tile_pass(self, tmp_path,
+                                                                      monkeypatch):
+        """M and E @ Q run at the caller's own count; the tile pass's lanes at one thread,
+        with the caller's count set back after."""
         cfg = _write(tmp_path / "cfg.json", _kernel_pair_config())
         scenario = cli.load_scenario(cfg, need_partition=False, outputs={})
         sets = self._recorded(monkeypatch)
         incompat = incompatibility_observable(scenario.o1, scenario.o2)  # M is formed
         engine.series_and_norms(scenario.rho, incompat, scenario.t_max, scenario.n_samples)
-        assert sets == []
+        assert sets == [(1, "_tile_pass"), (3, "_tile_pass")]
+        assert _blas._pool == 0
 
     def test_one_kernel_emerge_raises_the_pool_only_in_the_phase_series(self, tmp_path,
                                                                          monkeypatch):

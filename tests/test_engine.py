@@ -1,7 +1,13 @@
+import ast
+import contextlib
 import json
 import math
+import sys
+import threading
+import time
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -1372,3 +1378,180 @@ class TestMixingTermByHalves:
         assert traced.result.values.shape == (n, n)
         slack = 3 * rows**2 * 16 + 2**16
         assert traced.peak <= n * n * 16 + (n * n + n * rows) // 2 * 8 + slack
+
+
+@contextlib.contextmanager
+def _lanes(count):
+    """The tile pass run by count lanes: os.sched_getaffinity made to report count CPUs."""
+    with patch.object(engine.os, "sched_getaffinity", lambda pid: set(range(count)),
+                      create=True):
+        yield
+
+
+def _slowed(kernel):
+    """Make kernel's maker sleep 1 ms a tile (releasing the GIL), so that both lanes take rows;
+    the list returned gets (thread, np.geterr()["over"]) at each make."""
+    make, seen = kernel._maker.make, []
+
+    def slow(rows, cols, out=None):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        time.sleep(1e-3)
+        return make(rows, cols, out)
+
+    kernel._maker = kernel._maker._replace(make=slow)
+    return seen
+
+
+def _shared_kernels():
+    """A random_bandlimited kernel (a mixture tile a make), and D of two kernels, one of them
+    that kernel, over 300 points: three tiles a side, the last 44 wide."""
+    grid = make_grid(20.0, 300)
+    mixture = build_kernel(grid, KernelFamilySpec("random_bandlimited", sigma=1.5, mu=10.0,
+                                                  Sigma=2.0, seed=5))
+    o1 = VanHoveObservable(DiagonalPart(grid, grid.nodes), mixture)
+    o2 = VanHoveObservable.kernel_only(build_kernel(grid, KernelFamilySpec(
+        "gaussian_band", sigma=1.5, mu=10.0, Sigma=2.0)))
+    return {"random_bandlimited": mixture,
+            "two-kernel-d": incompatibility_observable(o1, o2).kernel}
+
+
+class TestTwoLanes:
+    """The tile pass's rows split between the caller and one helper thread: the same bits as
+    one lane, the caller's numeric context, one error in tile order, and no thread left."""
+
+    @pytest.mark.parametrize("name", ["random_bandlimited", "two-kernel-d"])
+    def test_concurrent_tile_makes_give_one_threads_bytes(self, name):
+        """Each thread's makes use scratch of their own; with one shared scratch, as before,
+        a thread's tile picked up the other's half-made planes."""
+        kernel = _shared_kernels()[name]
+        tiles = list(spectral._tiles(kernel.grid.n_points))
+        alone = [kernel.tile(*ij).tobytes() for ij in tiles] * 20
+        got, start = [], threading.Barrier(2)
+
+        def read():
+            start.wait()
+            got.append([kernel.tile(*ij).tobytes() for _ in range(20) for ij in tiles])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over between almost every two bytecodes
+        try:
+            threads = [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 2 and got[0] == alone and got[1] == alone
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([*TILE_EDGES, tile_edge(3, 1)]),
+           state_family=st.sampled_from(_FAMILIES + [None]),
+           o1_family=st.sampled_from([None] + _FAMILIES), o2_family=st.sampled_from(_FAMILIES),
+           seed=st.integers(0, 2**32 - 1), stored=st.sampled_from([None, 1.0, 1e-170, 1e160]),
+           fraction=st.sampled_from([None, 0.3, 1.0]))
+    @example(n=tile_edge(3, 1), state_family=None, o1_family=None, o2_family="gaussian_band",
+             seed=0, stored=1e-170, fraction=1.0)  # every tile tiny: each made again to add
+    @example(n=tile_edge(3, 1), state_family="random_bandlimited", o1_family="lorentz_band",
+             o2_family="random_bandlimited", seed=1, stored=1e160,
+             fraction=0.3)  # the plain sums overflow: the later tiles made again
+    def test_one_lane_and_two_give_the_same_bits(self, n, state_family, o1_family, o2_family,
+                                                 seed, stored, fraction):
+        """Over tile edges, an absent state kernel (state_family None), and a stored D, scaled
+        so its squares underflow or overflow, and with or without the norms (fraction None)."""
+        grid, rho, incompat = _tile_pass_scenario(n, state_family or "gaussian_band", o1_family,
+                                                  o2_family, seed)
+        if state_family is None:
+            rho = VanHoveState(rho.diag, RegularKernel.absent(grid))
+        d = incompat.kernel if stored is None else RegularKernel(
+            grid, stored * incompat.kernel.dense(), _adopt=True)
+        t = None if fraction is None else fraction * 0.5 * grid.recurrence_time
+        passes = []
+        for count in (1, 2):
+            with _lanes(count), np.errstate(over="ignore"):
+                passes.append(engine._tile_pass(rho, d, t))
+        (one, one_norms), (two, two_norms) = passes
+        assert (one is None) == (two is None) == (state_family is None)
+        assert one is None or one.tobytes() == two.tobytes()
+        assert one_norms == two_norms and len(two_norms) == (0 if t is None else 2)
+        if t is not None:
+            assert two_norms[0] == hs_norm(d)  # D is exact: the same upper tiles, one thread
+
+    def test_the_error_of_the_first_failing_tile_in_tile_order_is_raised(self):
+        """Whichever lane makes it, and however far the other lane has got."""
+        grid, rho, incompat = _tile_pass_scenario(tile_edge(4), "gaussian_band", None,
+                                                  "gaussian_band", 0)
+        d, failing = incompat.kernel, {(128, 384): "first", (256, 256): "second",
+                                       (384, 384): "third"}
+        make = d._maker.make
+
+        def broken(rows, cols, out=None):
+            if (rows.start, cols.start) in failing:
+                raise RuntimeError(failing[rows.start, cols.start])
+            return make(rows, cols, out)
+
+        d._maker = d._maker._replace(make=broken)
+        before = threading.active_count()
+        for _ in range(10):
+            with _lanes(2), pytest.raises(RuntimeError, match="^first$"):
+                engine._tile_pass(rho, d, 1.0)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_a_stored_operand_whose_d_overflows_raises_and_leaves_no_thread(self, count):
+        """D of a stored kernel is unbounded, so its tiles are checked finite as made, here
+        by both lanes; under the CLI's errstate the overflow is the one ValueError."""
+        grid = make_grid(20.0, tile_edge(3))
+        rho = VanHoveState.normalized(
+            DiagonalPart(grid, np.exp(-0.5 * ((grid.nodes - 10.0) / 3.0) ** 2)),
+            build_kernel(grid, KernelFamilySpec("gaussian_band", sigma=1.5, mu=10.0, Sigma=2.0)))
+        kernel = build_kernel(grid, KernelFamilySpec(
+            "gaussian_band", amplitude=1e4, sigma=1.5, mu=10.0, Sigma=2.0))
+        o1 = VanHoveObservable.diag_only(DiagonalPart(grid, 1e306 * grid.nodes))
+        o2 = VanHoveObservable.kernel_only(RegularKernel(grid, kernel.values))  # stored
+        before = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"):
+            incompat = incompatibility_observable(o1, o2)
+            assert incompat.kernel.bound == math.inf
+            with _lanes(count), pytest.raises(ValueError, match="^samples must be finite$"):
+                engine.series_and_norms(rho, incompat, 10.0, 21)
+        assert threading.active_count() == before
+
+    def test_the_helper_runs_under_the_callers_errstate(self):
+        """np.errstate is a context variable; a new thread would start at numpy's default."""
+        grid, rho, incompat = _tile_pass_scenario(tile_edge(4), "gaussian_band", None,
+                                                  "gaussian_band", 0)
+        seen = _slowed(incompat.kernel)
+        with _lanes(2), np.errstate(over="ignore"):
+            engine._tile_pass(rho, incompat.kernel, 1.0)
+        assert len({thread for thread, _ in seen}) == 2  # both lanes made tiles
+        assert {mode for _, mode in seen} == {"ignore"}
+
+    def test_the_helper_calls_nothing_the_benchmark_tracer_wraps(self):
+        """perfbench's tracer keeps one span stack for every thread, so a traced function called
+        from the helper would interleave its spans with the caller's."""
+        source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+        names = {target.id: ast.literal_eval(node.value) for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name) and target.id in ("SPANS", "COUNTERS")}
+        traced = {name.split(".")[1] for name in names["SPANS"] + names["COUNTERS"]}
+        traced = {f"{name}.__init__" if name[0].isupper() else name for name in traced}
+        package, called = str(Path(engine.__file__).parent), set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                called.add(getattr(frame.f_code, "co_qualname", frame.f_code.co_name))
+
+        grid, rho, incompat = _tile_pass_scenario(tile_edge(4), "random_bandlimited",
+                                                  "random_bandlimited", "gaussian_band", 0)
+        seen = _slowed(incompat.kernel)
+        threading.setprofile(profile)  # threads started from now on: the helper alone
+        try:
+            with _lanes(2):
+                engine.series_and_norms(rho, incompat, 1.0, 5)
+        finally:
+            threading.setprofile(None)
+        assert len({thread for thread, _ in seen}) == 2  # the helper made tiles
+        assert "_SumOfSquares.plain" in called
+        assert not called & traced
